@@ -492,7 +492,7 @@ let scale_topo () =
    deadline bounds the run: the schedulable slice completes (symmetric
    flows batch their completion events), the rest expires in one final
    batch, so the scene stays runnable at m = 10000 while still
-   triggering hundreds of incremental replans. *)
+   triggering hundreds of replans. *)
 let scale_tasks ~m =
   let volume = 1000. (* Mb per chunk fetch *) and deadline = 12. in
   List.init m (fun i ->
@@ -505,9 +505,9 @@ let scale_tasks ~m =
       in
       Task.v ~id:i ~arrival:0. ~deadline ~volume ~k:4 ~sources ~destination:dst ())
 
-let scale_scene_run ?(incremental = true) ~m name =
+let scale_scene_run ~m name =
   let topo = scale_topo () in
-  Engine.run ~incremental topo (Registry.make ~incremental name) (scale_tasks ~m)
+  Engine.run topo (Registry.make name) (scale_tasks ~m)
 
 (* Spawn-pressure variant: the same hand-built leaf-local workload in
    20 arrival waves of m/20 tasks, so the engine performs thousands of

@@ -11,9 +11,8 @@
                                            results in BENCH_5.json
      dune exec bench/main.exe -- scale     scale mode: 1040-server
                                            leaf-spine, 1k/5k/10k active
-                                           tasks, per-event plan time +
-                                           incremental-vs-from-scratch
-                                           speedup in BENCH_6.json
+                                           tasks, per-event plan time in
+                                           BENCH_6.json
      dune exec bench/main.exe -- codec     codec mode: RS
                                            encode/decode/reconstruct
                                            MB/s per kernel and chunk
@@ -274,10 +273,9 @@ let run_bench () =
   close_out oc;
   Printf.printf "\nwrote %s\n" bench_json_file
 
-(* Scale mode: the O(affected) engine on a 1040-server leaf-spine with
-   1k/5k/10k simultaneously active tasks, per-event plan time recorded
-   to BENCH_6.json, plus an end-to-end incremental-vs-from-scratch
-   pair on a scene small enough for the dense oracle to finish. *)
+(* Scale mode: the engine on a 1040-server leaf-spine with 1k/5k/10k
+   simultaneously active tasks, per-event plan time recorded to
+   BENCH_6.json. *)
 let scale_json_file = "BENCH_6.json"
 
 let run_scale () =
@@ -286,7 +284,7 @@ let run_scale () =
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
-  print_endline "\n=== scale scenes (leaf-spine, 1040 servers, incremental engine) ===";
+  print_endline "\n=== scale scenes (leaf-spine, 1040 servers) ===";
   let scenes =
     List.map
       (fun m ->
@@ -301,17 +299,6 @@ let run_scale () =
         (m, r, per_event_us, wall))
       [ 1000; 5000; 10000 ]
   in
-  print_endline "\n=== incremental vs from-scratch (same scene, end-to-end wall clock) ===";
-  let m_pair = 1000 in
-  let inc, inc_s = timed (fun () -> Experiments.scale_scene_run ~m:m_pair "lpst") in
-  let orc, orc_s =
-    timed (fun () -> Experiments.scale_scene_run ~incremental:false ~m:m_pair "lpst")
-  in
-  let fp_inc = S3_sim.Report.fingerprint inc and fp_orc = S3_sim.Report.fingerprint orc in
-  let identical = String.equal fp_inc fp_orc in
-  Printf.printf
-    "m=%d: incremental %.3fs, from-scratch %.3fs (speedup %.1fx), fingerprints identical=%b\n%!"
-    m_pair inc_s orc_s (orc_s /. inc_s) identical;
   let b = Buffer.create 2048 in
   Buffer.add_string b "{\n";
   Buffer.add_string b
@@ -332,11 +319,7 @@ let run_scale () =
            (json_escape (S3_sim.Report.fingerprint r))
            (if i < List.length scenes - 1 then "," else "")))
     scenes;
-  Buffer.add_string b
-    (Printf.sprintf
-       "  ],\n  \"speedup\": { \"tasks\": %d, \"incremental_s\": %.3f, \
-        \"full_recompute_s\": %.3f, \"speedup\": %.2f, \"fingerprints_identical\": %b }\n}\n"
-       m_pair inc_s orc_s (orc_s /. inc_s) identical);
+  Buffer.add_string b "  ]\n}\n";
   let oc = open_out scale_json_file in
   output_string oc (Buffer.contents b);
   close_out oc;

@@ -115,11 +115,6 @@ let codec_arg =
 
 let parse_codec s = S3_storage.Reed_solomon.kernel_of_string s
 
-let no_incremental_arg =
-  Arg.(value & flag
-       & info [ "no-incremental" ]
-           ~doc:"Disable the O(affected) incremental engine and keyed LP solves; run the                  full-recompute oracle paths instead. Results are bit-identical either                  way; this flag only trades speed for simpler debugging.")
-
 let fingerprint_arg =
   Arg.(value & flag
        & info [ "fingerprint" ]
@@ -168,7 +163,7 @@ let parse_retry = function
     match S3_sim.Retry.of_string spec with Ok c -> Ok (Some c) | Error e -> Error e)
 
 let report ~cloud ~fg ~seed ?(faults = Fault.empty) ?detector ?retry ?watchdog ?csv
-    ?(incremental = true) ?(fingerprint = false) topo names tasks =
+    ?(fingerprint = false) topo names tasks =
   let config =
     { Engine.foreground =
         (if fg > 0. then Foreground.uniform ~max_frac:fg else Foreground.none);
@@ -182,11 +177,10 @@ let report ~cloud ~fg ~seed ?(faults = Fault.empty) ?detector ?retry ?watchdog ?
   let runs =
     List.map
       (fun name ->
-        let alg = Registry.make ~incremental name in
+        let alg = Registry.make name in
         if cloud then
-          Emulator.run ~sim_config:config ~faults ?detector ?retry ?watchdog ~incremental
-            topo alg tasks
-        else Engine.run ~config ~faults ?detector ?retry ?watchdog ~incremental topo alg tasks)
+          Emulator.run ~sim_config:config ~faults ?detector ?retry ?watchdog topo alg tasks
+        else Engine.run ~config ~faults ?detector ?retry ?watchdog topo alg tasks)
       names
   in
   let rows =
@@ -297,7 +291,7 @@ let run_cmd =
   in
   let run topo_kind racks servers cst cta fat_k ports levels algs tasks rate chunk (n, k)
       factor jitter profile_spec fg seed cloud verbose faults_spec detect_spec retry_spec
-      watchdog_spec codec csv no_incremental fingerprint =
+      watchdog_spec codec csv fingerprint =
     setup_logs verbose;
     match (make_topology topo_kind racks servers cst cta fat_k ports levels,
            parse_algorithms algs, parse_faults faults_spec, parse_watchdog watchdog_spec,
@@ -357,8 +351,8 @@ let run_cmd =
            (match watchdog with
             | None -> ""
             | Some w -> Printf.sprintf " | watchdog: %s" (S3_sim.Watchdog.to_string w));
-         report ~cloud ~fg ~seed ~faults ?detector ?retry ?watchdog ?csv
-           ~incremental:(not no_incremental) ~fingerprint topo names workload;
+         report ~cloud ~fg ~seed ~faults ?detector ?retry ?watchdog ?csv ~fingerprint topo
+           names workload;
          `Ok ()
        with Invalid_argument m -> `Error (false, m))
   in
@@ -368,7 +362,7 @@ let run_cmd =
              $ bcube_levels $ algorithms_arg $ tasks_arg $ rate_arg $ chunk_arg $ code_arg
              $ factor_arg $ jitter_arg $ profile_arg $ fg_arg $ seed_arg $ cloud_arg
              $ verbose_arg $ faults_arg $ detect_arg $ retry_arg $ watchdog_arg $ codec_arg
-             $ csv_arg $ no_incremental_arg $ fingerprint_arg))
+             $ csv_arg $ fingerprint_arg))
   in
   Cmd.v (Cmd.info "run" ~doc:"Simulate a synthetic background-task workload.") term
 
@@ -387,7 +381,7 @@ let trace_cmd =
   in
   let run topo_kind racks servers cst cta fat_k ports levels algs file machines tasks chunk
       factor fg seed cloud verbose faults_spec detect_spec retry_spec watchdog_spec codec
-      csv no_incremental fingerprint =
+      csv fingerprint =
     setup_logs verbose;
     match (make_topology topo_kind racks servers cst cta fat_k ports levels,
            parse_algorithms algs, parse_faults faults_spec, parse_watchdog watchdog_spec,
@@ -417,8 +411,8 @@ let trace_cmd =
            Trace.to_tasks g topo records ~chunk_size_mb:chunk ~deadline_factor:factor
          in
          Printf.printf "%s | %d trace records\n\n" (Topology.name topo) (List.length records);
-         report ~cloud ~fg ~seed ~faults ?detector ?retry ?watchdog ?csv
-           ~incremental:(not no_incremental) ~fingerprint topo names workload;
+         report ~cloud ~fg ~seed ~faults ?detector ?retry ?watchdog ?csv ~fingerprint topo
+           names workload;
          `Ok ()
        with
        | Invalid_argument m -> `Error (false, m)
@@ -430,7 +424,7 @@ let trace_cmd =
              $ bcube_levels $ algorithms_arg $ file_arg $ machines_arg $ tasks_arg $ chunk_arg
              $ factor_arg $ fg_arg $ seed_arg $ cloud_arg $ verbose_arg $ faults_arg
              $ detect_arg $ retry_arg $ watchdog_arg $ codec_arg $ csv_arg
-             $ no_incremental_arg $ fingerprint_arg))
+             $ fingerprint_arg))
   in
   Cmd.v (Cmd.info "trace" ~doc:"Simulate a Google-style arrival trace.") term
 

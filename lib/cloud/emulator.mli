@@ -37,7 +37,6 @@ val run :
   ?retry:S3_sim.Retry.config ->
   ?on_failure:(now:float -> server:int -> S3_sim.Metrics.Task.t list) ->
   ?watchdog:S3_sim.Watchdog.config ->
-  ?incremental:bool ->
   S3_net.Topology.t ->
   S3_core.Algorithm.t ->
   S3_sim.Metrics.Task.t list ->

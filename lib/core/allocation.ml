@@ -116,8 +116,7 @@ let priority_fill (v : Problem.view) groups =
     groups;
   !all
 
-let lp_allocate ?backend ?state ?(incremental = false) ?(basis_reuse = false)
-    ?(lower = fun _ -> 0.) (v : Problem.view) flows =
+let lp_allocate ?backend ?state ?(incremental = true) ?(lower = fun _ -> 0.) (v : Problem.view) flows =
   let routes = List.map (fun f -> (f, Problem.route_arr v f)) flows in
   let local, networked = List.partition (fun (_, r) -> Array.length r = 0) routes in
   let local_rates =
@@ -153,9 +152,9 @@ let lp_allocate ?backend ?state ?(incremental = false) ?(basis_reuse = false)
       if not incremental then None
       else
         Some
-          (Lp.identity ~basis_reuse
+          (Lp.identity
              ~var_keys:(Array.map (fun ((f : Problem.flow), _) -> f.Problem.flow_id) flows_arr)
-             ~row_keys:(Array.of_list !row_keys) ())
+             ~row_keys:(Array.of_list !row_keys))
     in
     let lower_arr = Array.map (fun (f, _) -> max 0. (lower f)) flows_arr in
     let problem =

@@ -27,7 +27,6 @@ val lp_allocate :
   ?backend:S3_lp.Lp.backend ->
   ?state:S3_lp.Lp.state ->
   ?incremental:bool ->
-  ?basis_reuse:bool ->
   ?lower:(Problem.flow -> float) ->
   Problem.view -> Problem.flow list -> rates option
 (** One LP: maximize the sum of rates subject to per-entity capacity
@@ -36,14 +35,13 @@ val lp_allocate :
     routes are excluded from the LP and given their lower bound.
     [state] is an {!S3_lp.Lp.state} reused across consecutive calls so
     that identical or grown problems skip or warm-start the solver;
-    pass one state per algorithm instance. [incremental] (default
-    [false]; requires [state]) names variables by flow id and rows by
-    entity id so the solver can decompose the LP into independent
-    blocks and reuse cached block solutions across events — bit-exact
-    with the plain path (see {!S3_lp.Lp.identity}). [basis_reuse]
-    additionally re-solves structurally-unchanged blocks from their
-    previous basis with a dual repair; faster on drifting streams but
-    forfeits bit-exactness. *)
+    pass one state per algorithm instance. With a [state], variables
+    are named by flow id and rows by entity id so the solver can
+    decompose the LP into independent blocks and reuse cached block
+    solutions across events — bit-exact with the plain path (see
+    {!S3_lp.Lp.identity}). [incremental] (default [true]) exists only
+    so that [~incremental:false] can force the plain path; no
+    algorithm in this library sets it. *)
 
 val max_feasible_scale : Problem.view -> (Problem.flow * float) list -> float
 (** [max_feasible_scale v demands] is the largest [theta in [0, 1]]

@@ -1,5 +1,4 @@
-let lpall ?(sources = Algorithm.Least_congested) ?backend ?(incremental = true)
-    ?(basis_reuse = false) () =
+let lpall ?(sources = Algorithm.Least_congested) ?backend () =
   let lp_state = S3_lp.Lp.create_state () in
   let allocate (v : Problem.view) =
     match Lazy.force v.Problem.flows with
@@ -16,8 +15,7 @@ let lpall ?(sources = Algorithm.Least_congested) ?backend ?(incremental = true)
       let theta = theta *. (1. -. 1e-9) in
       let lower f = theta *. demand f in
       (match
-         Allocation.lp_allocate ?backend ~state:lp_state ~incremental ~basis_reuse
-           ~lower v flows
+         Allocation.lp_allocate ?backend ~state:lp_state ~lower v flows
        with
        | Some rates -> rates
        | None ->

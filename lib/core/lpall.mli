@@ -10,8 +10,6 @@
     deadlines (paper, Figs. 2–3 discussion). *)
 
 val lpall :
-  ?sources:Algorithm.source_policy -> ?backend:S3_lp.Lp.backend ->
-  ?incremental:bool -> ?basis_reuse:bool -> unit -> Algorithm.t
-(** [incremental] / [basis_reuse] as in {!Lpst.lpst}: block-decomposed
-    keyed LP solves (default on, bit-exact) and opt-in warm-started
-    re-solves (faster, not bit-exact). *)
+  ?sources:Algorithm.source_policy -> ?backend:S3_lp.Lp.backend -> unit -> Algorithm.t
+(** The LP is keyed as in {!Lpst.lpst}: block-decomposed solves with
+    per-block caching, bit-exact with the unkeyed solve. *)

@@ -68,8 +68,7 @@ let retriage ~admission (v : Problem.view) residual admitted_tasks =
     (Sequencing.sort_pairs v ~key:(admission_key admission) admitted_tasks)
 
 let lpst ?(sources = Algorithm.Least_congested) ?backend ?(admission = Rtf_order)
-    ?(bandwidth = Lp_max) ?(sticky = true) ?(incremental = true) ?(basis_reuse = false)
-    ?name () =
+    ?(bandwidth = Lp_max) ?(sticky = true) ?name () =
   let name = Option.value ~default:"LPST" name in
   (* Sticky admission state: once a task is admitted it keeps its
      reservation until it completes, expires, or foreground traffic
@@ -119,8 +118,7 @@ let lpst ?(sources = Algorithm.Least_congested) ?backend ?(admission = Rtf_order
       | Lrb_only -> List.map (fun f -> (f.Problem.flow_id, lrb f)) flows
       | Lp_max -> (
         match
-          Allocation.lp_allocate ?backend ~state:lp_state ~incremental ~basis_reuse
-            ~lower:lrb v flows
+          Allocation.lp_allocate ?backend ~state:lp_state ~lower:lrb v flows
         with
         | Some rates -> rates
         | None ->

@@ -45,17 +45,12 @@ val lpst :
   ?admission:admission ->
   ?bandwidth:bandwidth ->
   ?sticky:bool ->
-  ?incremental:bool ->
-  ?basis_reuse:bool ->
   ?name:string ->
   unit -> Algorithm.t
 (** [sticky] (default [true]) keeps admitted tasks admitted across
     events; [false] re-triages from scratch on every event — provided
     only for the ablation benchmark that demonstrates why stickiness is
-    load-bearing. [incremental] (default [true]) keys the Phase III LP
-    by flow/entity ids so the solver decomposes it into independent
-    blocks and reuses cached block solutions across events — bit-exact
-    with the unkeyed solve (see {!S3_lp.Lp.identity}). [basis_reuse]
-    (default [false]) additionally warm-starts structurally-unchanged
-    blocks from their previous basis with a dual-simplex repair;
-    faster still, but it forfeits bit-exact replay. *)
+    load-bearing. The Phase III LP is keyed by flow/entity ids so the
+    solver decomposes it into independent blocks and reuses cached
+    block solutions across events — bit-exact with the unkeyed solve
+    (see {!S3_lp.Lp.identity}). *)

@@ -7,17 +7,14 @@ val names : string list
     (shortest-path + first-fit, and EDF with congestion-aware source
     selection). *)
 
-val make : ?seed:int -> ?incremental:bool -> string -> Algorithm.t
+val make : ?seed:int -> string -> Algorithm.t
 (** Fresh instance by (case-insensitive) name; [seed] feeds the private
-    PRNG of randomized source selection (default 42); [incremental]
-    (default [true]) toggles the keyed block-decomposed LP solves of
-    the LP-based algorithms (bit-exact either way — a pure speed knob;
-    see {!S3_lp.Lp.identity}). Raises [Invalid_argument] on unknown
-    names. *)
+    PRNG of randomized source selection (default 42). Raises
+    [Invalid_argument] on unknown names. *)
 
-val competitors : ?seed:int -> ?incremental:bool -> unit -> Algorithm.t list
+val competitors : ?seed:int -> unit -> Algorithm.t list
 (** The paper's Fig. 2 line-up: FIFO, DisFIFO, EDF, DisEDF, LPAll,
     LPST (in that order). *)
 
-val ablations : ?seed:int -> ?incremental:bool -> unit -> Algorithm.t list
+val ablations : ?seed:int -> unit -> Algorithm.t list
 (** Fig. 3a line-up: LPST, LPST-P1, LPST-P2, LPST-P3. *)

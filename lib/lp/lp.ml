@@ -69,11 +69,9 @@ type snapshot = {
 type identity = {
   var_keys : int array;
   row_keys : int array;
-  basis_reuse : bool;
 }
 
-let identity ?(basis_reuse = false) ~var_keys ~row_keys () =
-  { var_keys; row_keys; basis_reuse }
+let identity ~var_keys ~row_keys = { var_keys; row_keys }
 
 type block_entry = {
   e_row_keys : int array;
@@ -366,26 +364,24 @@ let exact_keyed st (id : identity) p cons =
        slack of old row i becomes slack of row i, new rows start on
        their own slack). *)
     let warm_global =
-      if id.basis_reuse then None
-      else
-        match st.keyed_prev with
-        | Some { pk_nvars; pk_rows; pk_basis = Some basis }
-          when pk_nvars <= n && Array.length pk_rows <= m ->
-          let pm = Array.length pk_rows in
-          let ok = ref true in
-          for i = 0 to pm - 1 do
-            if !ok && not (coeffs_equal cons.(i).coeffs pk_rows.(i)) then ok := false
-          done;
-          if not !ok then None
-          else
-            Some
-              (Array.init m (fun i ->
-                   if i >= pm then n + i
-                   else begin
-                     let c = basis.(i) in
-                     if c < pk_nvars then c else n + (c - pk_nvars)
-                   end))
-        | _ -> None
+      match st.keyed_prev with
+      | Some { pk_nvars; pk_rows; pk_basis = Some basis }
+        when pk_nvars <= n && Array.length pk_rows <= m ->
+        let pm = Array.length pk_rows in
+        let ok = ref true in
+        for i = 0 to pm - 1 do
+          if !ok && not (coeffs_equal cons.(i).coeffs pk_rows.(i)) then ok := false
+        done;
+        if not !ok then None
+        else
+          Some
+            (Array.init m (fun i ->
+                 if i >= pm then n + i
+                 else begin
+                   let c = basis.(i) in
+                   if c < pk_nvars then c else n + (c - pk_nvars)
+                 end))
+      | _ -> None
     in
     (* Solve one block under a fixed method. [warm_local = None] means
        cold. Raises [Bail_to_cold] when a warm replay cannot be
@@ -413,17 +409,11 @@ let exact_keyed st (id : identity) p cons =
           match warm_local with
           | Some w -> (
             match
-              Simplex.warm_solve ~dual:id.basis_reuse st.ws ~obj:pr.r_sub_obj
-                ~rows:pr.r_sub_rows ~rhs:pr.r_sub_rhs ~warm:w
+              Simplex.warm_solve st.ws ~obj:pr.r_sub_obj ~rows:pr.r_sub_rows
+                ~rhs:pr.r_sub_rhs ~warm:w
             with
             | Some r -> r
-            | None ->
-              if id.basis_reuse then
-                (* independent blocks: a stale basis only costs this
-                   block a cold solve *)
-                Simplex.maximize_sparse ~ws:st.ws ~obj:pr.r_sub_obj ~rows:pr.r_sub_rows
-                  ~rhs:pr.r_sub_rhs ()
-              else raise Bail_to_cold)
+            | None -> raise Bail_to_cold)
           | None ->
             Simplex.maximize_sparse ~ws:st.ws ~obj:pr.r_sub_obj ~rows:pr.r_sub_rows
               ~rhs:pr.r_sub_rhs ()
@@ -435,19 +425,7 @@ let exact_keyed st (id : identity) p cons =
     in
     let results =
       match warm_global with
-      | None when not id.basis_reuse -> run_pass ~warm_of:(fun _ -> None)
-      | None ->
-        (* basis_reuse: each block replays its own previous basis when
-           its structure is unchanged, with the dual-simplex repair for
-           drifted bounds; anything stale goes cold independently. *)
-        run_pass ~warm_of:(fun pr ->
-            match Hashtbl.find_opt st.blocks pr.r_store_key with
-            | Some e
-              when e.e_row_keys = pr.r_row_keys
-                   && e.e_var_keys = pr.r_var_keys
-                   && keyed_rows_equal e.e_rows pr.r_keyed_rows ->
-              e.e_basis
-            | _ -> None)
+      | None -> run_pass ~warm_of:(fun _ -> None)
       | Some g -> (
         (* remap the global warm basis into each block's local columns *)
         let warm_of pr =

@@ -65,18 +65,9 @@ type identity
     solves return byte-identical solutions, only faster. Keys must be
     unique within a solve and stable across solves. *)
 
-val identity : ?basis_reuse:bool -> var_keys:int array -> row_keys:int array -> unit -> identity
-(** [identity ~var_keys ~row_keys ()] names variable [j] with
-    [var_keys.(j)] and constraint row [i] with [row_keys.(i)].
-
-    [basis_reuse] (default [false]) additionally re-solves a block
-    whose structure is unchanged from its previous optimal basis, with
-    a dual-simplex repair when drifted bounds left that basis primal
-    infeasible, falling back to a from-scratch solve for that block
-    when the basis is stale. This is faster on slowly-drifting problem
-    streams but may select a different vertex among alternative optima
-    than a cold solve, so it forfeits the bit-exactness guarantee —
-    leave it off when results must replay byte-identically. *)
+val identity : var_keys:int array -> row_keys:int array -> identity
+(** [identity ~var_keys ~row_keys] names variable [j] with
+    [var_keys.(j)] and constraint row [i] with [row_keys.(i)]. *)
 
 val make :
   nvars:int -> objective:float array -> ?lower:float array ->

@@ -111,53 +111,6 @@ let run_phase tb =
   in
   loop 0 0
 
-(* Dual-simplex repair: restore primal feasibility of a basis whose
-   right-hand side went negative (capacity shrank or lower bounds grew
-   past the old vertex) without discarding the basis. Leaving row =
-   most negative rhs (ties: lowest row); entering column = dual ratio
-   test over the row's negative entries (ties: lowest column). When the
-   starting basis was optimal for a nearby problem the reduced costs
-   are already dual-feasible and this terminates in a handful of
-   pivots; a row with no negative entry certifies primal infeasibility
-   and an iteration cap catches cycling — both are reported as [`Stuck]
-   so the caller can fall back to a cold two-phase solve. *)
-let dual_phase tb =
-  let max_iters = 200 * (tb.m + tb.ncols) + 1000 in
-  let rec loop iter =
-    if iter > max_iters then `Stuck
-    else begin
-      let row = ref (-1) and worst = ref (-.eps) in
-      for i = 0 to tb.m - 1 do
-        let b = tb.t.(i).(tb.ncols) in
-        if b < !worst then begin
-          row := i;
-          worst := b
-        end
-      done;
-      if !row < 0 then `Feasible
-      else begin
-        let r = tb.t.(!row) and obj = tb.t.(tb.m) in
-        let col = ref (-1) and best = ref infinity in
-        for j = 0 to tb.ncols - 1 do
-          let a = r.(j) in
-          if a < -.eps then begin
-            let ratio = obj.(j) /. a in
-            if !col < 0 || ratio < !best -. eps then begin
-              col := j;
-              best := ratio
-            end
-          end
-        done;
-        if !col < 0 then `Stuck (* row demands a negative value: infeasible *)
-        else begin
-          pivot tb ~row:!row ~col:!col;
-          loop (iter + 1)
-        end
-      end
-    end
-  in
-  loop 0
-
 (* ------------------------------------------------------------------ *)
 (* Workspace: a grow-only arena of tableau rows plus a basis buffer,
    sized by the largest problem solved through it so far. Rows may be
@@ -238,16 +191,8 @@ let basis_hint tb ~n =
    basic solution is primal feasible — skip phase 1 entirely. Returns
    [None] when the basis cannot be installed (zero pivot element, out of
    range column, or an infeasible right-hand side), in which case the
-   caller falls back to a cold two-phase solve.
-
-   With [~dual:true] an infeasible right-hand side is not fatal: the
-   replayed basis is repaired in place by {!dual_phase} before the
-   primal phase runs, so a basis invalidated only by drifted bounds is
-   re-solved in a few pivots instead of from scratch. The repair can
-   land on a different (equally optimal) vertex than a cold solve
-   would, so callers that require bit-identical results must keep the
-   default [~dual:false]. *)
-let warm_solve ?(dual = false) ws ~obj ~rows ~rhs ~warm =
+   caller falls back to a cold two-phase solve. *)
+let warm_solve ws ~obj ~rows ~rhs ~warm =
   let n = Array.length obj and m = Array.length rows in
   let ncols = n + m in
   if Array.length warm <> m || Array.exists (fun c -> c < 0 || c >= ncols) warm then None
@@ -262,7 +207,6 @@ let warm_solve ?(dual = false) ws ~obj ~rows ~rhs ~warm =
     done;
     let tb = { t; basis; m; ncols } in
     let ok = ref true in
-    let need_repair = ref false in
     (try
        for i = 0 to m - 1 do
          let c = warm.(i) in
@@ -277,11 +221,8 @@ let warm_solve ?(dual = false) ws ~obj ~rows ~rhs ~warm =
        for i = 0 to m - 1 do
          let b = t.(i).(ncols) in
          if b < -1e-7 then begin
-           if dual then need_repair := true
-           else begin
-             ok := false;
-             raise Exit
-           end
+           ok := false;
+           raise Exit
          end
          else if b < 0. then t.(i).(ncols) <- 0.
        done
@@ -289,23 +230,9 @@ let warm_solve ?(dual = false) ws ~obj ~rows ~rhs ~warm =
     if not !ok then None
     else begin
       install_objective tb ~obj ~n;
-      let repaired =
-        if not !need_repair then true
-        else
-          match dual_phase tb with
-          | `Stuck -> false
-          | `Feasible ->
-            for i = 0 to m - 1 do
-              if t.(i).(ncols) < 0. then t.(i).(ncols) <- 0.
-            done;
-            true
-      in
-      if not repaired then None
-      else begin
-        match run_phase tb with
-        | `Unbounded -> Some (Error `Unbounded)
-        | `Optimal -> Some (Ok (extract tb ~n, basis_hint tb ~n))
-      end
+      match run_phase tb with
+      | `Unbounded -> Some (Error `Unbounded)
+      | `Optimal -> Some (Ok (extract tb ~n, basis_hint tb ~n))
     end
   end
 
@@ -382,7 +309,7 @@ let cold_solve ws ~obj ~rows ~rhs =
     | `Optimal -> Ok (extract tb ~n, basis_hint tb ~n)
   end
 
-let maximize_sparse ?ws ?warm ?(dual = false) ~obj ~rows ~rhs () =
+let maximize_sparse ?ws ?warm ~obj ~rows ~rhs () =
   let n = Array.length obj and m = Array.length rows in
   if Array.length rhs <> m then invalid_arg "Simplex.maximize_sparse: rhs length";
   Array.iter
@@ -392,7 +319,7 @@ let maximize_sparse ?ws ?warm ?(dual = false) ~obj ~rows ~rhs () =
   let ws = match ws with Some w -> w | None -> create_workspace () in
   match warm with
   | Some w -> (
-    match warm_solve ~dual ws ~obj ~rows ~rhs ~warm:w with
+    match warm_solve ws ~obj ~rows ~rhs ~warm:w with
     | Some result -> result
     | None -> cold_solve ws ~obj ~rows ~rhs)
   | None -> cold_solve ws ~obj ~rows ~rhs

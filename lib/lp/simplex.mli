@@ -21,7 +21,6 @@ type workspace
 val create_workspace : unit -> workspace
 
 val warm_solve :
-  ?dual:bool ->
   workspace ->
   obj:float array ->
   rows:(int * float) list array ->
@@ -30,7 +29,7 @@ val warm_solve :
   (float array * int array option, [ `Infeasible | `Unbounded ]) result option
 (** Low-level warm start: replay [warm] (same column convention as
     {!maximize_sparse}) and re-optimize. Returns [None] when the basis
-    cannot be installed or is primal infeasible (and [dual] is off) —
+    cannot be installed or is primal infeasible —
     unlike {!maximize_sparse} there is no silent cold fallback, so a
     caller orchestrating several related solves can observe the bail
     and fall back for all of them coherently. *)
@@ -38,7 +37,6 @@ val warm_solve :
 val maximize_sparse :
   ?ws:workspace ->
   ?warm:int array ->
-  ?dual:bool ->
   obj:float array ->
   rows:(int * float) list array ->
   rhs:float array ->
@@ -56,15 +54,7 @@ val maximize_sparse :
     The basis is installed by explicit pivots and used only if the
     resulting basic solution is primal feasible; on any mismatch the
     solver silently falls back to a cold two-phase solve, so a stale or
-    wrong hint can cost time but never correctness.
-
-    [dual] (default [false]) additionally repairs a replayed basis
-    whose right-hand side went negative — the bounds-drift case where
-    capacity shrank or lower bounds grew past the old vertex — with a
-    bounded dual-simplex phase before re-optimizing, instead of
-    discarding the basis. The repair preserves optimality but may
-    select a different vertex among alternative optima than a cold
-    solve would, so leave it off when bit-identical results matter. *)
+    wrong hint can cost time but never correctness. *)
 
 val maximize :
   obj:float array ->

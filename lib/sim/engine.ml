@@ -61,8 +61,8 @@ let volume_epsilon = 1e-6  (* megabits; ~0.1 byte *)
 let time_epsilon = 1e-9
 
 let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
-    ?(faults = Fault.empty) ?detector ?retry ?on_failure ?watchdog
-    ?(incremental = true) topo (alg : Algorithm.t) tasks =
+    ?(faults = Fault.empty) ?detector ?retry ?on_failure ?watchdog topo (alg : Algorithm.t)
+    tasks =
   let pending = Array.of_list (List.sort Task.compare_arrival tasks) in
   let validate_task (t : Task.t) =
     let ok s = s >= 0 && s < Topology.servers topo in
@@ -153,12 +153,11 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
       injected := List.merge cmp_arrival (List.sort cmp_arrival ts) !injected
     end
   in
-  (* Incremental per-entity accounting, rebuilt once per recompute and
-     maintained through clamping: usage.(e) = sum of rates of live
-     flows whose route crosses e; flows_of.(e) = those flows. *)
+  (* Per-entity accounting, kept exact by routing every rate change
+     through [set_flow_rate]: usage.(e) = sum of rates of live flows
+     whose route crosses e. *)
   let usage = Array.make nent 0. in
-  let flows_of = Array.make nent [] in
-  (* ---- O(affected) indexes (incremental mode only) ----
+  (* ---- O(affected) indexes ----
      [ent_flows.(e)] holds every live flow whose route crosses [e],
      keyed by flow id with its (task seq, slot) position, so anything
      per-entity — congestion factors, clamp victims, crash candidates —
@@ -167,22 +166,19 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
      the view predicate exactly: a flow is bucketed iff its task is
      unresolved and it has volume remaining. *)
   let ent_flows : (int, int * int * live_task * live_flow) Hashtbl.t array =
-    Array.init (if incremental then nent else 0) (fun _ -> Hashtbl.create 4)
+    Array.init nent (fun _ -> Hashtbl.create 4)
   in
   let tasks_by_dest : (int, live_task list ref) Hashtbl.t = Hashtbl.create 64 in
   let index_add lt slot f =
-    if incremental then
-      Array.iter (fun e -> Hashtbl.replace ent_flows.(e) f.flow_id (lt.seq, slot, lt, f)) f.route
+    Array.iter (fun e -> Hashtbl.replace ent_flows.(e) f.flow_id (lt.seq, slot, lt, f)) f.route
   in
-  let index_remove f =
-    if incremental then Array.iter (fun e -> Hashtbl.remove ent_flows.(e) f.flow_id) f.route
-  in
+  let index_remove f = Array.iter (fun e -> Hashtbl.remove ent_flows.(e) f.flow_id) f.route in
   (* Dirty capacity entities: usage or availability may have moved since
      the last clamp, so only these need re-checking. The invariant
      "not dirty => usage <= available + 1e-6" is restored by every
      clamp and preserved by marking on every rate change, fault change
      and foreground redraw. *)
-  let dirty = Array.make (if incremental then nent else 0) false in
+  let dirty = Array.make nent false in
   let dirty_list = ref [] in
   let mark_dirty e =
     if not dirty.(e) then begin
@@ -198,7 +194,8 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
      the bucket's flows, folded in view order — (task seq, slot)
      ascending is exactly the order [Congestion.of_view] walks the
      flow list, so the lazy accessor and the eager scan accumulate the
-     same floats in the same order and agree bit-for-bit. *)
+     same floats in the same order and agree bit-for-bit (the test
+     suite checks this at every event). *)
   let entity_load e =
     let entries =
       Hashtbl.fold
@@ -243,35 +240,18 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
       topo;
       flows;
       available = avail;
-      load = (if incremental then Some entity_load else None)
+      load = Some entity_load
     }
-  in
-  (* One pass over the live flows refreshes the usage/incidence
-     tables; every later rate change goes through [scale_flow_rate] so
-     the accounting stays exact without rebuilding. *)
-  let rebuild_usage () =
-    Array.fill usage 0 nent 0.;
-    Array.fill flows_of 0 nent [];
-    List.iter
-      (fun lt ->
-        if not lt.resolved then
-          Array.iter
-            (fun f ->
-              if f.rate > 0. && f.remaining > 0. then
-                Array.iter
-                  (fun e ->
-                    usage.(e) <- usage.(e) +. f.rate;
-                    flows_of.(e) <- f :: flows_of.(e))
-                  f.route)
-            lt.lflows)
-      !active
   in
   let set_flow_rate f r =
     if not (Float.equal r f.rate) then begin
       let d = r -. f.rate in
       f.rate <- r;
-      Array.iter (fun e -> usage.(e) <- usage.(e) +. d) f.route;
-      if incremental then Array.iter mark_dirty f.route
+      Array.iter
+        (fun e ->
+          usage.(e) <- usage.(e) +. d;
+          mark_dirty e)
+        f.route
     end
   in
   (* Scale any over-committed entity's flows down proportionally; a
@@ -280,49 +260,26 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
     Log.warn (fun m ->
         m "t=%.3f clamping entity %d: allocated %.3f > available %.3f" !now e usage.(e) a);
     let scale = max 0. (a /. usage.(e)) in
+    (* The bucket's flows in (task seq, slot) order — scaling is
+       independent per flow, but a stable victim order keeps logs and
+       any future coupled updates replayable. *)
     let victims =
-      if incremental then
-        (* Same flows the oracle's [flows_of] would list, in the same
-           (task seq, slot) order — scaling is independent per flow, but
-           a stable victim order keeps logs and any future coupled
-           updates replayable. *)
-        Hashtbl.fold
-          (fun _ (seq, slot, lt, f) acc ->
-            if lt.resolved then acc else (seq, slot, f) :: acc)
-          ent_flows.(e) []
-        |> List.sort (fun (sa, la, _) (sb, lb, _) ->
-               match Int.compare sa sb with 0 -> Int.compare la lb | c -> c)
-        |> List.map (fun (_, _, f) -> f)
-      else flows_of.(e)
+      Hashtbl.fold
+        (fun _ (seq, slot, lt, f) acc -> if lt.resolved then acc else (seq, slot, f) :: acc)
+        ent_flows.(e) []
+      |> List.sort (fun (sa, la, _) (sb, lb, _) ->
+             match Int.compare sa sb with 0 -> Int.compare la lb | c -> c)
     in
     List.iter
-      (fun f -> if f.rate > 0. && f.remaining > 0. then set_flow_rate f (f.rate *. scale))
+      (fun (_, _, f) ->
+        if f.rate > 0. && f.remaining > 0. then set_flow_rate f (f.rate *. scale))
       victims
   in
+  (* Only dirty entities can be violated (clean ones kept their usage
+     and availability since the last clamp, which left them satisfied).
+     Each pass snapshots the dirty set in ascending entity order, and
+     scaling re-marks the victims' routes for the next pass. *)
   let clamp_rates () =
-    let clamped = ref false in
-    let pass () =
-      let violated = ref false in
-      for e = 0 to nent - 1 do
-        let a = avail e in
-        if usage.(e) > a +. 1e-6 then begin
-          violated := true;
-          clamped := true;
-          clamp_entity e a
-        end
-      done;
-      !violated
-    in
-    let rec go n = if n > 0 && pass () then go (n - 1) in
-    go 10;
-    if !clamped then incr clamp_events
-  in
-  (* Incremental clamp: only dirty entities can be violated (clean ones
-     kept their usage and availability since the last clamp, which left
-     them satisfied). Each pass snapshots the dirty set in ascending
-     entity order — the oracle's scan order — and scaling re-marks the
-     victims' routes for the next pass. *)
-  let clamp_rates_incremental () =
     let clamped = ref false in
     let pass () =
       let snapshot = List.sort_uniq compare !dirty_list in
@@ -355,45 +312,28 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
     incr plan_calls;
     let tbl = Hashtbl.create 64 in
     List.iter (fun (fid, r) -> Hashtbl.replace tbl fid (max 0. r)) rates;
-    if incremental then begin
-      (* Delta path: every rate change flows through [set_flow_rate], so
-         the usage table and the dirty set stay exact without the full
-         rebuild. Dead flows (resolved task or no volume left) already
-         hold rate 0 and are skipped — the oracle writes 0 over them and
-         rebuilds, landing in the same state. *)
-      List.iter
-        (fun lt ->
-          if not lt.resolved then
-            Array.iter
-              (fun f ->
-                if f.remaining > 0. then
-                  set_flow_rate f (Option.value ~default:0. (Hashtbl.find_opt tbl f.flow_id)))
-              lt.lflows)
-        !active;
-      clamp_rates_incremental ()
-    end
-    else begin
-      List.iter
-        (fun lt ->
+    (* Every rate change flows through [set_flow_rate], so the usage
+       table and the dirty set stay exact. Dead flows (resolved task or
+       no volume left) already hold rate 0 and are skipped. *)
+    List.iter
+      (fun lt ->
+        if not lt.resolved then
           Array.iter
-            (fun f -> f.rate <- Option.value ~default:0. (Hashtbl.find_opt tbl f.flow_id))
+            (fun f ->
+              if f.remaining > 0. then
+                set_flow_rate f (Option.value ~default:0. (Hashtbl.find_opt tbl f.flow_id)))
             lt.lflows)
-        !active;
-      rebuild_usage ();
-      clamp_rates ()
-    end;
+      !active;
+    clamp_rates ();
     (* Data-plane distortion: applied after clamping and only ever
-       downward, so feasibility is preserved. The incremental path keeps
-       the usage table exact through the distortion (the oracle's next
-       rebuild absorbs it instead). *)
+       downward, so feasibility is preserved. *)
     List.iter
       (fun lt ->
         Array.iter
           (fun f ->
-            if f.rate > 0. then begin
-              let shaped = max 0. (min f.rate (data_plane.shape_rate ~flow_id:f.flow_id f.rate)) in
-              if incremental then set_flow_rate f shaped else f.rate <- shaped
-            end)
+            if f.rate > 0. then
+              set_flow_rate f
+                (max 0. (min f.rate (data_plane.shape_rate ~flow_id:f.flow_id f.rate))))
           lt.lflows)
       !active;
     let pause = data_plane.control_latency () in
@@ -465,6 +405,48 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
   (* What a replacement fetch for this slot must still move, captured
      before the kill zeroes the slot. *)
   let replacement_remaining lt f = if resume then f.remaining else lt.task.Task.volume in
+  (* Replace the fetches in [slots] of [lt] (crash re-home, watchdog
+     swap, retry re-home): kill each through [kill], then — against a
+     view taken after the kills — ask [reselect] for one new source per
+     slot among [eligible], validate the answer, and splice fresh flows
+     into the slots in order. [suffix] tags the Invalid_selection
+     details with the calling site. Returns the new sources. *)
+  let replace_slots reselect lt ~eligible ~slots ~kill ~suffix =
+    let need = List.length slots in
+    let rem = Array.of_list (List.map (fun i -> replacement_remaining lt lt.lflows.(i)) slots) in
+    List.iter (fun i -> kill lt.lflows.(i)) slots;
+    let view = make_view () in
+    let id = lt.task.Task.id in
+    let repl = reselect view lt.task ~eligible ~need ~remaining:rem in
+    if Array.length repl <> need then
+      invalid id (-1)
+        (Printf.sprintf "%s reselected %d sources, need %d%s" alg.Algorithm.name
+           (Array.length repl) need suffix);
+    let seen = Hashtbl.create 8 in
+    Array.iter
+      (fun s ->
+        if not (Array.exists (fun c -> c = s) eligible) then
+          invalid id s (alg.Algorithm.name ^ " reselected an ineligible source" ^ suffix);
+        if Hashtbl.mem seen s then
+          invalid id s (alg.Algorithm.name ^ " reselected a duplicate source" ^ suffix);
+        Hashtbl.replace seen s ())
+      repl;
+    List.iteri
+      (fun j i ->
+        let source = repl.(j) in
+        let flow_id = !next_flow_id in
+        incr next_flow_id;
+        lt.lflows.(i) <-
+          { flow_id;
+            source;
+            route = Topology.route_array topo ~src:source ~dst:lt.task.Task.destination;
+            remaining = rem.(j);
+            rate = 0.
+          };
+        index_add lt i lt.lflows.(i))
+      slots;
+    repl
+  in
   (* The task can no longer finish: record the failure (with the
      remaining volume still intact, so the metric sees it), stop every
      in-flight fetch, and write off delivered chunks. *)
@@ -542,18 +524,16 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
         incr next_seq;
         let lt = { seq; task = t; lflows; resolved = false; failed = false } in
         active := lt :: !active;
-        if incremental then begin
-          Array.iteri (fun slot f -> index_add lt slot f) lflows;
-          let cell =
-            match Hashtbl.find_opt tasks_by_dest t.Task.destination with
-            | Some cell -> cell
-            | None ->
-              let cell = ref [] in
-              Hashtbl.replace tasks_by_dest t.Task.destination cell;
-              cell
-          in
-          cell := lt :: !cell
-        end
+        Array.iteri (fun slot f -> index_add lt slot f) lflows;
+        let cell =
+          match Hashtbl.find_opt tasks_by_dest t.Task.destination with
+          | Some cell -> cell
+          | None ->
+            let cell = ref [] in
+            Hashtbl.replace tasks_by_dest t.Task.destination cell;
+            cell
+        in
+        cell := lt :: !cell
       end
     end
   in
@@ -590,48 +570,12 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
               | Some reselect when Array.length eligible >= need ->
                 let slots = ref [] in
                 Array.iteri (fun i f -> if dead_src f then slots := i :: !slots) lt.lflows;
-                let slots = List.rev !slots in
-                let rem =
-                  Array.of_list
-                    (List.map (fun i -> replacement_remaining lt lt.lflows.(i)) slots)
+                let repl =
+                  replace_slots reselect lt ~eligible ~slots:(List.rev !slots) ~suffix:""
+                    ~kill:(fun f ->
+                      kill_for_replacement lt f;
+                      incr flows_killed)
                 in
-                List.iter
-                  (fun i ->
-                    kill_for_replacement lt lt.lflows.(i);
-                    incr flows_killed)
-                  slots;
-                let view = make_view () in
-                let repl = reselect view lt.task ~eligible ~need ~remaining:rem in
-                if Array.length repl <> need then
-                  invalid lt.task.Task.id (-1)
-                    (Printf.sprintf "%s reselected %d sources, need %d" alg.Algorithm.name
-                       (Array.length repl) need);
-                let seen = Hashtbl.create 8 in
-                Array.iter
-                  (fun s ->
-                    if not (Array.exists (fun c -> c = s) eligible) then
-                      invalid lt.task.Task.id s
-                        (alg.Algorithm.name ^ " reselected an ineligible source");
-                    if Hashtbl.mem seen s then
-                      invalid lt.task.Task.id s
-                        (alg.Algorithm.name ^ " reselected a duplicate source");
-                    Hashtbl.replace seen s ())
-                  repl;
-                List.iteri
-                  (fun j i ->
-                    let source = repl.(j) in
-                    let flow_id = !next_flow_id in
-                    incr next_flow_id;
-                    lt.lflows.(i) <-
-                      { flow_id;
-                        source;
-                        route =
-                          Topology.route_array topo ~src:source ~dst:lt.task.Task.destination;
-                        remaining = rem.(j);
-                        rate = 0.
-                      };
-                    index_add lt i lt.lflows.(i))
-                  slots;
                 incr tasks_rehomed;
                 Log.debug (fun m ->
                     m "t=%.3f task#%d re-homed %d subtask(s) onto [%s]" !now lt.task.Task.id
@@ -642,34 +586,30 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
           end
         end
     in
-    if not incremental then List.iter crash_check !active
-    else begin
-      (* Only tasks that lost their destination or a live source can be
-         affected. Both are read off indexes: destination from
-         [tasks_by_dest], sources from the buckets of the dead servers'
-         NIC entities (every flow's route crosses its source NIC; the
-         source = destination corner is covered by the destination
-         index). Candidates are processed in descending spawn order —
-         exactly the order the oracle's [!active] walk visits them, so
-         interleaved re-home views match. *)
-      let seen = Hashtbl.create 16 in
-      let candidates = ref [] in
-      let consider lt =
-        if (not lt.resolved) && not (Hashtbl.mem seen lt.seq) then begin
-          Hashtbl.replace seen lt.seq ();
-          candidates := lt :: !candidates
-        end
-      in
-      List.iter
-        (fun s ->
-          (match Hashtbl.find_opt tasks_by_dest s with
-           | Some cell -> List.iter consider !cell
-           | None -> ());
-          Hashtbl.iter (fun _ (_, _, lt, _) -> consider lt)
-            ent_flows.(Topology.server_entity topo s))
-        newly_crashed;
-      List.sort (fun a b -> compare b.seq a.seq) !candidates |> List.iter crash_check
-    end
+    (* Only tasks that lost their destination or a live source can be
+       affected. Both are read off indexes: destination from
+       [tasks_by_dest], sources from the buckets of the dead servers'
+       NIC entities (every flow's route crosses its source NIC; the
+       source = destination corner is covered by the destination
+       index). Candidates are processed in descending spawn order — the
+       order of [!active] — so interleaved re-home views are those of a
+       walk over every active task. *)
+    let seen = Hashtbl.create 16 in
+    let candidates = ref [] in
+    let consider lt =
+      if (not lt.resolved) && not (Hashtbl.mem seen lt.seq) then begin
+        Hashtbl.replace seen lt.seq ();
+        candidates := lt :: !candidates
+      end
+    in
+    List.iter
+      (fun s ->
+        (match Hashtbl.find_opt tasks_by_dest s with
+         | Some cell -> List.iter consider !cell
+         | None -> ());
+        Hashtbl.iter (fun _ (_, _, lt, _) -> consider lt) ent_flows.(Topology.server_entity topo s))
+      newly_crashed;
+    List.sort (fun a b -> compare b.seq a.seq) !candidates |> List.iter crash_check
   in
   (* ---- deadline watchdog (see Watchdog and DESIGN.md §11) ---- *)
   let wd_states : (int, Watchdog.tstate) Hashtbl.t = Hashtbl.create 16 in
@@ -699,12 +639,6 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
     lt.resolved <- true;
     incr tasks_shed_early
   in
-  (* A hedged swap abandons the straggling partial fetch. Without
-     resume the replacement restarts the chunk at full volume and the
-     delivered bits become waste — same accounting as a fault kill,
-     without the fault counter; with resume the replacement picks up
-     where the straggler stopped. *)
-  let swap_kill = kill_for_replacement in
   (* One supervision pass: project every in-flight subtask's finish
      from its assigned rate; swap stragglers onto unused spare sources
      (budgeted, backed off) and shed provably infeasible tasks. Returns
@@ -732,9 +666,8 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
       (fun lt ->
         if
           (not lt.resolved) && (not lt.failed)
-          && ((not incremental)
-             || transfer_start +. worst_ratio lt.lflows
-                > lt.task.Task.deadline +. cfg.Watchdog.slack +. time_epsilon)
+          && transfer_start +. worst_ratio lt.lflows
+             > lt.task.Task.deadline +. cfg.Watchdog.slack +. time_epsilon
         then begin
           let t = lt.task in
           let dl = t.Task.deadline in
@@ -879,49 +812,18 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
                     |> List.filteri (fun j _ -> j < n)
                     |> List.map (fun (_, _, i) -> i)
                   in
-                  let rem =
-                    Array.of_list
-                      (List.map (fun i -> replacement_remaining lt lt.lflows.(i)) slots)
+                  (* A hedged swap abandons the straggling partial fetch
+                     and its source. Without resume the replacement
+                     restarts the chunk and the delivered bits become
+                     waste — a fault kill's accounting without the fault
+                     counter; with resume it picks up where the
+                     straggler stopped. *)
+                  let repl =
+                    replace_slots reselect lt ~eligible ~slots ~suffix:" (watchdog swap)"
+                      ~kill:(fun f ->
+                        Watchdog.abandon st f.source;
+                        kill_for_replacement lt f)
                   in
-                  List.iter
-                    (fun i ->
-                      let f = lt.lflows.(i) in
-                      Watchdog.abandon st f.source;
-                      swap_kill lt f)
-                    slots;
-                  let view = make_view () in
-                  let repl = reselect view t ~eligible ~need:n ~remaining:rem in
-                  if Array.length repl <> n then
-                    invalid t.Task.id (-1)
-                      (Printf.sprintf "%s reselected %d sources, need %d (watchdog swap)"
-                         alg.Algorithm.name (Array.length repl) n);
-                  let seen = Hashtbl.create 8 in
-                  Array.iter
-                    (fun s ->
-                      if not (Array.exists (fun c -> c = s) eligible) then
-                        invalid t.Task.id s
-                          (alg.Algorithm.name
-                         ^ " reselected an ineligible source (watchdog swap)");
-                      if Hashtbl.mem seen s then
-                        invalid t.Task.id s
-                          (alg.Algorithm.name
-                         ^ " reselected a duplicate source (watchdog swap)");
-                      Hashtbl.replace seen s ())
-                    repl;
-                  List.iteri
-                    (fun j i ->
-                      let source = repl.(j) in
-                      let flow_id = !next_flow_id in
-                      incr next_flow_id;
-                      lt.lflows.(i) <-
-                        { flow_id;
-                          source;
-                          route = Topology.route_array topo ~src:source ~dst:t.Task.destination;
-                          remaining = rem.(j);
-                          rate = 0.
-                        };
-                      index_add lt i lt.lflows.(i))
-                    slots;
                   Watchdog.note_intervention cfg st ~now:!now ~replaced:n;
                   swaps_successful := !swaps_successful + n;
                   Hashtbl.replace swapped_tasks t.Task.id ();
@@ -1045,36 +947,14 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
                       in
                       match alg.Algorithm.reselect with
                       | Some reselect when Array.length eligible >= 1 ->
-                        let rem = replacement_remaining lt f in
-                        kill_for_replacement lt f;
-                        let view = make_view () in
                         let repl =
-                          reselect view lt.task ~eligible ~need:1 ~remaining:[| rem |]
+                          replace_slots reselect lt ~eligible ~slots:[ i ] ~suffix:" (retry)"
+                            ~kill:(kill_for_replacement lt)
                         in
-                        if Array.length repl <> 1 then
-                          invalid lt.task.Task.id (-1)
-                            (Printf.sprintf "%s reselected %d sources, need 1 (retry)"
-                               alg.Algorithm.name (Array.length repl));
-                        if not (Array.exists (fun c -> c = repl.(0)) eligible) then
-                          invalid lt.task.Task.id repl.(0)
-                            (alg.Algorithm.name ^ " reselected an ineligible source (retry)");
-                        let source = repl.(0) in
-                        let flow_id = !next_flow_id in
-                        incr next_flow_id;
-                        lt.lflows.(i) <-
-                          { flow_id;
-                            source;
-                            route =
-                              Topology.route_array topo ~src:source
-                                ~dst:lt.task.Task.destination;
-                            remaining = rem;
-                            rate = 0.
-                          };
-                        index_add lt i lt.lflows.(i);
                         incr tasks_rehomed;
                         Log.debug (fun m ->
                             m "t=%.3f task#%d retry budget exhausted, re-homed onto server %d"
-                              !now lt.task.Task.id source)
+                              !now lt.task.Task.id repl.(0))
                       | _ ->
                         (* Nowhere to go: keep the stalled fetch (the
                            degradation may still expire in time) but
@@ -1167,15 +1047,13 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
     advance_volumes dt;
     now := max !now t_next;
     Foreground.advance fg !now;
-    if incremental then begin
-      let g = Foreground.generation fg in
-      if g <> !fg_generation then begin
-        (* A redraw moves every entity's availability at once. *)
-        fg_generation := g;
-        for e = 0 to nent - 1 do
-          mark_dirty e
-        done
-      end
+    let g = Foreground.generation fg in
+    if g <> !fg_generation then begin
+      (* A redraw moves every entity's availability at once. *)
+      fg_generation := g;
+      for e = 0 to nent - 1 do
+        mark_dirty e
+      done
     end;
     let processed = ref 0 in
     (* Completions first: a flow finishing exactly at the deadline counts. *)
@@ -1186,15 +1064,12 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
             (fun f ->
               if f.remaining > 0. && f.remaining <= volume_epsilon then begin
                 f.remaining <- 0.;
-                if incremental then begin
-                  set_flow_rate f 0.;
-                  index_remove f
-                end
+                set_flow_rate f 0.;
+                index_remove f
               end
-              else if incremental && f.remaining <= 0. && f.rate > 0. then begin
+              else if f.remaining <= 0. && f.rate > 0. then begin
                 (* Drained to exactly zero during [advance_volumes]:
-                   retire it from the usage table and the buckets now
-                   (the oracle's full rebuild absorbs this instead). *)
+                   retire it from the usage table and the buckets now. *)
                 set_flow_rate f 0.;
                 index_remove f
               end)
@@ -1237,13 +1112,11 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
      | [] -> ()
      | changes ->
        incr processed;
-       if incremental then
-         List.iter
-           (function
-             | Fault.Crashed s | Fault.Recovered s ->
-               mark_dirty (Topology.server_entity topo s)
-             | Fault.Degraded e | Fault.Restored e -> mark_dirty e)
-           changes;
+       List.iter
+         (function
+           | Fault.Crashed s | Fault.Recovered s -> mark_dirty (Topology.server_entity topo s)
+           | Fault.Degraded e | Fault.Restored e -> mark_dirty e)
+         changes;
        let newly_crashed =
          List.filter_map (function Fault.Crashed s -> Some s | _ -> None) changes
        in

@@ -87,7 +87,6 @@ val run :
   ?retry:Retry.config ->
   ?on_failure:(now:float -> server:int -> Metrics.Task.t list) ->
   ?watchdog:Watchdog.config ->
-  ?incremental:bool ->
   S3_net.Topology.t ->
   S3_core.Algorithm.t ->
   Metrics.Task.t list ->
@@ -98,17 +97,16 @@ val run :
     servers of the topology. Raises {!Invalid_selection} if the
     algorithm returns an invalid source selection.
 
-    [incremental] (default [true]) drives the run off per-entity flow
-    indexes: scheduling events touch only the entities and tasks they
-    affect (dirty-set capacity clamping, indexed crash candidates, a
-    lazy per-entity congestion load handed to Phase I through
-    {!S3_core.Problem.view}[.load], and an O(1) per-task straggler
-    prefilter in the watchdog). [~incremental:false] runs the original
-    full-rescan code paths. Both modes produce bit-identical runs — the
-    equivalence suite pins {!Report.fingerprint} across them — so the
-    flag is purely a performance (and debugging) switch. The [load]
-    accessor in views handed to [on_event] reads live engine state:
-    consult it during the callback, not after.
+    The run is driven off per-entity flow indexes: a scheduling event
+    touches only the entities and tasks it affects (dirty-set capacity
+    clamping, indexed crash candidates, a lazy per-entity congestion
+    load handed to Phase I through {!S3_core.Problem.view}[.load], and
+    an O(1) per-task straggler prefilter in the watchdog). Every view
+    carries that [load] accessor, and it reads live engine state:
+    consult it during the [on_event] callback, not after. A golden
+    corpus in the test suite pins {!Report.fingerprint} and the
+    per-event rates of 340 scenarios to the values of the full-rescan
+    engine this design replaced.
 
     [faults] (default {!S3_fault.Fault.empty}) is played into the run
     as described above. [on_failure] is consulted once per server

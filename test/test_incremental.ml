@@ -1,22 +1,26 @@
-(* Incremental-vs-oracle equivalence suite.
+(* Engine golden corpus and incremental-structure checks.
 
-   The engine's O(affected) mode (per-entity flow buckets, dirty-set
-   clamping, indexed crash candidates, the lazy Phase I congestion
-   accessor) and the keyed block-decomposed LP solves all promise the
-   same thing: bit-identical runs, only faster. This suite pins that
-   promise the hard way — every QCheck case replays one random scenario
-   through both modes and compares the full metrics fingerprint AND the
-   per-event rate vectors, float for float. Scenarios draw random
-   topologies (two-tier and leaf-spine), workloads, foreground traffic,
-   fault plans and watchdog configs, so every index maintenance site
-   (spawn, kill, re-home, hedged swap, shed, completion, expiry) is
-   crossed many times. A multicore sweep replay checks the incremental
-   structures stay per-run under domains.
+   The engine runs off per-entity flow buckets, dirty-set clamping,
+   indexed crash candidates and a lazy Phase I congestion accessor, and
+   the LP-based algorithms solve keyed, block-decomposed LPs. All of it
+   replaced a full-rescan engine and an unkeyed LP, and promised
+   bit-identical runs, only faster. Before the full-rescan engine was
+   deleted, a fixed corpus of 340 random scenarios ran through both
+   engines; they agreed, and each case's report fingerprint and digest
+   of every per-event rate vector is frozen in engine_corpus.expected.
+   The corpus tests replay the same cases and name the first one that
+   drifts. Scenarios draw random topologies (two-tier and leaf-spine),
+   workloads, foreground traffic, fault plans and watchdog configs, so
+   every index maintenance site (spawn, kill, re-home, hedged swap,
+   shed, completion, expiry) is crossed many times.
 
-   The LP half pins the solver contract directly: keyed solves equal
-   plain solves bit-for-bit over drifting problem streams, and the
-   opt-in basis_reuse mode stays feasible and optimal (it may pick a
-   different vertex, so it only promises the objective). *)
+   The eager congestion scan survives here as an oracle: at every event
+   the engine's lazy per-entity load must equal, float for float, the
+   factors [Congestion.of_view] computes from the flow list. A
+   multicore sweep replay checks the per-run structures stay per-run
+   under domains, and the LP half pins the solver contract directly:
+   keyed solves equal plain solves bit-for-bit over drifting problem
+   streams. *)
 
 module T = S3_net.Topology
 module Task = S3_workload.Task
@@ -24,17 +28,14 @@ module Generator = S3_workload.Generator
 module Registry = S3_core.Registry
 module Problem = S3_core.Problem
 module Congestion = S3_core.Congestion
-module Rtf = S3_core.Rtf
 module Engine = S3_sim.Engine
 module Foreground = S3_sim.Foreground
-module Metrics = S3_sim.Metrics
 module Report = S3_sim.Report
 module Watchdog = S3_sim.Watchdog
 module Fault = S3_fault.Fault
 module Prng = S3_util.Prng
 module Sweep = S3_par.Sweep
 module Lp = S3_lp.Lp
-module Simplex = S3_lp.Simplex
 
 let tc = Alcotest.test_case
 
@@ -90,68 +91,141 @@ let engine_config fg =
     seed = 7
   }
 
-(* One run in one mode, capturing the fingerprint and every per-event
-   rate vector (flow id and rate, in the algorithm's own order). *)
-let capture ?watchdog ~incremental name (topo, tasks, faults, fg) =
-  let events = ref [] in
-  let hook now (_ : Problem.view) rates = events := (now, rates) :: !events in
-  let run =
-    Engine.run ~config:(engine_config fg) ~on_event:hook ~faults ?watchdog ~incremental
-      topo
-      (Registry.make ~incremental name)
-      tasks
-  in
-  (Report.fingerprint run, List.rev !events)
-
-let rates_equal a b =
-  List.equal
-    (fun (ta, ra) (tb, rb) ->
-      Float.equal ta tb
-      && List.equal
-           (fun (fa, va) (fb, vb) -> fa = fb && Float.equal va vb)
-           ra rb)
-    a b
-
-let equivalence_case ?watchdog name seed =
-  let scene = scenario seed in
-  let fp_inc, ev_inc = capture ?watchdog ~incremental:true name scene in
-  let fp_orc, ev_orc = capture ?watchdog ~incremental:false name scene in
-  if not (String.equal fp_inc fp_orc) then
-    QCheck.Test.fail_reportf "%s, seed %d: fingerprints differ (%s vs %s)" name seed fp_inc
-      fp_orc;
-  if not (rates_equal ev_inc ev_orc) then
-    QCheck.Test.fail_reportf "%s, seed %d: per-event rates differ" name seed;
-  true
-
 let wd_config seed =
   let g = Prng.create (seed + 2) in
   Watchdog.v ~slack:(Prng.float g 2.) ~max_swaps:(Prng.int g 5)
     ~backoff:(0.25 +. Prng.float g 2.) ()
 
-let qcheck_engine =
+(* One run, capturing the fingerprint and every per-event rate vector
+   (flow id and rate, in the algorithm's own order). *)
+let capture ?watchdog name (topo, tasks, faults, fg) =
+  let events = ref [] in
+  let hook now (_ : Problem.view) rates = events := (now, rates) :: !events in
+  let run =
+    Engine.run ~config:(engine_config fg) ~on_event:hook ~faults ?watchdog topo
+      (Registry.make name) tasks
+  in
+  (Report.fingerprint run, List.rev !events)
+
+(* Exact: every float is written in hexadecimal. *)
+let rates_digest events =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (now, rates) ->
+      Printf.bprintf b "%h|" now;
+      List.iter (fun (fid, r) -> Printf.bprintf b "%d:%h;" fid r) rates;
+      Buffer.add_char b '\n')
+    events;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* ---- golden corpus ---- *)
+
+type case = {
+  watchdog : bool;
+  idx : int;
+  alg : string;
+  seed : int;
+}
+
+let plain_cases = 220
+let watchdog_cases = 120
+
+let corpus =
+  let alg i = List.nth algorithms (i mod List.length algorithms) in
+  List.init plain_cases (fun i ->
+      { watchdog = false; idx = i; alg = alg i; seed = 1_000 + (37 * i) })
+  @ List.init watchdog_cases (fun i ->
+        { watchdog = true; idx = i; alg = alg i; seed = 500_000 + (41 * i) })
+
+let kind c = if c.watchdog then "watchdog" else "plain"
+
+let case_line c =
+  let watchdog = if c.watchdog then Some (wd_config c.seed) else None in
+  let fp, events = capture ?watchdog c.alg (scenario c.seed) in
+  Printf.sprintf "%s %d %s %d %s %s %d" (kind c) c.idx c.alg c.seed fp (rates_digest events)
+    (List.length events)
+
+(* Expected lines keyed by "kind index". *)
+let expected =
+  lazy
+    (let tbl = Hashtbl.create 512 in
+     String.split_on_char '\n' Engine_corpus.data
+     |> List.iter (fun line ->
+            if line <> "" && line.[0] <> '#' then
+              match String.split_on_char ' ' line with
+              | k :: i :: _ -> Hashtbl.replace tbl (k ^ " " ^ i) line
+              | _ -> Alcotest.failf "malformed corpus line: %S" line);
+     tbl)
+
+(* Names the first drifting case and counts the rest. A deliberate
+   behaviour change regenerates the file from [case_line]. *)
+let check_corpus watchdog () =
+  let drifted =
+    List.filter_map
+      (fun c ->
+        if c.watchdog <> watchdog then None
+        else
+          let fresh = case_line c in
+          match Hashtbl.find_opt (Lazy.force expected) (kind c ^ " " ^ string_of_int c.idx) with
+          | Some want when String.equal want fresh -> None
+          | want -> Some (c, Option.value ~default:"(none)" want, fresh))
+      corpus
+  in
+  match drifted with
+  | [] -> ()
+  | (c, want, fresh) :: _ ->
+    Alcotest.failf
+      "%d %s case(s) drifted; first: case %d (%s, seed %d)\n  expected %s\n  got      %s"
+      (List.length drifted) (kind c) c.idx c.alg c.seed want fresh
+
+(* ---- the lazy congestion load, checked at every event ---- *)
+
+let load_matches_scan view =
+  match view.Problem.load with
+  | None -> Some "view.load is None"
+  | Some load ->
+    let eager = Congestion.of_view { view with Problem.load = None } in
+    let nent = Array.length (T.entities view.Problem.topo) in
+    let rec go e =
+      if e >= nent then None
+      else
+        let lazy_v = load e and eager_v = Congestion.factor eager e in
+        if Float.equal lazy_v eager_v then go (e + 1)
+        else Some (Printf.sprintf "entity %d: load %h, eager scan %h" e lazy_v eager_v)
+    in
+    go 0
+
+let qcheck_load =
   let open QCheck in
-  let seed = int_range 0 1_000_000 in
-  let alg_and_seed = pair (oneofl algorithms) seed in
-  [ Test.make ~name:"incremental == oracle: arrivals/completions/crashes" ~count:220
-      alg_and_seed
-      (fun (name, seed) -> equivalence_case name seed);
-    Test.make ~name:"incremental == oracle: under the watchdog" ~count:120 alg_and_seed
-      (fun (name, seed) -> equivalence_case ~watchdog:(wd_config seed) name seed)
-  ]
+  Test.make ~name:"load accessor == eager congestion scan at every event" ~count:150
+    (triple (oneofl algorithms) (int_range 0 1_000_000) bool)
+    (fun (name, seed, with_wd) ->
+      let topo, tasks, faults, fg = scenario seed in
+      let watchdog = if with_wd then Some (wd_config seed) else None in
+      let failure = ref None in
+      let hook now view _ =
+        if Option.is_none !failure then
+          Option.iter
+            (fun msg -> failure := Some (Printf.sprintf "t=%h: %s" now msg))
+            (load_matches_scan view)
+      in
+      ignore
+        (Engine.run ~config:(engine_config fg) ~on_event:hook ~faults ?watchdog topo
+           (Registry.make name) tasks);
+      match !failure with
+      | None -> true
+      | Some msg -> Test.fail_reportf "%s, seed %d: %s" name seed msg)
 
 (* ---- multicore sweep replay ---- *)
 
 let test_sweep_replay () =
-  let job incremental idx =
+  let job idx =
     let name = List.nth algorithms (idx mod List.length algorithms) in
-    let scene = scenario (3000 + idx) in
-    fst (capture ~watchdog:(wd_config idx) ~incremental name scene)
+    fst (capture ~watchdog:(wd_config idx) name (scenario (3000 + idx)))
   in
-  let seq = Sweep.map ~domains:1 12 (job true) in
-  let par = Sweep.map ~domains:4 12 (job true) in
-  let oracle = Sweep.map ~domains:4 12 (job false) in
-  Alcotest.(check (array string)) "4-domain incremental sweep equals sequential" seq par;
-  Alcotest.(check (array string)) "incremental sweep equals oracle sweep" oracle par
+  let seq = Sweep.map ~domains:1 12 job in
+  let par = Sweep.map ~domains:4 12 job in
+  Alcotest.(check (array string)) "4-domain sweep equals sequential" seq par
 
 (* ---- the lazy congestion accessor, in isolation ---- *)
 
@@ -207,7 +281,7 @@ let test_congestion_accessor () =
 (* A random block-structured packing problem with stable keys, plus a
    drift step that perturbs bounds/lowers (keys fixed) or appends a
    variable to one block (structure change: the keyed path must fall
-   back exactly like the oracle does). *)
+   back exactly like the plain path does). *)
 type keyed_problem = {
   p : Lp.problem;
   var_keys : int array;
@@ -287,110 +361,46 @@ let drift g kp =
 let solve_plain st p = Lp.solve ~state:st p
 
 let solve_keyed st kp =
-  Lp.solve ~state:st
-    ~identity:(Lp.identity ~var_keys:kp.var_keys ~row_keys:kp.row_keys ())
-    kp.p
+  Lp.solve ~state:st ~identity:(Lp.identity ~var_keys:kp.var_keys ~row_keys:kp.row_keys) kp.p
 
 let qcheck_lp =
   let open QCheck in
   let seed = int_range 0 1_000_000 in
-  [ Test.make ~name:"keyed LP stream == plain LP stream, bit for bit" ~count:150 seed
-      (fun seed ->
-        let g = Prng.create seed in
-        let st_plain = Lp.create_state () and st_keyed = Lp.create_state () in
-        let kp = ref (gen_keyed g) in
-        let steps = 3 + Prng.int g 6 in
-        for step = 0 to steps - 1 do
-          (match (solve_plain st_plain !kp.p, solve_keyed st_keyed !kp) with
-           | Ok a, Ok b ->
-             if not (Float.equal a.Lp.objective_value b.Lp.objective_value) then
-               Test.fail_reportf "seed %d step %d: objective %.17g vs %.17g" seed step
-                 a.Lp.objective_value b.Lp.objective_value;
-             Array.iteri
-               (fun j v ->
-                 if not (Float.equal v b.Lp.values.(j)) then
-                   Test.fail_reportf "seed %d step %d: x%d = %.17g vs %.17g" seed step j v
-                     b.Lp.values.(j))
-               a.Lp.values
-           | Error ea, Error eb ->
-             if ea <> eb then
-               Test.fail_reportf "seed %d step %d: different errors (plain %a, keyed %a)"
-                 seed step Lp.pp_error ea Lp.pp_error eb
-           | Ok _, Error _ | Error _, Ok _ ->
-             Test.fail_reportf "seed %d step %d: one mode failed, the other solved" seed step);
-          kp := drift g !kp
-        done;
-        true);
-    Test.make ~name:"basis_reuse stays feasible and optimal over drift" ~count:120 seed
-      (fun seed ->
-        let g = Prng.create seed in
-        let st = Lp.create_state () in
-        let kp = ref (gen_keyed g) in
-        let steps = 3 + Prng.int g 6 in
-        for step = 0 to steps - 1 do
-          let reuse =
-            Lp.solve ~state:st
-              ~identity:
-                (Lp.identity ~basis_reuse:true ~var_keys:!kp.var_keys ~row_keys:!kp.row_keys
-                   ())
-              !kp.p
-          in
-          let cold = Lp.solve !kp.p in
-          (match (reuse, cold) with
-           | Ok r, Ok c ->
-             if not (Lp.feasible !kp.p r.Lp.values) then
-               Test.fail_reportf "seed %d step %d: basis_reuse infeasible" seed step;
-             let tol = 1e-6 *. Float.max 1. (Float.abs c.Lp.objective_value) in
-             if Float.abs (r.Lp.objective_value -. c.Lp.objective_value) > tol then
-               Test.fail_reportf "seed %d step %d: objective %.12g vs cold %.12g" seed step
-                 r.Lp.objective_value c.Lp.objective_value
-           | Error _, Error _ -> ()
-           | Ok _, Error _ | Error _, Ok _ ->
-             Test.fail_reportf "seed %d step %d: reuse/cold disagree on solvability" seed
-               step);
-          kp := drift g !kp
-        done;
-        true);
-    Test.make ~name:"dual repair recovers a bounds-shrunk basis" ~count:120 seed
-      (fun seed ->
-        let g = Prng.create seed in
-        let kp = gen_keyed g in
-        let p = kp.p in
-        let rows = Array.of_list (List.map (fun c -> c.Lp.coeffs) p.Lp.constraints) in
-        let rhs = Array.of_list (List.map (fun c -> c.Lp.bound) p.Lp.constraints) in
-        (* No lower bounds here: the dual phase is about capacity drift. *)
-        match Simplex.maximize_sparse ~obj:p.Lp.objective ~rows ~rhs () with
-        | Error _ -> true
-        | Ok (_, None) -> true
-        | Ok (_, Some basis) ->
-          let shrunk = Array.map (fun b -> b *. (0.3 +. Prng.float g 0.7)) rhs in
-          let ws = Simplex.create_workspace () in
-          (match
-             Simplex.warm_solve ~dual:true ws ~obj:p.Lp.objective ~rows ~rhs:shrunk
-               ~warm:basis
-           with
-           | None -> true (* stale basis: caller falls back cold; allowed *)
-           | Some (Error _) -> true
-           | Some (Ok (values, _)) ->
-             (match Simplex.maximize_sparse ~obj:p.Lp.objective ~rows ~rhs:shrunk () with
-              | Error _ ->
-                QCheck.Test.fail_reportf "seed %d: dual solved an unsolvable problem" seed
-              | Ok (cold, _) ->
-                let obj v =
-                  let acc = ref 0. in
-                  Array.iteri (fun j x -> acc := !acc +. (p.Lp.objective.(j) *. x)) v;
-                  !acc
-                in
-                let tol = 1e-6 *. Float.max 1. (Float.abs (obj cold)) in
-                if Float.abs (obj values -. obj cold) > tol then
-                  QCheck.Test.fail_reportf "seed %d: dual objective %.12g vs cold %.12g"
-                    seed (obj values) (obj cold)
-                else true)))
-  ]
+  Test.make ~name:"keyed LP stream == plain LP stream, bit for bit" ~count:150 seed
+    (fun seed ->
+      let g = Prng.create seed in
+      let st_plain = Lp.create_state () and st_keyed = Lp.create_state () in
+      let kp = ref (gen_keyed g) in
+      let steps = 3 + Prng.int g 6 in
+      for step = 0 to steps - 1 do
+        (match (solve_plain st_plain !kp.p, solve_keyed st_keyed !kp) with
+         | Ok a, Ok b ->
+           if not (Float.equal a.Lp.objective_value b.Lp.objective_value) then
+             Test.fail_reportf "seed %d step %d: objective %.17g vs %.17g" seed step
+               a.Lp.objective_value b.Lp.objective_value;
+           Array.iteri
+             (fun j v ->
+               if not (Float.equal v b.Lp.values.(j)) then
+                 Test.fail_reportf "seed %d step %d: x%d = %.17g vs %.17g" seed step j v
+                   b.Lp.values.(j))
+             a.Lp.values
+         | Error ea, Error eb ->
+           if ea <> eb then
+             Test.fail_reportf "seed %d step %d: different errors (plain %a, keyed %a)" seed
+               step Lp.pp_error ea Lp.pp_error eb
+         | Ok _, Error _ | Error _, Ok _ ->
+           Test.fail_reportf "seed %d step %d: one mode failed, the other solved" seed step);
+        kp := drift g !kp
+      done;
+      true)
 
 let tests =
   ( "incremental",
-    [ tc "sweep replay (4 domains)" `Quick test_sweep_replay;
+    [ (* The corpus holds the full-rescan oracle's output, so these keep
+         the names they had when the oracle ran live beside the engine. *)
+      tc "incremental == oracle: arrivals/completions/crashes" `Quick (check_corpus false);
+      tc "incremental == oracle: under the watchdog" `Quick (check_corpus true);
+      tc "sweep replay (4 domains)" `Quick test_sweep_replay;
       tc "congestion accessor == eager scan" `Quick test_congestion_accessor
     ]
-    @ List.map QCheck_alcotest.to_alcotest (qcheck_engine @ qcheck_lp) )
+    @ List.map QCheck_alcotest.to_alcotest [ qcheck_load; qcheck_lp ] )

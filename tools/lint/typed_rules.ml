@@ -3,8 +3,8 @@
    default), so every check sees inferred types instead of syntactic
    evidence. Four passes guard the repo's headline property — that
    every accumulation the planner performs is order-deterministic, so
-   incremental/full-rescan engines and parallel/sequential sweeps stay
-   byte-identical:
+   the engine keeps matching its frozen golden corpus and
+   parallel/sequential sweeps stay byte-identical:
 
    - hashtbl-order   : Hashtbl.fold/iter bodies that accumulate into an
                        order-sensitive structure without re-sorting;

@@ -505,9 +505,7 @@ let scale_tasks ~m =
       in
       Task.v ~id:i ~arrival:0. ~deadline ~volume ~k:4 ~sources ~destination:dst ())
 
-let scale_scene_run ~m name =
-  let topo = scale_topo () in
-  Engine.run topo (Registry.make name) (scale_tasks ~m)
+let scale_scene_run ~m alg = Engine.run (scale_topo ()) alg (scale_tasks ~m)
 
 (* Spawn-pressure variant: the same hand-built leaf-local workload in
    20 arrival waves of m/20 tasks, so the engine performs thousands of

@@ -274,8 +274,8 @@ let run_bench () =
   Printf.printf "\nwrote %s\n" bench_json_file
 
 (* Scale mode: the engine on a 1040-server leaf-spine with 1k/5k/10k
-   simultaneously active tasks, per-event plan time recorded to
-   BENCH_6.json. *)
+   simultaneously active tasks, per-event plan time and Phase I
+   (select_sources) time recorded to BENCH_6.json. *)
 let scale_json_file = "BENCH_6.json"
 
 let run_scale () =
@@ -288,15 +288,28 @@ let run_scale () =
   let scenes =
     List.map
       (fun m ->
-        let r, wall = timed (fun () -> Experiments.scale_scene_run ~m "lpst") in
+        let alg = S3_core.Registry.make "lpst" in
+        let select_calls = ref 0 and select_s = ref 0. in
+        let alg =
+          { alg with
+            S3_core.Algorithm.select_sources =
+              (fun v t ->
+                let r, dt = timed (fun () -> alg.S3_core.Algorithm.select_sources v t) in
+                incr select_calls;
+                select_s := !select_s +. dt;
+                r)
+          }
+        in
+        let r, wall = timed (fun () -> Experiments.scale_scene_run ~m alg) in
         let per_event_us =
           1e6 *. r.S3_sim.Metrics.plan_time /. float_of_int (max 1 r.S3_sim.Metrics.plan_calls)
         in
         Printf.printf
-          "lpst m=%d: events=%d plan_calls=%d plan_time=%.3fs per_event=%.1fus wall=%.2fs\n%!"
+          "lpst m=%d: events=%d plan_calls=%d plan_time=%.3fs per_event=%.1fus \
+           select_calls=%d select=%.3fs wall=%.2fs\n%!"
           m r.S3_sim.Metrics.events r.S3_sim.Metrics.plan_calls r.S3_sim.Metrics.plan_time
-          per_event_us wall;
-        (m, r, per_event_us, wall))
+          per_event_us !select_calls !select_s wall;
+        (m, r, per_event_us, (!select_calls, !select_s), wall))
       [ 1000; 5000; 10000 ]
   in
   let b = Buffer.create 2048 in
@@ -307,15 +320,16 @@ let run_scale () =
        (json_escape Sys.ocaml_version));
   Buffer.add_string b "  \"scenes\": [\n";
   List.iteri
-    (fun i (m, r, per_event_us, wall) ->
+    (fun i (m, r, per_event_us, (select_calls, select_s), wall) ->
       Buffer.add_string b
         (Printf.sprintf
            "    { \"algorithm\": \"lpst\", \"servers\": %d, \"tasks\": %d, \"events\": %d, \
             \"plan_calls\": %d, \"plan_time_s\": %.6f, \"per_event_plan_us\": %.2f, \
-            \"wall_s\": %.3f, \"fingerprint\": \"%s\" }%s\n"
+            \"select_calls\": %d, \"select_s\": %.6f, \"wall_s\": %.3f, \
+            \"fingerprint\": \"%s\" }%s\n"
            (S3_net.Topology.servers (Experiments.scale_topo ()))
            m r.S3_sim.Metrics.events r.S3_sim.Metrics.plan_calls r.S3_sim.Metrics.plan_time
-           per_event_us wall
+           per_event_us select_calls select_s wall
            (json_escape (S3_sim.Report.fingerprint r))
            (if i < List.length scenes - 1 then "," else "")))
     scenes;

@@ -2,9 +2,9 @@ module Task = S3_workload.Task
 module Prng = S3_util.Prng
 
 (* [base] lazily seeds an entity's factor from the engine-maintained
-   per-entity flow index (see {!Problem.view}[.load]): only entities a
+   per-entity load (see {!Problem.view}[.load]): only entities a
    caller actually touches are materialized, so Phase I costs
-   O(candidate paths) instead of O(all flows). The accessor promises
+   O(candidate paths) probes instead of O(all flows). The accessor promises
    the same accumulation order as the eager scan below, so both
    representations hold bit-identical factors. *)
 type t = {
@@ -46,35 +46,36 @@ let select_least_congested (v : Problem.view) (task : Task.t) =
     Rtf.lrb ~now:v.Problem.now ~deadline:task.Task.deadline ~remaining:task.Task.volume
   in
   let lrb = if Float.is_finite lrb then lrb else 0. in
-  let remaining = ref (Array.to_list task.Task.sources) in
-  let chosen = ref [] in
-  for _ = 1 to task.Task.k do
-    let scored =
-      List.map
-        (fun s ->
-          let path = S3_net.Topology.route v.Problem.topo ~src:s ~dst:task.Task.destination in
-          (path_max t path, s, path))
-        !remaining
-    in
-    let best =
-      List.fold_left
-        (fun acc cand ->
-          match acc with
-          | None -> Some cand
-          | Some (bc, bs, _) ->
-            let c, s, _ = cand in
-            if c < bc -. 1e-12 || (Float.abs (c -. bc) <= 1e-12 && s < bs) then Some cand
-            else acc)
-        None scored
-    in
-    match best with
-    | None -> invalid_arg "Congestion.select_least_congested: not enough candidates"
-    | Some (_, s, path) ->
-      chosen := s :: !chosen;
-      remaining := List.filter (fun x -> x <> s) !remaining;
-      add_path t path lrb
-  done;
-  Array.of_list (List.rev !chosen)
+  let sources = task.Task.sources in
+  (* Each candidate's route once per selection, from the topology's
+     shared memo; candidates are scanned in source order every round. *)
+  let paths =
+    Array.map
+      (fun s -> S3_net.Topology.route_array v.Problem.topo ~src:s ~dst:task.Task.destination)
+      sources
+  in
+  let taken = Array.make (Array.length sources) false in
+  Array.init task.Task.k (fun _ ->
+      let best = ref (-1) and best_c = ref 0. in
+      Array.iteri
+        (fun i s ->
+          if not taken.(i) then begin
+            let c = Array.fold_left (fun acc e -> max acc (factor t e)) 0. paths.(i) in
+            if
+              !best < 0
+              || c < !best_c -. 1e-12
+              || (Float.abs (c -. !best_c) <= 1e-12 && s < sources.(!best))
+            then begin
+              best := i;
+              best_c := c
+            end
+          end)
+        sources;
+      if !best < 0 then invalid_arg "Congestion.select_least_congested: not enough candidates";
+      let s = sources.(!best) in
+      Array.iteri (fun i x -> if x = s then taken.(i) <- true) sources;
+      Array.iter (fun e -> Hashtbl.replace t.tbl e (factor t e +. lrb)) paths.(!best);
+      s)
 
 let select_random g (task : Task.t) =
   Array.of_list (Prng.sample g task.Task.k (Array.to_list task.Task.sources))

@@ -36,11 +36,16 @@ type view = {
                                  capacity minus foreground load) *)
   load : (int -> float) option;
   (** entity id -> sum of the finite least-required bandwidths of the
-      view's flows crossing that entity, when the engine maintains the
-      per-entity flow index that makes this O(flows on entity) instead
-      of O(all flows). Must equal — bit-for-bit, same accumulation
-      order as the view's flow order — what {!Congestion.of_view}
-      computes from scratch; [None] when no index is available. *)
+      view's flows crossing that entity, when the engine maintains a
+      per-entity flow index. The engine caches each entity's value
+      within an instant: the first probe after the clock moves, or
+      after a flow on the entity is removed or re-homed, is a miss and
+      costs O(flows on entity); every later probe in the same instant
+      is O(1), including after newly arrived tasks' flows join the
+      entity. Must equal — bit-for-bit, same accumulation order as the
+      view's flow order — what {!Congestion.of_view} computes from
+      scratch; [None] when no index is available. Like [flows], it
+      reads live engine state. *)
 }
 
 val route : view -> flow -> int list

@@ -172,7 +172,16 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
   let index_add lt slot f =
     Array.iter (fun e -> Hashtbl.replace ent_flows.(e) f.flow_id (lt.seq, slot, lt, f)) f.route
   in
-  let index_remove f = Array.iter (fun e -> Hashtbl.remove ent_flows.(e) f.flow_id) f.route in
+  (* Phase I load cache (see [entity_load]): [load_value.(e)] is valid
+     iff [load_stamp.(e) = !load_epoch]. *)
+  let load_value = Array.make nent 0. in
+  let load_stamp = Array.make nent (-1) in
+  let load_epoch = ref 0 in
+  let invalidate_route f = Array.iter (fun e -> load_stamp.(e) <- -1) f.route in
+  let index_remove f =
+    Array.iter (fun e -> Hashtbl.remove ent_flows.(e) f.flow_id) f.route;
+    invalidate_route f
+  in
   (* Dirty capacity entities: usage or availability may have moved since
      the last clamp, so only these need re-checking. The invariant
      "not dirty => usage <= available + 1e-6" is restored by every
@@ -190,28 +199,55 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
   let live_flows lt =
     Array.to_list lt.lflows |> List.filter (fun f -> f.remaining > 0.)
   in
+  let flow_lrb lt f = Rtf.lrb ~now:!now ~deadline:lt.task.Task.deadline ~remaining:f.remaining in
   (* Per-entity congestion load for Phase I: the sum of finite LRBs of
      the bucket's flows, folded in view order — (task seq, slot)
      ascending is exactly the order [Congestion.of_view] walks the
      flow list, so the lazy accessor and the eager scan accumulate the
      same floats in the same order and agree bit-for-bit (the test
-     suite checks this at every event). *)
+     suite checks this at every Phase I call).
+
+     A miss sorts and folds the bucket, O(flows on entity); the value
+     then stays cached, so further probes within an instant are O(1):
+     - [spawn] appends ([append_load]): a fresh task's seq exceeds
+       every seq in a bucket and its slots arrive ascending, so adding
+       its finite LRBs to the valid entries on each route is exactly
+       the fold's next step;
+     - [index_remove] and [replace_slots] invalidate their routes (a
+       re-homed flow lands mid-order, even in the newest task);
+     - [now] and every [remaining] moving (the clock step with
+       [advance_volumes]) invalidates all entries. *)
   let entity_load e =
-    let entries =
-      Hashtbl.fold
-        (fun _ (seq, slot, lt, f) acc ->
-          if (not lt.resolved) && f.remaining > 0. then (seq, slot, lt, f) :: acc else acc)
-        ent_flows.(e) []
-      |> List.sort (fun (sa, la, _, _) (sb, lb, _, _) ->
-             match compare sa sb with 0 -> compare la lb | c -> c)
-    in
-    List.fold_left
-      (fun acc (_, _, lt, f) ->
-        let l =
-          Rtf.lrb ~now:!now ~deadline:lt.task.Task.deadline ~remaining:f.remaining
-        in
-        if Float.is_finite l then acc +. l else acc)
-      0. entries
+    if load_stamp.(e) = !load_epoch then load_value.(e)
+    else begin
+      let entries =
+        Hashtbl.fold
+          (fun _ (seq, slot, lt, f) acc ->
+            if (not lt.resolved) && f.remaining > 0. then (seq, slot, lt, f) :: acc else acc)
+          ent_flows.(e) []
+        |> List.sort (fun (sa, la, _, _) (sb, lb, _, _) ->
+               match compare sa sb with 0 -> compare la lb | c -> c)
+      in
+      let v =
+        List.fold_left
+          (fun acc (_, _, lt, f) ->
+            let l = flow_lrb lt f in
+            if Float.is_finite l then acc +. l else acc)
+          0. entries
+      in
+      load_value.(e) <- v;
+      load_stamp.(e) <- !load_epoch;
+      v
+    end
+  in
+  let append_load lt f =
+    if (not lt.resolved) && f.remaining > 0. then begin
+      let l = flow_lrb lt f in
+      if Float.is_finite l then
+        Array.iter
+          (fun e -> if load_stamp.(e) = !load_epoch then load_value.(e) <- load_value.(e) +. l)
+          f.route
+    end
   in
   let make_view () =
     (* The flow list is the expensive part of a view — O(all live
@@ -443,7 +479,8 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
             remaining = rem.(j);
             rate = 0.
           };
-        index_add lt i lt.lflows.(i))
+        index_add lt i lt.lflows.(i);
+        invalidate_route lt.lflows.(i))
       slots;
     repl
   in
@@ -524,7 +561,11 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
         incr next_seq;
         let lt = { seq; task = t; lflows; resolved = false; failed = false } in
         active := lt :: !active;
-        Array.iteri (fun slot f -> index_add lt slot f) lflows;
+        Array.iteri
+          (fun slot f ->
+            index_add lt slot f;
+            append_load lt f)
+          lflows;
         let cell =
           match Hashtbl.find_opt tasks_by_dest t.Task.destination with
           | Some cell -> cell
@@ -1046,6 +1087,8 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
     let dt = max 0. (t_next -. !now) in
     advance_volumes dt;
     now := max !now t_next;
+    (* [now] and [remaining] moved: every cached Phase I load is stale. *)
+    incr load_epoch;
     Foreground.advance fg !now;
     let g = Foreground.generation fg in
     if g <> !fg_generation then begin

@@ -99,8 +99,9 @@ val run :
 
     The run is driven off per-entity flow indexes: a scheduling event
     touches only the entities and tasks it affects (dirty-set capacity
-    clamping, indexed crash candidates, a lazy per-entity congestion
-    load handed to Phase I through {!S3_core.Problem.view}[.load], and
+    clamping, indexed crash candidates, a per-entity congestion load,
+    cached within an instant, handed to Phase I through
+    {!S3_core.Problem.view}[.load], and
     an O(1) per-task straggler prefilter in the watchdog). Every view
     carries that [load] accessor, and it reads live engine state:
     consult it during the [on_event] callback, not after. A golden

@@ -33,12 +33,14 @@ let v ~id ?(kind = Generic) ~arrival ~deadline ~volume ~k ~sources ~destination 
   if volume <= 0. then invalid_arg "Task.v: volume must be positive";
   if k <= 0 then invalid_arg "Task.v: k must be positive";
   if Array.length sources < k then invalid_arg "Task.v: fewer candidate sources than k";
-  let seen = Hashtbl.create 8 in
-  Array.iter
-    (fun s ->
+  (* Candidate sets are a stripe's chunks, a handful of servers: a
+     pairwise scan is cheaper than hashing and allocates nothing. *)
+  Array.iteri
+    (fun i s ->
       if s = destination then invalid_arg "Task.v: a source equals the destination";
-      if Hashtbl.mem seen s then invalid_arg "Task.v: duplicate source";
-      Hashtbl.replace seen s ())
+      for j = 0 to i - 1 do
+        if sources.(j) = s then invalid_arg "Task.v: duplicate source"
+      done)
     sources;
   { id; kind; arrival; deadline; volume; k; sources; destination }
 

@@ -15,8 +15,9 @@
    shed, completion, expiry) is crossed many times.
 
    The eager congestion scan survives here as an oracle: at every event
-   the engine's lazy per-entity load must equal, float for float, the
-   factors [Congestion.of_view] computes from the flow list. A
+   and every Phase I call the engine's cached per-entity load must
+   equal, float for float, the factors [Congestion.of_view] computes
+   from the flow list. A
    multicore sweep replay checks the per-run structures stay per-run
    under domains, and the LP half pins the solver contract directly:
    keyed solves equal plain solves bit-for-bit over drifting problem
@@ -27,11 +28,13 @@ module Task = S3_workload.Task
 module Generator = S3_workload.Generator
 module Registry = S3_core.Registry
 module Problem = S3_core.Problem
+module Algorithm = S3_core.Algorithm
 module Congestion = S3_core.Congestion
 module Engine = S3_sim.Engine
 module Foreground = S3_sim.Foreground
 module Report = S3_sim.Report
 module Watchdog = S3_sim.Watchdog
+module Retry = S3_sim.Retry
 module Fault = S3_fault.Fault
 module Prng = S3_util.Prng
 module Sweep = S3_par.Sweep
@@ -178,7 +181,7 @@ let check_corpus watchdog () =
       "%d %s case(s) drifted; first: case %d (%s, seed %d)\n  expected %s\n  got      %s"
       (List.length drifted) (kind c) c.idx c.alg c.seed want fresh
 
-(* ---- the lazy congestion load, checked at every event ---- *)
+(* ---- the cached congestion load, checked at every event and Phase I call ---- *)
 
 let load_matches_scan view =
   match view.Problem.load with
@@ -195,6 +198,34 @@ let load_matches_scan view =
     in
     go 0
 
+(* Keeps the first mismatch in [failure]. *)
+let check_load failure what (view : Problem.view) =
+  if Option.is_none !failure then
+    Option.iter
+      (fun msg -> failure := Some (Printf.sprintf "%s at t=%h: %s" what view.Problem.now msg))
+      (load_matches_scan view)
+
+(* The engine caches each entity's load within an instant, so the check
+   runs where Phase I reads it: every selection and re-selection first
+   compares the view's load with the eager scan, then delegates. Probing
+   every entity also fills the whole cache, so a wrong append or a
+   missed invalidation later in the same instant shows at the next
+   call. *)
+let checked_phase1 failure (alg : Algorithm.t) =
+  let check = check_load failure in
+  { alg with
+    Algorithm.select_sources =
+      (fun v t ->
+        check "select" v;
+        alg.Algorithm.select_sources v t);
+    reselect =
+      Option.map
+        (fun r v t ~eligible ~need ~remaining ->
+          check "reselect" v;
+          r v t ~eligible ~need ~remaining)
+        alg.Algorithm.reselect
+  }
+
 let qcheck_load =
   let open QCheck in
   Test.make ~name:"load accessor == eager congestion scan at every event" ~count:150
@@ -203,18 +234,90 @@ let qcheck_load =
       let topo, tasks, faults, fg = scenario seed in
       let watchdog = if with_wd then Some (wd_config seed) else None in
       let failure = ref None in
-      let hook now view _ =
-        if Option.is_none !failure then
-          Option.iter
-            (fun msg -> failure := Some (Printf.sprintf "t=%h: %s" now msg))
-            (load_matches_scan view)
-      in
+      let hook _ view _ = check_load failure "event" view in
       ignore
         (Engine.run ~config:(engine_config fg) ~on_event:hook ~faults ?watchdog topo
-           (Registry.make name) tasks);
+           (checked_phase1 failure (Registry.make name))
+           tasks);
       match !failure with
       | None -> true
       | Some msg -> Test.fail_reportf "%s, seed %d: %s" name seed msg)
+
+(* Same-instant bursts on a leaf-spine: each task's destination and six
+   candidates share one leaf, and a burst arrives at t=0 with a second
+   one later. Chunk sizes and deadlines are random, so the LRBs summed
+   on an entity differ in their low bits and the fold order shows. With
+   [crash] one server dies mid-run (crash re-homes); otherwise one or
+   two NICs drop to zero capacity, stalling flows until the retry
+   policy re-homes them. *)
+let burst_scenario ~crash seed =
+  let g = Prng.create seed in
+  let leaves = 2 + Prng.int g 3 and per_leaf = 7 + Prng.int g 3 in
+  let topo =
+    T.leaf_spine ~leaves ~spines:(1 + Prng.int g 2) ~servers_per_leaf:per_leaf
+      ~cst:(200. +. Prng.float g 800.)
+      ~cta:(600. +. Prng.float g 2000.)
+  in
+  let second = 1. +. Prng.float g 4. in
+  let tasks =
+    List.init
+      (10 + Prng.int g 30)
+      (fun id ->
+        let base = Prng.int g leaves * per_leaf in
+        let members = Array.init per_leaf (fun j -> base + j) in
+        Prng.shuffle g members;
+        let arrival = if Prng.int g 3 = 0 then second else 0. in
+        Task.v ~id ~arrival
+          ~deadline:(arrival +. 4. +. Prng.float g 20.)
+          ~volume:(20. +. Prng.float g 300.)
+          ~k:4 ~sources:(Array.sub members 1 6) ~destination:members.(0) ())
+  in
+  let server () = Prng.int g (T.servers topo) in
+  let faults =
+    if crash then
+      Fault.plan [ { Fault.time = 0.5 +. Prng.float g 3.; kind = Fault.Server_crash (server ()) } ]
+    else
+      Fault.plan
+        (List.init
+           (1 + Prng.int g 2)
+           (fun _ ->
+             { Fault.time = Prng.float g 2.;
+               kind =
+                 Fault.Link_degrade
+                   { entity = T.server_entity topo (server ());
+                     factor = 0.;
+                     duration = 5. +. Prng.float g 20.
+                   }
+             }))
+  in
+  (topo, tasks, faults)
+
+(* Fixed bursts in three families — crash re-homes, retry re-homes, and
+   crashes under the watchdog (hedged swaps) — each required to
+   actually exercise its replacement path. *)
+let test_phase1_cache () =
+  let failure = ref None in
+  let crash_rehomes = ref 0 and retry_rehomes = ref 0 and swaps = ref 0 in
+  for i = 0 to 35 do
+    let seed = 7_000 + i in
+    let name = List.nth algorithms (i mod List.length algorithms) in
+    let family = i mod 3 in
+    let topo, tasks, faults = burst_scenario ~crash:(family <> 1) seed in
+    let retry = if family = 1 then Some (Retry.v ~retries:(i mod 2) ~timeout:0.5 ()) else None in
+    let watchdog = if family = 2 then Some (wd_config seed) else None in
+    let run =
+      Engine.run ~faults ?retry ?watchdog topo (checked_phase1 failure (Registry.make name)) tasks
+    in
+    (match family with
+     | 0 -> crash_rehomes := !crash_rehomes + run.S3_sim.Metrics.tasks_rehomed
+     | 1 -> retry_rehomes := !retry_rehomes + run.S3_sim.Metrics.tasks_rehomed
+     | _ -> swaps := !swaps + run.S3_sim.Metrics.swaps_successful);
+    Option.iter (fun msg -> Alcotest.failf "%s, seed %d: %s" name seed msg) !failure
+  done;
+  List.iter
+    (fun (what, n) -> if n = 0 then Alcotest.failf "no %s exercised" what)
+    [ ("crash re-homes", !crash_rehomes); ("retry re-homes", !retry_rehomes);
+      ("watchdog swaps", !swaps) ]
 
 (* ---- multicore sweep replay ---- *)
 
@@ -400,6 +503,8 @@ let tests =
          the names they had when the oracle ran live beside the engine. *)
       tc "incremental == oracle: arrivals/completions/crashes" `Quick (check_corpus false);
       tc "incremental == oracle: under the watchdog" `Quick (check_corpus true);
+      tc "load cache == eager scan at every Phase I call: bursts, re-homes, swaps" `Quick
+        test_phase1_cache;
       tc "sweep replay (4 domains)" `Quick test_sweep_replay;
       tc "congestion accessor == eager scan" `Quick test_congestion_accessor
     ]

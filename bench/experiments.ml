@@ -477,7 +477,7 @@ let detect_storm_scene_run ?detector ?retry ~m name =
    rack-local (the common case: re-protecting within the failure
    domain), so every route is [src NIC; leaf switch; dst NIC] and the
    planning LP decomposes into one independent block per leaf — the
-   structure the keyed solver exploits. The Generator's placement
+   structure the LP's block split exploits. The Generator's placement
    policies deliberately spread sources across racks, so these tasks
    are built by hand. *)
 let scale_leaves = 52
@@ -597,25 +597,6 @@ let ablation_sticky () =
   in
   print_table ~align:[ Table.Left; Table.Right; Table.Right; Table.Right ]
     ~header:[ "variant"; "completed"; "remaining(GB)"; "utilization" ]
-    rows
-
-let ablation_lp_backend () =
-  heading "Ablation: exact simplex vs Garg-Koenemann approximation in Phase III, rate 1.4/s";
-  let tasks = tasks_of (config ~rate:1.4 ~tasks:(max 100 (num_tasks () / 2)) ()) in
-  let rows =
-    List.map
-      (fun (label, backend) ->
-        let alg = S3_core.Lpst.lpst ?backend ~name:label () in
-        let run = run_with alg tasks in
-        [ label;
-          string_of_int (Metrics.completed run);
-          pct run.Metrics.utilization;
-          Printf.sprintf "%.3f" (1000. *. Metrics.mean_plan_time run)
-        ])
-      [ ("LPST/simplex", None); ("LPST/packing eps=0.1", Some (S3_lp.Lp.Approx 0.1)) ]
-  in
-  print_table ~align:[ Table.Left; Table.Right; Table.Right; Table.Right ]
-    ~header:[ "variant"; "completed"; "utilization"; "plan(ms)" ]
     rows
 
 let ablation_sources () =
@@ -764,7 +745,7 @@ let sweep_fingerprints ~domains n =
 
 let all_ids =
   [ "table2"; "fig2"; "fig3a"; "fig3b"; "fig3c"; "fig3d"; "fig3e"; "fig3f"; "fig4"; "fig5";
-    "ablation-sticky"; "ablation-lp"; "ablation-sources"; "heterogeneous"; "regenerating"; "topologies" ]
+    "ablation-sticky"; "ablation-sources"; "heterogeneous"; "regenerating"; "topologies" ]
 
 let run_experiment = function
   | "table2" -> table2 ()
@@ -778,7 +759,6 @@ let run_experiment = function
   | "fig4" -> fig4 ()
   | "fig5" -> fig5_quick ()
   | "ablation-sticky" -> ablation_sticky ()
-  | "ablation-lp" -> ablation_lp_backend ()
   | "ablation-sources" -> ablation_sources ()
   | "heterogeneous" -> heterogeneous ()
   | "regenerating" -> regenerating ()

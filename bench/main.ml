@@ -70,8 +70,6 @@ let micro_tests =
     S3_lp.Lp.make ~nvars:n ~objective:(Array.make n 1.) constrs
   in
   let p60 = lp_problem 60 in
-  let p120 = lp_problem 120 in
-  let p240 = lp_problem 240 in
   let rs = S3_storage.Reed_solomon.make ~n:9 ~k:6 in
   let data = Bytes.init 4096 (fun i -> Char.chr (i land 0xff)) in
   let shards = S3_storage.Reed_solomon.encode rs data in
@@ -81,12 +79,6 @@ let micro_tests =
       (Array.to_list (Array.mapi (fun i s -> (i, s)) shards))
   in
   [ Test.make ~name:"lp/simplex-60" (Staged.stage (fun () -> ignore (S3_lp.Lp.solve p60)));
-    Test.make ~name:"lp/packing-60"
-      (Staged.stage (fun () -> ignore (S3_lp.Lp.solve ~backend:(S3_lp.Lp.Approx 0.1) p60)));
-    Test.make ~name:"lp/packing-120"
-      (Staged.stage (fun () -> ignore (S3_lp.Lp.solve ~backend:(S3_lp.Lp.Approx 0.1) p120)));
-    Test.make ~name:"lp/packing-240"
-      (Staged.stage (fun () -> ignore (S3_lp.Lp.solve ~backend:(S3_lp.Lp.Approx 0.1) p240)));
     Test.make ~name:"rs/encode-9_6-4KB"
       (Staged.stage (fun () -> ignore (S3_storage.Reed_solomon.encode rs data)));
     Test.make ~name:"rs/reconstruct-9_6-4KB"

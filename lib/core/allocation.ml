@@ -116,7 +116,7 @@ let priority_fill (v : Problem.view) groups =
     groups;
   !all
 
-let lp_allocate ?backend ?state ?(incremental = true) ?(lower = fun _ -> 0.) (v : Problem.view) flows =
+let lp_allocate ?state ?incremental:_ ?(lower = fun _ -> 0.) (v : Problem.view) flows =
   let routes = List.map (fun f -> (f, Problem.route_arr v f)) flows in
   let local, networked = List.partition (fun (_, r) -> Array.length r = 0) routes in
   let local_rates =
@@ -136,31 +136,18 @@ let lp_allocate ?backend ?state ?(incremental = true) ?(lower = fun _ -> 0.) (v 
       (fun j (_, route) -> Array.iter (fun e -> cols.(e) <- (j, 1.) :: cols.(e)) route)
       flows_arr;
     let constraints = ref [] in
-    let row_keys = ref [] in
     for e = nent - 1 downto 0 do
       match cols.(e) with
       | [] -> ()
       | coeffs ->
-        row_keys := e :: !row_keys;
         constraints := { Lp.coeffs; bound = max 0. (v.Problem.available e) } :: !constraints
     done;
     let constraints = !constraints in
-    (* Flow ids / entity ids are the stable keys that let the solver
-       decompose the packing LP into per-component blocks and reuse
-       untouched blocks across events (see Lp.identity). *)
-    let identity =
-      if not incremental then None
-      else
-        Some
-          (Lp.identity
-             ~var_keys:(Array.map (fun ((f : Problem.flow), _) -> f.Problem.flow_id) flows_arr)
-             ~row_keys:(Array.of_list !row_keys))
-    in
     let lower_arr = Array.map (fun (f, _) -> max 0. (lower f)) flows_arr in
     let problem =
       Lp.make ~nvars:n ~objective:(Array.make n 1.) ~lower:lower_arr constraints
     in
-    match Lp.solve ?backend ?state ?identity problem with
+    match Lp.solve ?state problem with
     | Error _ -> None
     | Ok { Lp.values; _ } ->
       let rates =

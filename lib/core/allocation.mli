@@ -24,7 +24,6 @@ val residual_after : Problem.view -> rates -> int -> float
     (used by admission checks and tests). *)
 
 val lp_allocate :
-  ?backend:S3_lp.Lp.backend ->
   ?state:S3_lp.Lp.state ->
   ?incremental:bool ->
   ?lower:(Problem.flow -> float) ->
@@ -35,13 +34,11 @@ val lp_allocate :
     routes are excluded from the LP and given their lower bound.
     [state] is an {!S3_lp.Lp.state} reused across consecutive calls so
     that identical or grown problems skip or warm-start the solver;
-    pass one state per algorithm instance. With a [state], variables
-    are named by flow id and rows by entity id so the solver can
-    decompose the LP into independent blocks and reuse cached block
-    solutions across events — bit-exact with the plain path (see
-    {!S3_lp.Lp.identity}). [incremental] (default [true]) exists only
-    so that [~incremental:false] can force the plain path; no
-    algorithm in this library sets it. *)
+    pass one state per algorithm instance. [incremental] is accepted
+    and ignored: it once chose between a keyed block solve and a plain
+    one, and {!S3_lp.Lp.solve} now has only the block solve. The
+    benchmark harness still passes it, so it stays until the next
+    change to the benchmark, where it will be deleted. *)
 
 val max_feasible_scale : Problem.view -> (Problem.flow * float) list -> float
 (** [max_feasible_scale v demands] is the largest [theta in [0, 1]]

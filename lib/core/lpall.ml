@@ -1,4 +1,4 @@
-let lpall ?(sources = Algorithm.Least_congested) ?backend () =
+let lpall ?(sources = Algorithm.Least_congested) () =
   let lp_state = S3_lp.Lp.create_state () in
   let allocate (v : Problem.view) =
     match Lazy.force v.Problem.flows with
@@ -14,9 +14,7 @@ let lpall ?(sources = Algorithm.Least_congested) ?backend () =
          interior and immune to rounding in the scale computation. *)
       let theta = theta *. (1. -. 1e-9) in
       let lower f = theta *. demand f in
-      (match
-         Allocation.lp_allocate ?backend ~state:lp_state ~lower v flows
-       with
+      (match Allocation.lp_allocate ~state:lp_state ~lower v flows with
        | Some rates -> rates
        | None ->
          (* Numerical fallback: the scaled demands themselves are

@@ -9,7 +9,6 @@
     which is exactly why it transmits plenty of bytes yet misses
     deadlines (paper, Figs. 2–3 discussion). *)
 
-val lpall :
-  ?sources:Algorithm.source_policy -> ?backend:S3_lp.Lp.backend -> unit -> Algorithm.t
-(** The LP is keyed as in {!Lpst.lpst}: block-decomposed solves with
-    per-block caching, bit-exact with the unkeyed solve. *)
+val lpall : ?sources:Algorithm.source_policy -> unit -> Algorithm.t
+(** The LP is solved as in {!Lpst.lpst}: through one {!S3_lp.Lp.state}
+    per instance, block-decomposed and warm-started. *)

@@ -67,7 +67,7 @@ let retriage ~admission (v : Problem.view) residual admitted_tasks =
   admit_into v residual
     (Sequencing.sort_pairs v ~key:(admission_key admission) admitted_tasks)
 
-let lpst ?(sources = Algorithm.Least_congested) ?backend ?(admission = Rtf_order)
+let lpst ?(sources = Algorithm.Least_congested) ?(admission = Rtf_order)
     ?(bandwidth = Lp_max) ?(sticky = true) ?name () =
   let name = Option.value ~default:"LPST" name in
   (* Sticky admission state: once a task is admitted it keeps its
@@ -117,9 +117,7 @@ let lpst ?(sources = Algorithm.Least_congested) ?backend ?(admission = Rtf_order
       match bandwidth with
       | Lrb_only -> List.map (fun f -> (f.Problem.flow_id, lrb f)) flows
       | Lp_max -> (
-        match
-          Allocation.lp_allocate ?backend ~state:lp_state ~lower:lrb v flows
-        with
+        match Allocation.lp_allocate ~state:lp_state ~lower:lrb v flows with
         | Some rates -> rates
         | None ->
           (* Admission guaranteed LRB fits; reach here only on solver

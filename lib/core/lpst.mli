@@ -41,7 +41,6 @@ val admit :
 
 val lpst :
   ?sources:Algorithm.source_policy ->
-  ?backend:S3_lp.Lp.backend ->
   ?admission:admission ->
   ?bandwidth:bandwidth ->
   ?sticky:bool ->
@@ -50,7 +49,7 @@ val lpst :
 (** [sticky] (default [true]) keeps admitted tasks admitted across
     events; [false] re-triages from scratch on every event — provided
     only for the ablation benchmark that demonstrates why stickiness is
-    load-bearing. The Phase III LP is keyed by flow/entity ids so the
-    solver decomposes it into independent blocks and reuses cached
-    block solutions across events — bit-exact with the unkeyed solve
-    (see {!S3_lp.Lp.identity}). *)
+    load-bearing. The Phase III LP goes through one {!S3_lp.Lp.state}
+    per instance: the solver splits it into independent blocks (one
+    per rack for rack-local traffic) and warm-starts from the previous
+    event's basis (see {!S3_lp.Lp.solve}). *)

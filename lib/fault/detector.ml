@@ -21,6 +21,7 @@
 
 module Topology = S3_net.Topology
 module Prng = S3_util.Prng
+module Table = S3_util.Table
 
 type config = {
   suspect : float;
@@ -49,18 +50,14 @@ let v ?(suspect = default.suspect) ?(confirm = default.confirm) ?(fp = default.f
     invalid_arg "Detector.v: fp-horizon must be finite and >= 0";
   { suspect; confirm; fp; fp_seed; fp_horizon }
 
-(* Shortest decimal form that parses back to the same float, so
-   to_string/of_string round-trips exactly (same scheme as Fault). *)
-let float_rt f =
-  let s = Printf.sprintf "%.15g" f in
-  if Float.equal (float_of_string s) f then s else Printf.sprintf "%.17g" f
-
 let to_string c =
-  let base = Printf.sprintf "suspect=%s,confirm=%s" (float_rt c.suspect) (float_rt c.confirm) in
+  let base =
+    Printf.sprintf "suspect=%s,confirm=%s" (Table.fmt_exact c.suspect) (Table.fmt_exact c.confirm)
+  in
   if c.fp = 0 then base
   else
     Printf.sprintf "%s,fp=%d,fp-seed=%d,fp-horizon=%s" base c.fp c.fp_seed
-      (float_rt c.fp_horizon)
+      (Table.fmt_exact c.fp_horizon)
 
 let of_string s =
   let err fmt = Printf.ksprintf (fun m -> Error ("detect " ^ m)) fmt in

@@ -1,5 +1,6 @@
 module Topology = S3_net.Topology
 module Prng = S3_util.Prng
+module Table = S3_util.Table
 
 type kind =
   | Server_crash of int
@@ -78,25 +79,16 @@ let random g topo ~horizon ?(crashes = 1) ?(rack_outages = 0) ?(degradations = 1
 
 (* ---- compact string spec ---- *)
 
-(* Shortest decimal form that parses back to the same float: %g keeps
-   only 6 significant digits and loses precision on round-trip, so specs
-   printed from a randomly drawn plan would no longer replay the same
-   run. %.15g covers almost every value humans write; the %.17g fallback
-   is exact for every float. *)
-let float_rt f =
-  let s = Printf.sprintf "%.15g" f in
-  if Float.equal (float_of_string s) f then s else Printf.sprintf "%.17g" f
-
 let to_string t =
   events t
   |> List.map (fun ev ->
          match ev.kind with
-         | Server_crash s -> Printf.sprintf "crash@%s:%d" (float_rt ev.time) s
-         | Server_recover s -> Printf.sprintf "recover@%s:%d" (float_rt ev.time) s
-         | Rack_outage r -> Printf.sprintf "rack@%s:%d" (float_rt ev.time) r
+         | Server_crash s -> Printf.sprintf "crash@%s:%d" (Table.fmt_exact ev.time) s
+         | Server_recover s -> Printf.sprintf "recover@%s:%d" (Table.fmt_exact ev.time) s
+         | Rack_outage r -> Printf.sprintf "rack@%s:%d" (Table.fmt_exact ev.time) r
          | Link_degrade { entity; factor; duration } ->
-           Printf.sprintf "degrade@%s:%d:%s:%s" (float_rt ev.time) entity
-             (float_rt factor) (float_rt duration))
+           Printf.sprintf "degrade@%s:%d:%s:%s" (Table.fmt_exact ev.time) entity
+             (Table.fmt_exact factor) (Table.fmt_exact duration))
   |> String.concat ","
 
 let of_string s =

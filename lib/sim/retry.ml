@@ -8,6 +8,8 @@
    link degradation, swaps are per-task and react to projected deadline
    misses. *)
 
+module Table = S3_util.Table
+
 type config = {
   retries : int;
   timeout : float;
@@ -26,15 +28,9 @@ let v ?(retries = default.retries) ?(timeout = default.timeout)
     invalid_arg "Retry.v: backoff must be finite and >= 1";
   { retries; timeout; backoff; resume }
 
-(* Shortest decimal form that parses back to the same float, so
-   to_string/of_string round-trips exactly (same scheme as Fault). *)
-let float_rt f =
-  let s = Printf.sprintf "%.15g" f in
-  if Float.equal (float_of_string s) f then s else Printf.sprintf "%.17g" f
-
 let to_string c =
   Printf.sprintf "retries=%d,timeout=%s,backoff=%s,resume=%b" c.retries
-    (float_rt c.timeout) (float_rt c.backoff) c.resume
+    (Table.fmt_exact c.timeout) (Table.fmt_exact c.backoff) c.resume
 
 let of_string s =
   let err fmt = Printf.ksprintf (fun m -> Error ("retry " ^ m)) fmt in

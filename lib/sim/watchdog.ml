@@ -5,6 +5,8 @@
    reach the live flow state; everything here is the policy surface the
    CLI parses and the budget/backoff arithmetic the engine consults. *)
 
+module Table = S3_util.Table
+
 type config = {
   slack : float;
   max_swaps : int;
@@ -22,15 +24,9 @@ let v ?(slack = default.slack) ?(max_swaps = default.max_swaps)
     invalid_arg "Watchdog.v: backoff must be finite and > 0";
   { slack; max_swaps; backoff }
 
-(* Shortest decimal form that parses back to the same float, so
-   to_string/of_string round-trips exactly (same scheme as Fault). *)
-let float_rt f =
-  let s = Printf.sprintf "%.15g" f in
-  if Float.equal (float_of_string s) f then s else Printf.sprintf "%.17g" f
-
 let to_string c =
-  Printf.sprintf "slack=%s,max-swaps=%d,backoff=%s" (float_rt c.slack)
-    c.max_swaps (float_rt c.backoff)
+  Printf.sprintf "slack=%s,max-swaps=%d,backoff=%s" (Table.fmt_exact c.slack)
+    c.max_swaps (Table.fmt_exact c.backoff)
 
 let of_string s =
   let err fmt = Printf.ksprintf (fun m -> Error ("watchdog " ^ m)) fmt in

@@ -34,4 +34,13 @@ let render ?align ~header rows =
 
 let fmt_float ?(decimals = 2) x = Printf.sprintf "%.*f" decimals x
 
+(* Shortest decimal form that parses back to the same float: %g keeps
+   only 6 significant digits and loses precision on round-trip, so specs
+   printed from a randomly drawn plan would no longer replay the same
+   run. %.15g covers almost every value humans write; the %.17g fallback
+   is exact for every float. *)
+let fmt_exact f =
+  let s = Printf.sprintf "%.15g" f in
+  if Float.equal (float_of_string s) f then s else Printf.sprintf "%.17g" f
+
 let fmt_pct x = Printf.sprintf "%.1f%%" (100. *. x)

@@ -1,4 +1,5 @@
-(** ASCII table rendering for the benchmark harness and examples.
+(** ASCII table rendering for the benchmark harness and examples, and
+    the number formats they and the CLI spec printers share.
 
     Keeps the report code free of manual column-width bookkeeping: give
     a header row and data rows, get back an aligned monospace table like
@@ -15,6 +16,11 @@ val render : ?align:align list -> header:string list -> string list list -> stri
 val fmt_float : ?decimals:int -> float -> string
 (** Fixed-point rendering used throughout the harness (default 2
     decimals). *)
+
+val fmt_exact : float -> string
+(** [fmt_exact x] is the shortest of [%.15g] and [%.17g] that parses
+    back to exactly [x], so a spec's [to_string] round-trips through
+    its [of_string]. *)
 
 val fmt_pct : float -> string
 (** [fmt_pct x] renders the ratio [x] as a percentage with one

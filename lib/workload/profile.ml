@@ -6,6 +6,8 @@
    foreground load the cluster carries while the background traffic
    runs. *)
 
+module Table = S3_util.Table
+
 type t = {
   name : string;
   summary : string;
@@ -109,15 +111,8 @@ let arrival_rate s = s.profile.arrival_rate *. s.scale
 
 let task_count ~default s = Option.value s.tasks ~default
 
-(* Shortest decimal form that parses back to the same float, so
-   to_string/of_string round-trips exactly (same scheme as Watchdog and
-   Fault). *)
-let float_rt f =
-  let s = Printf.sprintf "%.15g" f in
-  if Float.equal (float_of_string s) f then s else Printf.sprintf "%.17g" f
-
 let to_string s =
-  Printf.sprintf "profile=%s,scale=%s%s" s.profile.name (float_rt s.scale)
+  Printf.sprintf "profile=%s,scale=%s%s" s.profile.name (Table.fmt_exact s.scale)
     (match s.tasks with None -> "" | Some n -> Printf.sprintf ",tasks=%d" n)
 
 let of_string str =

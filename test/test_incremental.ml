@@ -2,8 +2,8 @@
 
    The engine runs off per-entity flow buckets, dirty-set clamping,
    indexed crash candidates and a lazy Phase I congestion accessor, and
-   the LP-based algorithms solve keyed, block-decomposed LPs. All of it
-   replaced a full-rescan engine and an unkeyed LP, and promised
+   the LP-based algorithms solve block-decomposed LPs. All of it
+   replaced a full-rescan engine and a one-tableau LP, and promised
    bit-identical runs, only faster. Before the full-rescan engine was
    deleted, a fixed corpus of 340 random scenarios ran through both
    engines; they agreed, and each case's report fingerprint and digest
@@ -20,8 +20,8 @@
    from the flow list. A
    multicore sweep replay checks the per-run structures stay per-run
    under domains, and the LP half pins the solver contract directly:
-   keyed solves equal plain solves bit-for-bit over drifting problem
-   streams. *)
+   block-split solves equal one-tableau solves bit-for-bit over drifting
+   problem streams. *)
 
 module T = S3_net.Topology
 module Task = S3_workload.Task
@@ -39,6 +39,7 @@ module Fault = S3_fault.Fault
 module Prng = S3_util.Prng
 module Sweep = S3_par.Sweep
 module Lp = S3_lp.Lp
+module Simplex = S3_lp.Simplex
 
 let tc = Alcotest.test_case
 
@@ -379,123 +380,183 @@ let test_congestion_accessor () =
         a b)
     tasks
 
-(* ---- keyed LP solves ---- *)
+(* ---- the LP solve path against a one-tableau reference ---- *)
 
-(* A random block-structured packing problem with stable keys, plus a
-   drift step that perturbs bounds/lowers (keys fixed) or appends a
-   variable to one block (structure change: the keyed path must fall
-   back exactly like the plain path does). *)
-type keyed_problem = {
-  p : Lp.problem;
-  var_keys : int array;
-  row_keys : int array;
-}
-
-let gen_keyed g =
+(* A random block-structured packing problem, plus a drift step that
+   perturbs bounds/lowers (the warm start replays, or bails in some
+   block) or appends a variable to one block (structure change: the
+   warm start does not apply). *)
+let gen_blocks g =
   let blocks = 1 + Prng.int g 4 in
-  let vars = ref [] and rows = ref [] in
+  let rows = ref [] in
   let nvars = ref 0 in
-  for b = 0 to blocks - 1 do
+  for _ = 0 to blocks - 1 do
     let nv = 1 + Prng.int g 4 in
     let base = !nvars in
     nvars := !nvars + nv;
-    for j = 0 to nv - 1 do
-      vars := (base + j, (b * 1000) + j) :: !vars
-    done;
     let nr = 1 + Prng.int g 3 in
-    for r = 0 to nr - 1 do
+    for _ = 0 to nr - 1 do
       let members =
         List.init nv (fun j -> base + j) |> List.filter (fun _ -> Prng.int g 4 > 0)
       in
       let members = if members = [] then [ base ] else members in
-      rows :=
-        ( (b * 1000) + 500 + r,
-          List.map (fun j -> (j, 1.)) members,
-          5. +. Prng.float g 50. )
-        :: !rows
+      let coeffs = List.map (fun j -> (j, 1.)) members in
+      rows := { Lp.coeffs; bound = 5. +. Prng.float g 50. } :: !rows
     done
   done;
-  let vars = List.rev !vars and rows = List.rev !rows in
   let n = !nvars in
   let lower =
     Array.init n (fun _ -> if Prng.int g 3 = 0 then Prng.float g 2. else 0.)
   in
-  { p =
-      Lp.make ~nvars:n
-        ~objective:(Array.make n 1.)
-        ~lower
-        (List.map (fun (_, coeffs, bound) -> { Lp.coeffs; bound }) rows);
-    var_keys = Array.of_list (List.map snd vars);
-    row_keys = Array.of_list (List.map (fun (k, _, _) -> k) rows)
-  }
+  Lp.make ~nvars:n ~objective:(Array.make n 1.) ~lower (List.rev !rows)
 
-let drift g kp =
-  let p = kp.p in
+let drift g (p : Lp.problem) =
   if Prng.int g 4 = 0 then begin
     (* structure change: append one variable to the last block's rows *)
     let n = p.Lp.nvars in
-    let constraints =
-      List.mapi
-        (fun i c ->
-          if i = List.length p.Lp.constraints - 1 then
-            { c with Lp.coeffs = (n, 1.) :: c.Lp.coeffs }
-          else c)
-        p.Lp.constraints
-    in
-    { p =
-        Lp.make ~nvars:(n + 1)
-          ~objective:(Array.make (n + 1) 1.)
-          ~lower:(Array.append p.Lp.lower [| 0. |])
-          constraints;
-      var_keys = Array.append kp.var_keys [| 900_000 + Array.length kp.var_keys |];
-      row_keys = kp.row_keys
-    }
+    let last = List.length p.Lp.constraints - 1 in
+    Lp.make ~nvars:(n + 1)
+      ~objective:(Array.make (n + 1) 1.)
+      ~lower:(Array.append p.Lp.lower [| 0. |])
+      (List.mapi
+         (fun i c -> if i = last then { c with Lp.coeffs = (n, 1.) :: c.Lp.coeffs } else c)
+         p.Lp.constraints)
   end
   else
-    { kp with
-      p =
-        Lp.make ~nvars:p.Lp.nvars ~objective:p.Lp.objective
-          ~lower:(Array.map (fun l -> max 0. (l +. Prng.float g 0.5 -. 0.25)) p.Lp.lower)
-          (List.map
-             (fun c -> { c with Lp.bound = max 0.5 (c.Lp.bound +. Prng.float g 10. -. 5.) })
-             p.Lp.constraints)
-    }
+    Lp.make ~nvars:p.Lp.nvars ~objective:p.Lp.objective
+      ~lower:(Array.map (fun l -> max 0. (l +. Prng.float g 0.5 -. 0.25)) p.Lp.lower)
+      (List.map
+         (fun c -> { c with Lp.bound = max 0.5 (c.Lp.bound +. Prng.float g 10. -. 5.) })
+         p.Lp.constraints)
 
-let solve_plain st p = Lp.solve ~state:st p
+(* The reference: the whole LP on one tableau, under the exact-repeat
+   memo and the positional-prefix warm start of [Lp.solve ~state]. It
+   is the solve path before the block split. A warm basis that does
+   not replay makes [Simplex.maximize_sparse] solve the whole tableau
+   cold, which is what the block split's all-or-nothing bail must
+   reproduce. *)
+type reference = {
+  ws : Simplex.workspace;
+  mutable last : (Lp.problem * int array option * Lp.solution) option;
+}
 
-let solve_keyed st kp =
-  Lp.solve ~state:st ~identity:(Lp.identity ~var_keys:kp.var_keys ~row_keys:kp.row_keys) kp.p
+let same_row (a : Lp.constr) (b : Lp.constr) =
+  List.equal (fun (i, x) (j, y) -> i = j && Float.equal x y) a.Lp.coeffs b.Lp.coeffs
 
+let floats_equal a b = Array.length a = Array.length b && Array.for_all2 Float.equal a b
+
+let reference_solve r (p : Lp.problem) =
+  let cons = Array.of_list p.Lp.constraints in
+  match r.last with
+  | Some (q, _, s)
+    when q.Lp.nvars = p.Lp.nvars
+         && floats_equal q.Lp.objective p.Lp.objective
+         && floats_equal q.Lp.lower p.Lp.lower
+         && List.equal
+              (fun a b -> same_row a b && Float.equal a.Lp.bound b.Lp.bound)
+              q.Lp.constraints p.Lp.constraints ->
+    Ok { s with Lp.values = Array.copy s.Lp.values }
+  | last -> (
+    let n = p.Lp.nvars in
+    let warm =
+      match last with
+      | Some (q, Some basis, _) ->
+        let old = Array.of_list q.Lp.constraints and pn = q.Lp.nvars in
+        let pm = Array.length old in
+        if n >= pn && Array.length cons >= pm
+           && Array.for_all2 same_row old (Array.sub cons 0 pm)
+        then
+          Some
+            (Array.init (Array.length cons) (fun i ->
+                 if i >= pm then n + i
+                 else if basis.(i) < pn then basis.(i)
+                 else n + (basis.(i) - pn)))
+        else None
+      | _ -> None
+    in
+    let rhs =
+      Array.map
+        (fun (c : Lp.constr) ->
+          c.Lp.bound
+          -. List.fold_left (fun acc (j, a) -> acc +. (a *. p.Lp.lower.(j))) 0. c.Lp.coeffs)
+        cons
+    in
+    let rows = Array.map (fun (c : Lp.constr) -> c.Lp.coeffs) cons in
+    match Simplex.maximize_sparse ~ws:r.ws ?warm ~obj:p.Lp.objective ~rows ~rhs () with
+    | Ok (y, basis) ->
+      let values = Array.mapi (fun j l -> l +. y.(j)) p.Lp.lower in
+      let s = { Lp.values; objective_value = Lp.objective_of p values } in
+      r.last <- Some (p, basis, s);
+      Ok { s with Lp.values = Array.copy values }
+    | Error e ->
+      r.last <- None;
+      Error (match e with `Infeasible -> Lp.Infeasible | `Unbounded -> Lp.Unbounded))
+
+(* One drifting stream through [Lp.solve ~state] and through the
+   reference; the first step where a value, the objective or the error
+   differs, if any. *)
+let lp_stream_mismatch seed =
+  let g = Prng.create seed in
+  let st = Lp.create_state () in
+  let r = { ws = Simplex.create_workspace (); last = None } in
+  let p = ref (gen_blocks g) in
+  let steps = 3 + Prng.int g 6 in
+  let rec go step =
+    if step = steps then None
+    else begin
+      let mismatch =
+        match (reference_solve r !p, Lp.solve ~state:st !p) with
+        | Ok a, Ok b ->
+          if not (Float.equal a.Lp.objective_value b.Lp.objective_value) then
+            Some
+              (Printf.sprintf "objective %.17g vs %.17g" a.Lp.objective_value
+                 b.Lp.objective_value)
+          else
+            Array.to_seqi a.Lp.values
+            |> Seq.find_map (fun (j, v) ->
+                   if Float.equal v b.Lp.values.(j) then None
+                   else Some (Printf.sprintf "x%d = %.17g vs %.17g" j v b.Lp.values.(j)))
+        | Error ea, Error eb ->
+          if ea = eb then None
+          else
+            Some
+              (Format.asprintf "different errors (reference %a, blocks %a)" Lp.pp_error ea
+                 Lp.pp_error eb)
+        | Ok _, Error _ | Error _, Ok _ -> Some "one path failed, the other solved"
+      in
+      match mismatch with
+      | Some m -> Some (Printf.sprintf "seed %d step %d: %s" seed step m)
+      | None ->
+        p := drift g !p;
+        go (step + 1)
+    end
+  in
+  go 0
+
+(* The reference is the former plain path and the block split the
+   former keyed one, hence the name. *)
 let qcheck_lp =
   let open QCheck in
   let seed = int_range 0 1_000_000 in
-  Test.make ~name:"keyed LP stream == plain LP stream, bit for bit" ~count:150 seed
+  Test.make ~name:"keyed LP stream == plain LP stream, bit for bit" ~count:2000 seed
     (fun seed ->
-      let g = Prng.create seed in
-      let st_plain = Lp.create_state () and st_keyed = Lp.create_state () in
-      let kp = ref (gen_keyed g) in
-      let steps = 3 + Prng.int g 6 in
-      for step = 0 to steps - 1 do
-        (match (solve_plain st_plain !kp.p, solve_keyed st_keyed !kp) with
-         | Ok a, Ok b ->
-           if not (Float.equal a.Lp.objective_value b.Lp.objective_value) then
-             Test.fail_reportf "seed %d step %d: objective %.17g vs %.17g" seed step
-               a.Lp.objective_value b.Lp.objective_value;
-           Array.iteri
-             (fun j v ->
-               if not (Float.equal v b.Lp.values.(j)) then
-                 Test.fail_reportf "seed %d step %d: x%d = %.17g vs %.17g" seed step j v
-                   b.Lp.values.(j))
-             a.Lp.values
-         | Error ea, Error eb ->
-           if ea <> eb then
-             Test.fail_reportf "seed %d step %d: different errors (plain %a, keyed %a)" seed
-               step Lp.pp_error ea Lp.pp_error eb
-         | Ok _, Error _ | Error _, Ok _ ->
-           Test.fail_reportf "seed %d step %d: one mode failed, the other solved" seed step);
-        kp := drift g !kp
-      done;
-      true)
+      match lp_stream_mismatch seed with
+      | None -> true
+      | Some m -> Test.fail_report m)
+
+(* A stream in which one block's warm replay bails while another's
+   installs: re-solving only the bailing block cold, instead of every
+   block, ends on a different vertex. Checked before the random
+   streams, so that this case never depends on the QCheck seed. *)
+let pinned_lp_stream = 920495
+
+let lp_stream_test =
+  let name, speed, run = QCheck_alcotest.to_alcotest qcheck_lp in
+  ( name,
+    speed,
+    fun () ->
+      Option.iter Alcotest.fail (lp_stream_mismatch pinned_lp_stream);
+      run () )
 
 let tests =
   ( "incremental",
@@ -508,4 +569,4 @@ let tests =
       tc "sweep replay (4 domains)" `Quick test_sweep_replay;
       tc "congestion accessor == eager scan" `Quick test_congestion_accessor
     ]
-    @ List.map QCheck_alcotest.to_alcotest [ qcheck_load; qcheck_lp ] )
+    @ [ QCheck_alcotest.to_alcotest qcheck_load; lp_stream_test ] )

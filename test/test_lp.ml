@@ -1,12 +1,11 @@
 module Lp = S3_lp.Lp
 module Simplex = S3_lp.Simplex
-module Packing = S3_lp.Packing
 
 let tc = Alcotest.test_case
 let checkf msg = Alcotest.check (Alcotest.float 1e-6) msg
 
-let solve_exn ?backend p =
-  match Lp.solve ?backend p with
+let solve_exn p =
+  match Lp.solve p with
   | Ok s -> s
   | Error e -> Alcotest.failf "unexpected %a" Lp.pp_error e
 
@@ -97,48 +96,6 @@ let test_make_validation () =
     (Invalid_argument "Lp.make: negative lower bound") (fun () ->
       ignore (Lp.make ~nvars:1 ~objective:[| 1. |] ~lower:[| -1. |] []))
 
-let test_packing_matches_exact () =
-  let p =
-    Lp.make ~nvars:3 ~objective:[| 3.; 2.; 4. |]
-      [ { Lp.coeffs = [ (0, 1.); (1, 2.); (2, 1.) ]; bound = 10. };
-        { Lp.coeffs = [ (0, 2.); (2, 3.) ]; bound = 12. };
-        { Lp.coeffs = [ (1, 1.); (2, 1.) ]; bound = 6. }
-      ]
-  in
-  let exact = solve_exn p in
-  let approx = solve_exn ~backend:(Lp.Approx 0.05) p in
-  Alcotest.(check bool) "approx feasible" true (Lp.feasible p approx.Lp.values);
-  Alcotest.(check bool)
-    (Printf.sprintf "within 15%% (%.3f vs %.3f)" approx.Lp.objective_value
-       exact.Lp.objective_value)
-    true
-    (approx.Lp.objective_value >= 0.85 *. exact.Lp.objective_value)
-
-let test_packing_rejects_negative () =
-  match
-    Packing.maximize ~eps:0.1 ~obj:[| 1. |] ~rows:[| [| -1. |] |] ~rhs:[| 1. |]
-  with
-  | Error `Not_packing -> ()
-  | _ -> Alcotest.fail "expected Not_packing"
-
-let test_packing_zero_capacity () =
-  match
-    Packing.maximize ~eps:0.1 ~obj:[| 1.; 1. |]
-      ~rows:[| [| 1.; 0. |]; [| 0.; 1. |] |]
-      ~rhs:[| 0.; 5. |]
-  with
-  | Ok x ->
-    checkf "pinned" 0. x.(0);
-    Alcotest.(check bool) "other grows" true (x.(1) > 4.)
-  | Error _ -> Alcotest.fail "expected solution"
-
-let test_packing_unbounded () =
-  match
-    Packing.maximize ~eps:0.1 ~obj:[| 1.; 1. |] ~rows:[| [| 1.; 0. |] |] ~rhs:[| 1. |]
-  with
-  | Error `Unbounded -> ()
-  | _ -> Alcotest.fail "expected unbounded"
-
 (* Brute-force reference: enumerate all vertices (intersections of
    n-subsets of constraint/axis hyperplanes) of a 2-variable LP and
    take the best feasible one. *)
@@ -216,26 +173,7 @@ let qcheck =
           x.(0) >= -1e-7 && x.(1) >= -1e-7
           && Array.for_all2
                (fun row b -> (row.(0) *. x.(0)) +. (row.(1) *. x.(1)) <= b +. 1e-6)
-               rows rhs);
-    Test.make ~name:"packing approximation feasible and near-optimal" ~count:100 instance
-      (fun ((o1, o2), rows, rhs) ->
-        let m = min (List.length rows) (List.length rhs) in
-        assume (m > 0);
-        let rows =
-          Array.of_list (List.filteri (fun i _ -> i < m) rows) |> Array.map (fun (a, b) -> [| a; b |])
-        in
-        let rhs = Array.of_list (List.filteri (fun i _ -> i < m) rhs) in
-        let obj = [| o1; o2 |] in
-        match (Packing.maximize ~eps:0.05 ~obj ~rows ~rhs, Simplex.maximize ~obj ~rows ~rhs) with
-        | Ok x, Ok y ->
-          let v a = (obj.(0) *. a.(0)) +. (obj.(1) *. a.(1)) in
-          let feasible =
-            Array.for_all2
-              (fun row b -> (row.(0) *. x.(0)) +. (row.(1) *. x.(1)) <= b +. 1e-6)
-              rows rhs
-          in
-          feasible && v x >= 0.8 *. v y -. 1e-6
-        | _ -> false)
+               rows rhs)
   ]
 
 let tests =
@@ -248,10 +186,6 @@ let tests =
       tc "negative rhs (phase 1)" `Quick test_negative_rhs_feasible;
       tc "degenerate vertex" `Quick test_degenerate;
       tc "empty constraint row" `Quick test_zero_vars_constraints;
-      tc "make validation" `Quick test_make_validation;
-      tc "packing matches exact" `Quick test_packing_matches_exact;
-      tc "packing rejects negative data" `Quick test_packing_rejects_negative;
-      tc "packing zero capacity pins vars" `Quick test_packing_zero_capacity;
-      tc "packing unbounded" `Quick test_packing_unbounded
+      tc "make validation" `Quick test_make_validation
     ]
     @ List.map QCheck_alcotest.to_alcotest qcheck )

@@ -4,7 +4,6 @@ let () =
       Test_stats.tests;
       Test_table.tests;
       Test_lp.tests;
-      Test_packing.tests;
       Test_solver_stress.tests;
       Test_planning_core.tests;
       Test_gf256.tests;

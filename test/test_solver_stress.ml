@@ -1,10 +1,8 @@
 (* Deeper solver validation: a 3-variable brute-force oracle for the
-   simplex, accuracy of the packing approximation across epsilons, and
-   randomized Phase-I selection invariants. *)
+   simplex and randomized Phase-I selection invariants. *)
 
 module Lp = S3_lp.Lp
 module Simplex = S3_lp.Simplex
-module Packing = S3_lp.Packing
 module Congestion = S3_core.Congestion
 module Problem = S3_core.Problem
 module Task = S3_workload.Task
@@ -93,24 +91,6 @@ let qcheck =
           let got = (obj.(0) *. x.(0)) +. (obj.(1) *. x.(1)) +. (obj.(2) *. x.(2)) in
           let want = brute_force_3d ~obj ~rows ~rhs in
           Float.abs (got -. want) <= 1e-4 *. (1. +. want));
-    Test.make ~name:"packing accuracy improves with smaller epsilon" ~count:60
-      (int_range 0 100000) (fun seed ->
-        let obj, rows, rhs = random_packing_3d seed 4 in
-        let value = function
-          | Ok x -> (obj.(0) *. x.(0)) +. (obj.(1) *. x.(1)) +. (obj.(2) *. x.(2))
-          | Error _ -> neg_infinity
-        in
-        let exact =
-          match Simplex.maximize ~obj ~rows ~rhs with
-          | Ok x -> (obj.(0) *. x.(0)) +. (obj.(1) *. x.(1)) +. (obj.(2) *. x.(2))
-          | Error _ -> 0.
-        in
-        let coarse = value (Packing.maximize ~eps:0.3 ~obj ~rows ~rhs) in
-        let fine = value (Packing.maximize ~eps:0.02 ~obj ~rows ~rhs) in
-        (* Both are lower bounds of the optimum; the fine run must land
-           within 10% of it, and loosening epsilon never helps by more
-           than its guarantee slack. *)
-        coarse <= exact +. 1e-6 && fine <= exact +. 1e-6 && fine >= 0.9 *. exact -. 1e-6);
     Test.make ~name:"lower-bound substitution preserves optimality" ~count:200
       (int_range 0 100000) (fun seed ->
         (* max 1.x s.t. sum x_i <= B with floors l_i: optimum is always

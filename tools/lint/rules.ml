@@ -56,7 +56,7 @@ let rules =
 let rule_names = List.map fst rules
 
 let hot_path_allowlist =
-  [ "reed_solomon"; "gf256"; "schedule"; "simplex"; "engine"; "packing" ]
+  [ "reed_solomon"; "gf256"; "schedule"; "simplex"; "engine" ]
 
 let kind_of_path path =
   let path =

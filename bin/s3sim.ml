@@ -46,14 +46,20 @@ let fat_k = Arg.(value & opt int 4 & info [ "fat-k" ] ~doc:"Fat-tree arity (even
 let bcube_ports = Arg.(value & opt int 4 & info [ "bcube-ports" ] ~doc:"BCube switch ports.")
 let bcube_levels = Arg.(value & opt int 2 & info [ "bcube-levels" ] ~doc:"BCube levels.")
 
+(* The constructors' own range checks ([Invalid_argument]) become the
+   one-line usage error, like every other malformed flag. *)
 let make_topology kind racks servers cst cta fat_k ports levels =
-  match String.lowercase_ascii kind with
-  | "two-tier" | "two_tier" -> Ok (Topology.two_tier ~racks ~servers_per_rack:servers ~cst ~cta)
-  | "fat-tree" | "fat_tree" -> Ok (Topology.fat_tree ~k:fat_k ~cst ~cta)
-  | "leaf-spine" | "leaf_spine" ->
-    Ok (Topology.leaf_spine ~leaves:racks ~spines:(max 1 (racks / 2)) ~servers_per_leaf:servers ~cst ~cta)
-  | "bcube" -> Ok (Topology.bcube ~ports ~levels ~cst ~cta)
-  | other -> Error (Printf.sprintf "unknown topology %S" other)
+  try
+    match String.lowercase_ascii kind with
+    | "two-tier" | "two_tier" -> Ok (Topology.two_tier ~racks ~servers_per_rack:servers ~cst ~cta)
+    | "fat-tree" | "fat_tree" -> Ok (Topology.fat_tree ~k:fat_k ~cst ~cta)
+    | "leaf-spine" | "leaf_spine" ->
+      Ok
+        (Topology.leaf_spine ~leaves:racks ~spines:(max 1 (racks / 2)) ~servers_per_leaf:servers
+           ~cst ~cta)
+    | "bcube" -> Ok (Topology.bcube ~ports ~levels ~cst ~cta)
+    | other -> Error (Printf.sprintf "unknown topology %S" other)
+  with Invalid_argument m -> Error m
 
 let algorithms_arg =
   let doc =
@@ -162,14 +168,17 @@ let parse_retry = function
   | Some spec -> (
     match S3_sim.Retry.of_string spec with Ok c -> Ok (Some c) | Error e -> Error e)
 
-let report ~cloud ~fg ~seed ?(faults = Fault.empty) ?detector ?retry ?watchdog ?csv
+(* The --fg occupancy as a foreground config. Only an exact 0 means no
+   foreground load; any other value, NaN and negatives included, meets
+   [Foreground.uniform]'s range check, so call this before any output. *)
+let foreground_of fg =
+  match Float.classify_float fg with
+  | FP_zero -> Foreground.none
+  | FP_normal | FP_subnormal | FP_infinite | FP_nan -> Foreground.uniform ~max_frac:fg
+
+let report ~cloud ~foreground ~seed ?(faults = Fault.empty) ?detector ?retry ?watchdog ?csv
     ?(fingerprint = false) topo names tasks =
-  let config =
-    { Engine.foreground =
-        (if fg > 0. then Foreground.uniform ~max_frac:fg else Foreground.none);
-      seed = seed + 1
-    }
-  in
+  let config = { Engine.foreground; seed = seed + 1 } in
   let with_faults = not (Fault.is_empty faults) in
   let with_detect = Option.is_some detector in
   let with_retry = Option.is_some retry in
@@ -333,10 +342,11 @@ let run_cmd =
          in
          (* A profile implies its own foreground load; an explicit --fg
             still wins. *)
-         let fg =
-           match profile with
-           | Some s when fg <= 0. -> s.Profile.profile.Profile.fg_frac
-           | _ -> fg
+         let foreground =
+           foreground_of
+             (match profile with
+              | Some s when fg <= 0. -> s.Profile.profile.Profile.fg_frac
+              | _ -> fg)
          in
          Printf.printf "%s | %s%s%s%s%s%s\n\n" (Topology.name topo) header
            (if cloud then " | emulated cloud" else "")
@@ -351,8 +361,8 @@ let run_cmd =
            (match watchdog with
             | None -> ""
             | Some w -> Printf.sprintf " | watchdog: %s" (S3_sim.Watchdog.to_string w));
-         report ~cloud ~fg ~seed ~faults ?detector ?retry ?watchdog ?csv ~fingerprint topo
-           names workload;
+         report ~cloud ~foreground ~seed ~faults ?detector ?retry ?watchdog ?csv ~fingerprint
+           topo names workload;
          `Ok ()
        with Invalid_argument m -> `Error (false, m))
   in
@@ -410,9 +420,10 @@ let trace_cmd =
          let workload =
            Trace.to_tasks g topo records ~chunk_size_mb:chunk ~deadline_factor:factor
          in
+         let foreground = foreground_of fg in
          Printf.printf "%s | %d trace records\n\n" (Topology.name topo) (List.length records);
-         report ~cloud ~fg ~seed ~faults ?detector ?retry ?watchdog ?csv ~fingerprint topo
-           names workload;
+         report ~cloud ~foreground ~seed ~faults ?detector ?retry ?watchdog ?csv ~fingerprint
+           topo names workload;
          `Ok ()
        with
        | Invalid_argument m -> `Error (false, m)
@@ -588,7 +599,8 @@ let example_cmd =
   let run () =
     let topo, tasks = S3_workload.Scenarios.fig1 () in
     Printf.printf "Fig. 1 example on %s\n\n" (Topology.name topo);
-    report ~cloud:false ~fg:0. ~seed:0 topo [ "sp-ff"; "edf-cong"; "lpst" ] tasks;
+    report ~cloud:false ~foreground:Foreground.none ~seed:0 topo [ "sp-ff"; "edf-cong"; "lpst" ]
+      tasks;
     `Ok ()
   in
   Cmd.v

@@ -72,23 +72,6 @@ let water_fill (v : Problem.view) flows =
      by being written into [frozen] first *)
   @ List.map (fun ((f : Problem.flow), _) -> (f.Problem.flow_id, Hashtbl.find frozen f.Problem.flow_id)) networked
 
-let residual_after (v : Problem.view) rates e =
-  (* Rate table built once; keyed like [List.assoc_opt] (first binding
-     of a flow id wins), so duplicates behave identically. *)
-  let rate_of = Hashtbl.create (max 16 (List.length rates)) in
-  List.iter
-    (fun (fid, r) -> if not (Hashtbl.mem rate_of fid) then Hashtbl.add rate_of fid r)
-    rates;
-  let used =
-    List.fold_left
-      (fun acc (f : Problem.flow) ->
-        match Hashtbl.find_opt rate_of f.Problem.flow_id with
-        | Some r when Array.exists (Int.equal e) (Problem.route_arr v f) -> acc +. r
-        | _ -> acc)
-      0. (Lazy.force v.Problem.flows)
-  in
-  v.Problem.available e -. used
-
 let priority_fill (v : Problem.view) groups =
   (* Serve groups in order against a shrinking capacity map. *)
   let capacity = Hashtbl.create 64 in

@@ -19,10 +19,6 @@ val priority_fill : Problem.view -> Problem.flow list list -> rates
     water-filled over the capacity the earlier groups left. EDF = one
     group per task in deadline order; FIFO = a single head group. *)
 
-val residual_after : Problem.view -> rates -> int -> float
-(** Available capacity of an entity after subtracting the given rates
-    (used by admission checks and tests). *)
-
 val lp_allocate :
   ?state:S3_lp.Lp.state ->
   ?incremental:bool ->

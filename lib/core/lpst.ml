@@ -22,37 +22,48 @@ let make_residual (v : Problem.view) =
    capacity in place. Returns the tasks that fit. *)
 let admit_into (v : Problem.view) residual candidates =
   let nent = Array.length residual in
-  (* Per-task scratch, reset after each candidate: demand per entity
-     plus the list of entities this task touches. *)
+  (* Per-task scratch, reset after each candidate: demand per entity,
+     and a stack of the entities this task touches. *)
   let demand = Array.make nent 0. in
   let seen = Array.make nent false in
+  let touched = Array.make nent 0 and ntouched = ref 0 in
+  (* Aggregate the task's demand per entity, flow by flow along each
+     route; false at the first flow whose LRB is not finite. *)
+  let rec aggregate = function
+    | [] -> true
+    | f :: rest ->
+      let l = Rtf.flow_lrb v f in
+      Float.is_finite l
+      && begin
+        Array.iter
+          (fun e ->
+            if not seen.(e) then begin
+              seen.(e) <- true;
+              touched.(!ntouched) <- e;
+              incr ntouched
+            end;
+            demand.(e) <- demand.(e) +. l)
+          (Problem.route_arr v f);
+        aggregate rest
+      end
+  in
+  let rec fits i =
+    i >= !ntouched
+    ||
+    let e = touched.(i) in
+    demand.(e) <= residual.(e) +. 1e-9 && fits (i + 1)
+  in
   List.filter
     (fun (_, flows) ->
-      let lrbs = List.map (fun f -> (f, Rtf.flow_lrb v f)) flows in
-      if List.exists (fun (_, l) -> not (Float.is_finite l)) lrbs then false
-      else begin
-        (* Aggregate this task's demand per entity, then test fit. *)
-        let touched = ref [] in
-        List.iter
-          (fun (f, l) ->
-            Array.iter
-              (fun e ->
-                if not seen.(e) then begin
-                  seen.(e) <- true;
-                  touched := e :: !touched
-                end;
-                demand.(e) <- demand.(e) +. l)
-              (Problem.route_arr v f))
-          lrbs;
-        let fits = List.for_all (fun e -> demand.(e) <= residual.(e) +. 1e-9) !touched in
-        if fits then List.iter (fun e -> residual.(e) <- residual.(e) -. demand.(e)) !touched;
-        List.iter
-          (fun e ->
-            demand.(e) <- 0.;
-            seen.(e) <- false)
-          !touched;
-        fits
-      end)
+      let ok = aggregate flows && fits 0 in
+      for i = 0 to !ntouched - 1 do
+        let e = touched.(i) in
+        if ok then residual.(e) <- residual.(e) -. demand.(e);
+        demand.(e) <- 0.;
+        seen.(e) <- false
+      done;
+      ntouched := 0;
+      ok)
     candidates
 
 let admit ?(admission = Rtf_order) (v : Problem.view) =
@@ -77,38 +88,32 @@ let lpst ?(sources = Algorithm.Least_congested) ?(admission = Rtf_order)
      prevents the thrashing where a half-finished task loses its slot
      to a waiting one and both miss. *)
   let admitted = Hashtbl.create 256 in
+  (* [admitted] maps a task id to the call that last admitted or kept
+     it; entries not stamped by the current call are dropped at its
+     end, so a task missing from a view (completed, expired) loses its
+     reservation. *)
+  let generation = ref 0 in
   (* Per-instance solver state: the Phase III LPs of consecutive events
      share structure, so the workspace (and, when the flow set is
      unchanged, the previous basis or solution) carries over. *)
   let lp_state = S3_lp.Lp.create_state () in
   let allocate (v : Problem.view) =
     if not sticky then Hashtbl.reset admitted;
-    let tasks = Problem.by_task v in
-    let active = Hashtbl.create 64 in
-    List.iter (fun ((t : Task.t), _) -> Hashtbl.replace active t.Task.id ()) tasks;
-    let stale =
-      Hashtbl.fold
-        (fun id () acc -> if Hashtbl.mem active id then acc else id :: acc)
-        admitted []
-      |> List.sort Int.compare
-    in
-    List.iter (Hashtbl.remove admitted) stale;
+    incr generation;
+    let gen = !generation in
+    let stamp ((t : Task.t), _) = Hashtbl.replace admitted t.Task.id gen in
     let held, candidates =
-      List.partition (fun ((t : Task.t), _) -> Hashtbl.mem admitted t.Task.id) tasks
+      List.partition (fun ((t : Task.t), _) -> Hashtbl.mem admitted t.Task.id) (Problem.by_task v)
     in
     let residual = make_residual v in
     let kept = retriage ~admission v residual held in
-    let kept_ids = Hashtbl.create 64 in
-    List.iter (fun ((k : Task.t), _) -> Hashtbl.replace kept_ids k.Task.id ()) kept;
-    List.iter
-      (fun ((t : Task.t), _) ->
-        if not (Hashtbl.mem kept_ids t.Task.id) then Hashtbl.remove admitted t.Task.id)
-      held;
+    List.iter stamp kept;
     let fresh =
       admit_into v residual
         (Sequencing.sort_pairs v ~key:(admission_key admission) candidates)
     in
-    List.iter (fun ((t : Task.t), _) -> Hashtbl.replace admitted t.Task.id ()) fresh;
+    List.iter stamp fresh;
+    Hashtbl.filter_map_inplace (fun _ g -> if g = gen then Some g else None) admitted;
     let flows = List.concat_map snd (kept @ fresh) in
     match flows with
     | [] -> []

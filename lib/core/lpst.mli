@@ -39,6 +39,18 @@ val admit :
 (** Phase II alone: the admitted tasks, in admission order — exposed
     for tests and the Table 2 walkthrough. *)
 
+val admit_into :
+  Problem.view -> float array ->
+  (Problem.Task.t * Problem.flow list) list ->
+  (Problem.Task.t * Problem.flow list) list
+(** [admit_into v residual candidates] walks [candidates] in the given
+    order and keeps each task whose flows all have a finite LRB and
+    whose summed LRBs fit [residual] (indexed by entity id, 1e-9
+    tolerance) on every entity its routes cross; each kept task's
+    demand is subtracted from [residual] in place. A task's demand on
+    an entity is summed in flow order, then route order. Allocation
+    per call is O(entities) scratch plus the result list. *)
+
 val lpst :
   ?sources:Algorithm.source_policy ->
   ?admission:admission ->

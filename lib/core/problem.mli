@@ -64,7 +64,13 @@ val flow_path_available : view -> flow -> float
 
 val by_task : view -> (Task.t * flow list) list
 (** Flows grouped per task, preserving task arrival order and flow
-    order within a task. *)
+    order within a task. Each group's task is the one its first flow
+    carries.
+
+    Cost: one pass with one table lookup per run of a task id. Every
+    view the engine builds lists each task's flows as one run, so that
+    is one lookup per task. A task id that comes back after another
+    task's run costs one more lookup and joins its first group. *)
 
 val deadline_slack : view -> flow -> float
 (** Seconds until the flow's deadline; negative once expired. *)

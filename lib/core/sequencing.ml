@@ -1,28 +1,48 @@
 module Task = S3_workload.Task
+module Topology = S3_net.Topology
+
+(* Key order: ascending key by [Float.compare], which is [compare] at
+   float (NaN sorts first), then ascending task id. *)
+let compare_keys ka ida kb idb =
+  match Float.compare ka kb with
+  | 0 -> Int.compare ida idb
+  | c -> c
 
 (* Sort existing (task, flows) pairs by ascending key. The key sees the
    view only for [now]/[available]/[topo] plus the pair's own flows, so
    callers that already hold the grouping (lpst's sticky admission)
-   avoid rebuilding it through [Problem.by_task]. *)
+   avoid rebuilding it through [Problem.by_task]. Each key is computed
+   once into a float array and positions are sorted; the sort is
+   stable, so pairs of one task id keep their input order. *)
 let sort_pairs v ~key pairs =
-  let scored = List.map (fun tf -> (key v tf, tf)) pairs in
-  List.sort
-    (fun (ka, (ta, _)) (kb, (tb, _)) ->
-      match compare ka kb with
-      | 0 -> compare ta.Task.id tb.Task.id
-      | c -> c)
-    scored
-  |> List.map snd
+  let pairs = Array.of_list pairs in
+  let keys = Array.map (key v) pairs in
+  let ids = Array.map (fun ((t : Task.t), _) -> t.Task.id) pairs in
+  let pos = Array.init (Array.length pairs) Fun.id in
+  Array.stable_sort (fun i j -> compare_keys keys.(i) ids.(i) keys.(j) ids.(j)) pos;
+  Array.fold_right (fun i acc -> pairs.(i) :: acc) pos []
 
 let ordered_tasks v ~key = sort_pairs v ~key (Problem.by_task v)
 
+(* The first pair with the least (key, id): the head of [ordered_tasks]
+   in one pass. *)
 let head_only v ~key =
-  match ordered_tasks v ~key with
+  match Problem.by_task v with
   | [] -> []
-  | (_, flows) :: _ -> [ flows ]
+  | first :: rest ->
+    let id_of ((t : Task.t), _) = t.Task.id in
+    let rec go best kbest = function
+      | [] -> best
+      | p :: rest ->
+        let k = key v p in
+        if compare_keys k (id_of p) kbest (id_of best) < 0 then go p k rest
+        else go best kbest rest
+    in
+    let _, flows = go first (key v first) rest in
+    [ flows ]
 
 let disjoint_groups v ~key =
-  let used = Hashtbl.create 64 in
+  let topo = v.Problem.topo in
   (* Disjointness is judged on server NICs: two tasks "share a network
      link" when a server appears in both tasks' transfers. Switch
      trunks (TOR uplinks, fat-tree/BCube switches) are deliberately
@@ -30,23 +50,28 @@ let disjoint_groups v ~key =
      meets at some trunk, and counting trunks would collapse Dis* back
      to the strictly sequential baseline it is meant to improve on. *)
   let server_only e =
-    match (S3_net.Topology.entity v.Problem.topo e).S3_net.Topology.kind with
-    | S3_net.Topology.Server_nic -> true
-    | S3_net.Topology.Tor_uplink | S3_net.Topology.Edge_switch
-    | S3_net.Topology.Agg_switch | S3_net.Topology.Core_switch
-    | S3_net.Topology.Bcube_switch | S3_net.Topology.Leaf_switch
-    | S3_net.Topology.Spine_switch -> false
+    match (Topology.entity topo e).Topology.kind with
+    | Topology.Server_nic -> true
+    | Topology.Tor_uplink | Topology.Edge_switch | Topology.Agg_switch
+    | Topology.Core_switch | Topology.Bcube_switch | Topology.Leaf_switch
+    | Topology.Spine_switch -> false
   in
-  let entities flows =
-    List.concat_map (fun f -> Problem.route v f) flows
-    |> List.filter server_only |> List.sort_uniq compare
+  (* [used.(e)]: server [e] carries an admitted task's transfer. Only
+     servers are ever marked. *)
+  let used = Array.make (Array.length (Topology.entities topo)) false in
+  let clashes flows =
+    List.exists (fun f -> Array.exists (fun e -> used.(e)) (Problem.route_arr v f)) flows
+  in
+  let claim flows =
+    List.iter
+      (fun f -> Array.iter (fun e -> if server_only e then used.(e) <- true) (Problem.route_arr v f))
+      flows
   in
   List.filter_map
     (fun (_, flows) ->
-      let es = entities flows in
-      if List.exists (Hashtbl.mem used) es then None
+      if clashes flows then None
       else begin
-        List.iter (fun e -> Hashtbl.replace used e ()) es;
+        claim flows;
         Some flows
       end)
     (ordered_tasks v ~key)

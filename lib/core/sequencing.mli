@@ -7,7 +7,10 @@ val sort_pairs :
   (Problem.Task.t * Problem.flow list) list
 (** Sort already-grouped (task, flows) pairs by ascending key (ties by
     task id) — {!ordered_tasks} without the regrouping pass, for
-    callers that maintain their own task partition. *)
+    callers that maintain their own task partition. Keys compare by
+    [Float.compare] (NaN first); pairs with equal key and id keep
+    their input order. [key] is called once per pair, in input
+    order. *)
 
 val ordered_tasks :
   Problem.view ->
@@ -22,7 +25,8 @@ val head_only :
   Problem.flow list list
 (** The strictly sequential discipline of plain FIFO/EDF/LSTF: only the
     lowest-key task runs; everyone else waits. Returns at most one
-    priority group. *)
+    priority group: the head of {!ordered_tasks}, found in one O(tasks)
+    pass without sorting. *)
 
 val disjoint_groups :
   Problem.view ->

@@ -323,27 +323,3 @@ let maximize_sparse ?ws ?warm ~obj ~rows ~rhs () =
     | Some result -> result
     | None -> cold_solve ws ~obj ~rows ~rhs)
   | None -> cold_solve ws ~obj ~rows ~rhs
-
-let maximize ~obj ~rows ~rhs =
-  let n = Array.length obj in
-  let m = Array.length rows in
-  if Array.length rhs <> m then invalid_arg "Simplex.maximize: rhs length";
-  Array.iter
-    (fun r -> if Array.length r <> n then invalid_arg "Simplex.maximize: row length")
-    rows;
-  let sparse =
-    Array.map
-      (fun r ->
-        let acc = ref [] in
-        for j = n - 1 downto 0 do
-          (* lint: allow float-eq — structural sparsity test: only exact
-             zeros may be dropped from the row; an epsilon here would
-             silently delete small constraint coefficients *)
-          if r.(j) <> 0. then acc := (j, r.(j)) :: !acc
-        done;
-        !acc)
-      rows
-  in
-  match maximize_sparse ~obj ~rows:sparse ~rhs () with
-  | Ok (x, _) -> Ok x
-  | Error _ as e -> e

@@ -55,13 +55,3 @@ val maximize_sparse :
     resulting basic solution is primal feasible; on any mismatch the
     solver silently falls back to a cold two-phase solve, so a stale or
     wrong hint can cost time but never correctness. *)
-
-val maximize :
-  obj:float array ->
-  rows:float array array ->
-  rhs:float array ->
-  (float array, [ `Infeasible | `Unbounded ]) result
-(** [maximize ~obj ~rows ~rhs] returns an optimal vertex or the reason
-    none exists. [rows] is the dense constraint matrix; every row must
-    have the same length as [obj]. Equivalent to a cold
-    {!maximize_sparse} on the nonzero entries. *)

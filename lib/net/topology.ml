@@ -100,9 +100,15 @@ let pair_hash a b =
   let z = (z lxor (z lsr 15)) * 0x2545F491 in
   abs (z lxor (z lsr 13))
 
+(* Link capacities must be finite and positive; spelled so that NaN
+   fails the test instead of slipping past a [<= 0.] check. *)
+let check_capacities fn ~cst ~cta =
+  let ok c = Float.is_finite c && c > 0. in
+  if not (ok cst && ok cta) then invalid_arg (fn ^ ": capacities")
+
 let two_tier ~racks ~servers_per_rack ~cst ~cta =
   if racks <= 0 || servers_per_rack <= 0 then invalid_arg "Topology.two_tier: sizes";
-  if cst <= 0. || cta <= 0. then invalid_arg "Topology.two_tier: capacities";
+  check_capacities "Topology.two_tier" ~cst ~cta;
   let nservers = racks * servers_per_rack in
   let server_ids = Array.init nservers (fun s -> s) in
   let tor_ids = Array.init racks (fun r -> nservers + r) in
@@ -131,7 +137,7 @@ let two_tier ~racks ~servers_per_rack ~cst ~cta =
 
 let fat_tree ~k ~cst ~cta =
   if k < 2 || k mod 2 <> 0 then invalid_arg "Topology.fat_tree: k must be even, >= 2";
-  if cst <= 0. || cta <= 0. then invalid_arg "Topology.fat_tree: capacities";
+  check_capacities "Topology.fat_tree" ~cst ~cta;
   let half = k / 2 in
   let nservers = k * half * half in
   let nedge = k * half and nagg = k * half and ncore = half * half in
@@ -186,7 +192,7 @@ let fat_tree ~k ~cst ~cta =
 let leaf_spine ~leaves ~spines ~servers_per_leaf ~cst ~cta =
   if leaves <= 0 || spines <= 0 || servers_per_leaf <= 0 then
     invalid_arg "Topology.leaf_spine: sizes";
-  if cst <= 0. || cta <= 0. then invalid_arg "Topology.leaf_spine: capacities";
+  check_capacities "Topology.leaf_spine" ~cst ~cta;
   let nservers = leaves * servers_per_leaf in
   let leaf_base = nservers in
   let spine_base = nservers + leaves in
@@ -226,7 +232,7 @@ let leaf_spine ~leaves ~spines ~servers_per_leaf ~cst ~cta =
 let bcube ~ports ~levels ~cst ~cta =
   if ports < 2 then invalid_arg "Topology.bcube: ports >= 2";
   if levels < 1 then invalid_arg "Topology.bcube: levels >= 1";
-  if cst <= 0. || cta <= 0. then invalid_arg "Topology.bcube: capacities";
+  check_capacities "Topology.bcube" ~cst ~cta;
   let n = ports in
   let nservers =
     let rec pow acc i = if i = 0 then acc else pow (acc * n) (i - 1) in

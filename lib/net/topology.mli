@@ -34,6 +34,10 @@ type entity = {
 
 type t
 
+(** Every constructor raises [Invalid_argument] on sizes out of range
+    or on a capacity [cst] or [cta] that is not finite and positive
+    (NaN included). *)
+
 val two_tier : racks:int -> servers_per_rack:int -> cst:float -> cta:float -> t
 (** The paper's topology: one aggregator, [racks] TOR switches,
     [servers_per_rack] servers under each. Intra-rack flows consume

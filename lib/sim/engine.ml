@@ -196,9 +196,6 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
     end
   in
   let fg_generation = ref (Foreground.generation fg) in
-  let live_flows lt =
-    Array.to_list lt.lflows |> List.filter (fun f -> f.remaining > 0.)
-  in
   let flow_lrb lt f = Rtf.lrb ~now:!now ~deadline:lt.task.Task.deadline ~remaining:f.remaining in
   (* Per-entity congestion load for Phase I: the sum of finite LRBs of
      the bucket's flows, folded in view order — (task seq, slot)
@@ -257,20 +254,24 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
        algorithms force it once before any further mutation (the
        engine never hands a view across a state change). *)
     let act = !active in
+    (* One fold over [act], newest task first, prepending each task's
+       live flows from its last slot down: the list comes out oldest
+       task first, slots ascending. *)
+    let rec prepend lt i acc =
+      if i < 0 then acc
+      else
+        let f = lt.lflows.(i) in
+        prepend lt (i - 1)
+          (if f.remaining > 0. then
+             { Problem.flow_id = f.flow_id; task = lt.task; source = f.source; remaining = f.remaining }
+             :: acc
+           else acc)
+    in
     let flows =
       lazy
-        (List.rev act
-        |> List.concat_map (fun lt ->
-               if lt.resolved then []
-               else
-                 List.map
-                   (fun f ->
-                     { Problem.flow_id = f.flow_id;
-                       task = lt.task;
-                       source = f.source;
-                       remaining = f.remaining
-                     })
-                   (live_flows lt)))
+        (List.fold_left
+           (fun acc lt -> if lt.resolved then acc else prepend lt (Array.length lt.lflows - 1) acc)
+           [] act)
     in
     { Problem.now = !now;
       topo;

@@ -9,7 +9,8 @@ type config = {
 let none = { max_frac = 0.; change_interval = infinity }
 
 let uniform ~max_frac =
-  if max_frac < 0. || max_frac >= 1. then invalid_arg "Foreground.uniform: max_frac in [0,1)";
+  if not (max_frac >= 0. && max_frac < 1.) then
+    invalid_arg "Foreground.uniform: max_frac in [0,1)";
   { max_frac; change_interval = 5. }
 
 type t = {
@@ -28,9 +29,9 @@ let redraw t =
   done
 
 let create g topo config =
-  if config.max_frac < 0. || config.max_frac >= 1. then
+  if not (config.max_frac >= 0. && config.max_frac < 1.) then
     invalid_arg "Foreground.create: max_frac must be in [0,1)";
-  if config.change_interval <= 0. then invalid_arg "Foreground.create: change_interval";
+  if not (config.change_interval > 0.) then invalid_arg "Foreground.create: change_interval";
   let static = config.max_frac <= 0. || not (Float.is_finite config.change_interval) in
   let t =
     { g;

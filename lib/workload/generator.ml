@@ -43,17 +43,23 @@ let pick_code g mix =
 let server_link_capacity topo =
   (Topology.entity topo (Topology.server_entity topo 0)).Topology.capacity
 
+(* Every check is spelled so that NaN fails it. *)
 let validate config =
+  let finite_positive x = Float.is_finite x && x > 0. in
   if config.num_tasks < 0 then invalid_arg "Generator: negative num_tasks";
-  if config.arrival_rate <= 0. then invalid_arg "Generator: arrival_rate must be positive";
-  if config.chunk_size_mb <= 0. then invalid_arg "Generator: chunk_size_mb must be positive";
-  if config.deadline_factor <= 0. then invalid_arg "Generator: deadline_factor must be positive";
-  if config.deadline_jitter < 0. || config.deadline_jitter >= 1. then
+  if not (finite_positive config.arrival_rate) then
+    invalid_arg "Generator: arrival_rate must be positive";
+  if not (finite_positive config.chunk_size_mb) then
+    invalid_arg "Generator: chunk_size_mb must be positive";
+  if not (finite_positive config.deadline_factor) then
+    invalid_arg "Generator: deadline_factor must be positive";
+  if not (config.deadline_jitter >= 0. && config.deadline_jitter < 1.) then
     invalid_arg "Generator: deadline_jitter must be in [0, 1)";
   List.iter
     (fun ((n, k), w) ->
       if k <= 0 || n < k then invalid_arg "Generator: bad (n, k) in code mix";
-      if w < 0. then invalid_arg "Generator: negative code-mix weight")
+      if not (Float.is_finite w && w >= 0.) then
+        invalid_arg "Generator: negative code-mix weight")
     config.code_mix
 
 let generate g topo config =

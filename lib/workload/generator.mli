@@ -40,7 +40,10 @@ val generate :
     destination is a server holding no chunk of the file, the
     candidates are the [n - 1] survivors, and [k] of them must be read.
     LRT uses the server-link capacity of the topology's first server
-    NIC (the paper's FullLinkCapacity = CST). *)
+    NIC (the paper's FullLinkCapacity = CST). Raises [Invalid_argument]
+    unless the arrival rate, chunk size and deadline factor are finite
+    and positive, the jitter lies in [\[0, 1)] and the code-mix weights
+    are finite and non-negative (NaN fails every check). *)
 
 type kind_profile = {
   kind : Task.kind;

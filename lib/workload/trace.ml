@@ -54,8 +54,10 @@ let synthetic g ~machines ~tasks =
   List.sort (fun a b -> Float.compare a.time b.time) !out
 
 let to_tasks g topo records ~chunk_size_mb ~deadline_factor =
-  if chunk_size_mb <= 0. then invalid_arg "Trace.to_tasks: chunk size";
-  if deadline_factor <= 0. then invalid_arg "Trace.to_tasks: deadline factor";
+  if not (Float.is_finite chunk_size_mb && chunk_size_mb > 0.) then
+    invalid_arg "Trace.to_tasks: chunk size";
+  if not (Float.is_finite deadline_factor && deadline_factor > 0.) then
+    invalid_arg "Trace.to_tasks: deadline factor";
   let nservers = Topology.servers topo in
   if nservers < 2 then invalid_arg "Trace.to_tasks: need at least two servers";
   let records = List.sort (fun a b -> Float.compare a.time b.time) records in

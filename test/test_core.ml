@@ -196,12 +196,6 @@ let test_max_feasible_scale () =
   checkf "all fits" 1. (Allocation.max_feasible_scale v (List.map (fun f -> (f, 100.)) flows));
   checkf "no demand" 1. (Allocation.max_feasible_scale v [])
 
-let test_residual_after () =
-  let t = task ~sources:[| 1 |] ~destination:0 () in
-  let f = flow t in
-  let v = view [ f ] in
-  checkf "residual" 400. (Allocation.residual_after v [ (0, 600.) ] (T.server_entity topo 0))
-
 (* ---- Sequencing ---- *)
 
 let test_ordered_tasks () =
@@ -308,7 +302,6 @@ let tests =
       tc "lp allocate" `Quick test_lp_allocate;
       tc "lp allocate infeasible" `Quick test_lp_allocate_infeasible;
       tc "max feasible scale" `Quick test_max_feasible_scale;
-      tc "residual after" `Quick test_residual_after;
       tc "ordered tasks" `Quick test_ordered_tasks;
       tc "head only" `Quick test_head_only;
       tc "disjoint on servers" `Quick test_disjoint_groups_servers

@@ -206,12 +206,36 @@ let check_load failure what (view : Problem.view) =
       (fun msg -> failure := Some (Printf.sprintf "%s at t=%h: %s" what view.Problem.now msg))
       (load_matches_scan view)
 
+(* Engine views list each task's flows as one run, the runs in arrival
+   order; [Problem.by_task] then does one table lookup per task. *)
+let grouping_fault (view : Problem.view) =
+  let seen = Hashtbl.create 64 in
+  let rec go (prev : Task.t option) = function
+    | [] -> None
+    | (f : Problem.flow) :: rest -> (
+      let t = f.Problem.task in
+      match prev with
+      | Some p when p.Task.id = t.Task.id -> go prev rest
+      | _ ->
+        if Hashtbl.mem seen t.Task.id then
+          Some (Printf.sprintf "task %d's flows are not one run" t.Task.id)
+        else begin
+          match prev with
+          | Some p when p.Task.arrival > t.Task.arrival ->
+            Some (Printf.sprintf "task %d listed before earlier task %d" p.Task.id t.Task.id)
+          | _ ->
+            Hashtbl.replace seen t.Task.id ();
+            go (Some t) rest
+        end)
+  in
+  go None (Lazy.force view.Problem.flows)
+
 (* The engine caches each entity's load within an instant, so the check
    runs where Phase I reads it: every selection and re-selection first
    compares the view's load with the eager scan, then delegates. Probing
    every entity also fills the whole cache, so a wrong append or a
    missed invalidation later in the same instant shows at the next
-   call. *)
+   call. Every allocate also checks the view's flow grouping. *)
 let checked_phase1 failure (alg : Algorithm.t) =
   let check = check_load failure in
   { alg with
@@ -219,6 +243,13 @@ let checked_phase1 failure (alg : Algorithm.t) =
       (fun v t ->
         check "select" v;
         alg.Algorithm.select_sources v t);
+    allocate =
+      (fun v ->
+        (if Option.is_none !failure then
+           Option.iter
+             (fun msg -> failure := Some (Printf.sprintf "allocate at t=%h: %s" v.Problem.now msg))
+             (grouping_fault v));
+        alg.Algorithm.allocate v);
     reselect =
       Option.map
         (fun r v t ~eligible ~need ~remaining ->

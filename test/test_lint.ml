@@ -315,6 +315,30 @@ let test_poly_compare_quiet () =
   check_rules "constant constructor is tag-only" []
     (lint_typed "let n (xs : float list) = xs = []")
 
+(* A function generic in its argument: which compare runs is the
+   caller's choice, so floats reach it unseen. *)
+let test_poly_compare_type_var_fires () =
+  check_rules "compare at a type variable" [ "poly-compare" ]
+    (lint_typed "let c a b = compare a b");
+  check_rules "compare passed as a value" [ "poly-compare" ]
+    (lint_typed "let s xs = List.sort compare xs");
+  check_rules "equality at a type variable" [ "poly-compare" ]
+    (lint_typed "let e a b = a <> b");
+  check_rules "key type left open by a key function" [ "poly-compare" ]
+    (lint_typed
+       "let sort ~key xs =\n\
+        \  List.sort (fun a b -> compare (key a) (key b)) xs")
+
+let test_poly_compare_type_var_quiet () =
+  check_rules "comparator argument" []
+    (lint_typed "let s cmp xs = List.sort cmp xs");
+  check_rules "int instance inside a generic function" []
+    (lint_typed "let c x = compare (fst x) 0");
+  check_rules "constant constructor at a type variable" []
+    (lint_typed "let n o = o = None");
+  check_rules "tests are exempt" []
+    (lint_typed ~kind:Rules.Test "let c a b = compare a b")
+
 let test_poly_compare_suppressed () =
   check_rules "justified allow" []
     (lint_typed
@@ -463,6 +487,8 @@ let tests =
       tc "typed: hashtbl-order suppressed" `Quick test_hashtbl_order_suppressed;
       tc "typed: poly-compare fires" `Quick test_poly_compare_fires;
       tc "typed: poly-compare quiet" `Quick test_poly_compare_quiet;
+      tc "typed: poly-compare at a type variable fires" `Quick test_poly_compare_type_var_fires;
+      tc "typed: poly-compare at a type variable quiet" `Quick test_poly_compare_type_var_quiet;
       tc "typed: poly-compare suppressed" `Quick test_poly_compare_suppressed;
       tc "typed: domain-purity fires" `Quick test_domain_purity_fires;
       tc "typed: domain-purity quiet" `Quick test_domain_purity_quiet;

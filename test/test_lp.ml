@@ -1,5 +1,4 @@
 module Lp = S3_lp.Lp
-module Simplex = S3_lp.Simplex
 
 let tc = Alcotest.test_case
 let checkf msg = Alcotest.check (Alcotest.float 1e-6) msg
@@ -153,7 +152,7 @@ let qcheck =
         let rhs = Array.of_list (List.filteri (fun i _ -> i < m) rhs) in
         let rows = Array.map (fun (a, b) -> [| a; b |]) rows in
         let obj = [| o1; o2 |] in
-        match Simplex.maximize ~obj ~rows ~rhs with
+        match Dense_simplex.maximize ~obj ~rows ~rhs with
         | Error _ -> false
         | Ok x ->
           let got = (obj.(0) *. x.(0)) +. (obj.(1) *. x.(1)) in
@@ -167,7 +166,7 @@ let qcheck =
           Array.of_list (List.filteri (fun i _ -> i < m) rows) |> Array.map (fun (a, b) -> [| a; b |])
         in
         let rhs = Array.of_list (List.filteri (fun i _ -> i < m) rhs) in
-        match Simplex.maximize ~obj:[| o1; o2 |] ~rows ~rhs with
+        match Dense_simplex.maximize ~obj:[| o1; o2 |] ~rows ~rhs with
         | Error _ -> false
         | Ok x ->
           x.(0) >= -1e-7 && x.(1) >= -1e-7

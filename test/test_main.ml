@@ -19,6 +19,7 @@ let () =
       Test_integrity.tests;
       Test_core.tests;
       Test_algorithms.tests;
+      Test_phase2.tests;
       Test_sim.tests;
       Test_fault.tests;
       Test_detector.tests;

@@ -5,7 +5,6 @@
    randomized inputs. *)
 
 module Lp = S3_lp.Lp
-module Simplex = S3_lp.Simplex
 module T = S3_net.Topology
 module Prng = S3_util.Prng
 
@@ -94,7 +93,7 @@ let state_matches_stateless seed =
   !ok
 
 (* The dense entry point and the sparse one must agree (no lower bounds
-   here: [Simplex.maximize] has no substitution step). *)
+   here: [Dense_simplex.maximize] has no substitution step). *)
 let dense_matches_sparse seed =
   let g = Prng.create seed in
   let nvars, objective, _, cons = random_lp g in
@@ -108,7 +107,7 @@ let dense_matches_sparse seed =
          cons)
   in
   let rhs = Array.of_list (List.map (fun c -> c.Lp.bound) cons) in
-  let dense = Simplex.maximize ~obj:objective ~rows ~rhs in
+  let dense = Dense_simplex.maximize ~obj:objective ~rows ~rhs in
   let p = Lp.make ~nvars ~objective cons in
   let via_lp = Lp.solve p in
   match (dense, via_lp) with

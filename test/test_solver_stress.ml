@@ -2,7 +2,6 @@
    simplex and randomized Phase-I selection invariants. *)
 
 module Lp = S3_lp.Lp
-module Simplex = S3_lp.Simplex
 module Congestion = S3_core.Congestion
 module Problem = S3_core.Problem
 module Task = S3_workload.Task
@@ -85,7 +84,7 @@ let qcheck =
       (pair (int_range 0 100000) (int_range 1 5))
       (fun (seed, m) ->
         let obj, rows, rhs = random_packing_3d seed m in
-        match Simplex.maximize ~obj ~rows ~rhs with
+        match Dense_simplex.maximize ~obj ~rows ~rhs with
         | Error _ -> false
         | Ok x ->
           let got = (obj.(0) *. x.(0)) +. (obj.(1) *. x.(1)) +. (obj.(2) *. x.(2)) in
@@ -162,7 +161,7 @@ let test_simplex_many_redundant_rows () =
   (* 40 copies of the same constraint must not confuse phase pivoting. *)
   let rows = Array.make 40 [| 1.; 1. |] in
   let rhs = Array.make 40 5. in
-  match Simplex.maximize ~obj:[| 1.; 2. |] ~rows ~rhs with
+  match Dense_simplex.maximize ~obj:[| 1.; 2. |] ~rows ~rhs with
   | Ok x ->
     Alcotest.(check (float 1e-6)) "optimum" 10. ((1. *. x.(0)) +. (2. *. x.(1)))
   | Error _ -> Alcotest.fail "feasible expected"
@@ -170,13 +169,13 @@ let test_simplex_many_redundant_rows () =
 let test_simplex_tight_equality_via_pair () =
   (* x = 3 encoded as x <= 3 and -x <= -3; maximize -x. *)
   match
-    Simplex.maximize ~obj:[| -1. |] ~rows:[| [| 1. |]; [| -1. |] |] ~rhs:[| 3.; -3. |]
+    Dense_simplex.maximize ~obj:[| -1. |] ~rows:[| [| 1. |]; [| -1. |] |] ~rhs:[| 3.; -3. |]
   with
   | Ok x -> Alcotest.(check (float 1e-6)) "pinned" 3. x.(0)
   | Error _ -> Alcotest.fail "feasible expected"
 
 let test_simplex_all_zero_objective () =
-  match Simplex.maximize ~obj:[| 0.; 0. |] ~rows:[| [| 1.; 1. |] |] ~rhs:[| 4. |] with
+  match Dense_simplex.maximize ~obj:[| 0.; 0. |] ~rows:[| [| 1.; 1. |] |] ~rhs:[| 4. |] with
   | Ok x ->
     Alcotest.(check bool) "any feasible point" true (x.(0) +. x.(1) <= 4. +. 1e-9)
   | Error _ -> Alcotest.fail "feasible expected"

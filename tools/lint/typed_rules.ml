@@ -10,7 +10,8 @@
                        order-sensitive structure without re-sorting;
    - poly-compare    : polymorphic compare/=/<>/Hashtbl.hash
                        instantiated at float-containing or abstract
-                       types (int instantiations pass);
+                       types, or at an unresolved type variable (int
+                       instantiations pass);
    - domain-purity   : Sweep/Pool job closures capturing mutable state
                        from an enclosing scope;
    - nondet-source   : global-state Random.* anywhere, wall-clock reads
@@ -142,6 +143,15 @@ let abstract_head env depth ty =
         | None, _ -> Some (Path.name p))
       | exception _ -> None)
     | _ -> None
+
+(* An unresolved type variable: the comparison's instance is decided by
+   each caller, so at run time it is the generic [caml_compare] on
+   whatever arrives, boxed floats included, where neither the float nor
+   the abstract check can see it. *)
+let is_type_var ty =
+  match get_desc ty with
+  | Types.Tvar _ | Types.Tunivar _ -> true
+  | _ -> false
 
 let rec first_arrow_arg ty =
   match get_desc ty with
@@ -436,7 +446,14 @@ let analyze ~kind ~file structure =
                 unspecified representation; expose and use a dedicated \
                 comparator"
                name tyname)
-        | None -> ())
+        | None ->
+          if is_type_var arg_ty then
+            report findings "poly-compare" ~file fn.exp_loc
+              (Printf.sprintf
+                 "polymorphic %s instantiated at an unresolved type variable \
+                  compares whatever each caller passes, floats included; \
+                  constrain the type or take a comparator argument"
+                 name))
   in
   let check_poly_compare (e : expression) =
     if kind <> Rules.Test then

@@ -10,17 +10,13 @@ module Generator = S3_workload.Generator
 module Trace = S3_workload.Trace
 module Scenarios = S3_workload.Scenarios
 module Registry = S3_core.Registry
-module Fault = S3_fault.Fault
 module Engine = S3_sim.Engine
-module Watchdog = S3_sim.Watchdog
 module Foreground = S3_sim.Foreground
 module Metrics = S3_sim.Metrics
 module Emulator = S3_cloud.Emulator
 module Table = S3_util.Table
-module Stats = S3_util.Stats
 module Prng = S3_util.Prng
 module Sweep = S3_par.Sweep
-module Report = S3_sim.Report
 
 let getenv_int name default =
   match Sys.getenv_opt name with
@@ -382,9 +378,11 @@ let fig4 () =
 (* ------------------------------------------------------------------ *)
 (* Fig. 5: scheduling-plan computation time vs number of tasks.        *)
 
-(* Build a standing scene with [m] active tasks and return the
-   algorithm's allocate closure over it — the "generate a scheduling
-   plan" operation the paper times. *)
+(* Build a standing scene with [m] active tasks and return a closure
+   that plans it once on a fresh algorithm instance — the "generate a
+   scheduling plan" operation the paper times. The instance is built
+   inside the closure: a reused one would answer every call after the
+   first from sticky admission and the LP's exact-repeat memo. *)
 let plan_computation ~m name =
   let topo = topo () in
   let g = Prng.create (97 + m) in
@@ -392,7 +390,6 @@ let plan_computation ~m name =
   (* rate 1000/s: all m tasks arrive in a burst and are simultaneously
      active, the worst case the paper's Fig. 5 measures. *)
   let tasks = Generator.generate g topo cfg in
-  let alg = Registry.make name in
   let flows =
     List.concat_map
       (fun (t : Task.t) ->
@@ -416,124 +413,7 @@ let plan_computation ~m name =
       load = None
     }
   in
-  fun () -> ignore (alg.S3_core.Algorithm.allocate view)
-
-(* Full engine run over the same burst scene: end-to-end planning cost
-   (plan_time / plan_calls in the metrics) for the bench-regression
-   harness, complementing the single-call kernel above. *)
-let plan_scene_run ~m name =
-  let topo = topo () in
-  let g = Prng.create (97 + m) in
-  let cfg = config ~tasks:m ~rate:1000. () in
-  let tasks = Generator.generate g topo cfg in
-  Engine.run topo (Registry.make name) tasks
-
-(* The same burst scene under a mid-run degradation storm (five server
-   NICs cut to 5% for 60 s), run with or without the deadline watchdog.
-   The watchdog=false runs bound the supervision layer's cost when it
-   is off; the watchdog=true runs track the cost and yield of hedged
-   swaps under overload. *)
-let storm_scene_run ?watchdog ~m name =
-  let topo = topo () in
-  let g = Prng.create (97 + m) in
-  let cfg = config ~tasks:m ~rate:1000. () in
-  let tasks = Generator.generate g topo cfg in
-  let faults =
-    Fault.plan
-      (List.map
-         (fun s ->
-           { Fault.time = 30.;
-             kind =
-               Fault.Link_degrade
-                 { entity = Topology.server_entity topo s; factor = 0.05; duration = 60. }
-           })
-         [ 10; 11; 12; 13; 14 ])
-  in
-  Engine.run ~faults ?watchdog topo (Registry.make name) tasks
-
-(* The same burst scene under a crash storm (five servers die at
-   t = 30), swept over failure-detector latencies. Detection off (or
-   latency 0) reproduces the omniscient engine; larger latencies
-   quantify how much completed work late detection costs, and the
-   resume-enabled retry policy bounds how much of the stranded partial
-   progress survives the re-homes. *)
-let detect_storm_scene_run ?detector ?retry ~m name =
-  let topo = topo () in
-  let g = Prng.create (97 + m) in
-  let cfg = config ~tasks:m ~rate:1000. () in
-  let tasks = Generator.generate g topo cfg in
-  let faults =
-    Fault.plan
-      (List.map
-         (fun s -> { Fault.time = 30.; kind = Fault.Server_crash s })
-         [ 10; 11; 12; 13; 14 ])
-  in
-  Engine.run ~faults ?detector ?retry topo (Registry.make name) tasks
-
-(* ------------------------------------------------------------------ *)
-(* Scale scenes: the O(affected) engine on a datacenter-sized fabric.  *)
-
-(* 52 leaves x 20 servers/leaf = 1040 servers. Repair traffic is kept
-   rack-local (the common case: re-protecting within the failure
-   domain), so every route is [src NIC; leaf switch; dst NIC] and the
-   planning LP decomposes into one independent block per leaf — the
-   structure the LP's block split exploits. The Generator's placement
-   policies deliberately spread sources across racks, so these tasks
-   are built by hand. *)
-let scale_leaves = 52
-let scale_per_leaf = 20
-
-let scale_topo () =
-  Topology.leaf_spine ~leaves:scale_leaves ~spines:4 ~servers_per_leaf:scale_per_leaf
-    ~cst:1000. ~cta:20000.
-
-(* [m] tasks round-robin over leaves, all arriving at t = 0 — one
-   arrival batch, the burst worst case fig5 measures. A common
-   deadline bounds the run: the schedulable slice completes (symmetric
-   flows batch their completion events), the rest expires in one final
-   batch, so the scene stays runnable at m = 10000 while still
-   triggering hundreds of replans. *)
-let scale_tasks ~m =
-  let volume = 1000. (* Mb per chunk fetch *) and deadline = 12. in
-  List.init m (fun i ->
-      let leaf = i mod scale_leaves in
-      let base = leaf * scale_per_leaf in
-      let slot = i / scale_leaves in
-      let dst = base + (slot mod scale_per_leaf) in
-      let sources =
-        Array.init 6 (fun j -> base + ((slot + 1 + j) mod scale_per_leaf))
-      in
-      Task.v ~id:i ~arrival:0. ~deadline ~volume ~k:4 ~sources ~destination:dst ())
-
-let scale_scene_run ~m alg = Engine.run (scale_topo ()) alg (scale_tasks ~m)
-
-(* Spawn-pressure variant: the same hand-built leaf-local workload in
-   20 arrival waves of m/20 tasks, so the engine performs thousands of
-   per-task spawns while tens of thousands of flows are already
-   active. Phase-I source selection at each spawn builds a
-   {!S3_core.Problem.view}; before [view.flows] became lazy every one
-   of those constructions walked the full active-flow list, which
-   dominated this scene at m = 10000. The per-event wall time here is
-   the regression gate for that index. *)
-let scale_spawn_tasks ~m =
-  (* Chunks are kept small so each wave drains before the next few
-     land: the scene stresses spawn frequency (m spawns against a
-     steadily busy fabric), not planning under terminal overload. *)
-  let volume = 200. (* Mb *) and deadline = 30. in
-  let wave = max 1 (m / 20) in
-  List.init m (fun i ->
-      let leaf = i mod scale_leaves in
-      let base = leaf * scale_per_leaf in
-      let slot = i / scale_leaves in
-      let dst = base + (slot mod scale_per_leaf) in
-      let sources = Array.init 6 (fun j -> base + ((slot + 1 + j) mod scale_per_leaf)) in
-      Task.v ~id:i
-        ~arrival:(float_of_int (i / wave))
-        ~deadline ~volume ~k:4 ~sources ~destination:dst ())
-
-let scale_spawn_scene_run ~m name =
-  let topo = scale_topo () in
-  Engine.run topo (Registry.make name) (scale_spawn_tasks ~m)
+  fun () -> ignore ((Registry.make name).S3_core.Algorithm.allocate view)
 
 let fig5_sizes = [ 10; 25; 50; 100; 200; 400 ]
 
@@ -722,24 +602,6 @@ let topologies () =
     ~align:(Table.Left :: List.map (fun _ -> Table.Right) names)
     ~header:("topology" :: List.map (fun n -> (Registry.make n).S3_core.Algorithm.name) names)
     rows
-
-(* ------------------------------------------------------------------ *)
-(* Parallel-sweep scenario replications: one fully self-contained
-   simulation per index — topology, PRNG (seeded from the index alone)
-   and algorithm instances are all built inside the job, the shape
-   {!S3_par.Sweep} needs for a deterministic parallel run. Used by the
-   bench regression mode's parallel-vs-sequential wall-clock pair and
-   by the determinism test suite. *)
-
-let sweep_scenario idx =
-  let t = topo () in
-  let g = Prng.create (workload_seed + (31 * (idx + 1))) in
-  let cfg = config ~rate:1.2 ~tasks:(max 60 (num_tasks () / 8)) () in
-  let tasks = Generator.generate g t cfg in
-  Engine.run t (Registry.make "lpst") tasks
-
-let sweep_fingerprints ~domains n =
-  Array.map Report.fingerprint (Sweep.map ~domains n sweep_scenario)
 
 (* ------------------------------------------------------------------ *)
 

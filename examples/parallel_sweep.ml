@@ -27,7 +27,8 @@ let algorithms = [ "fifo"; "disedf"; "lpall"; "lpst" ]
 let replications = 8
 
 (* One replication: an independent 150-task workload at rate 1.2/s on
-   a fresh 3x10 cluster, every algorithm run on the same tasks. *)
+   a fresh 3x10 cluster, every algorithm run on the same tasks; the
+   runs come back in [algorithms] order. *)
 let replicate idx =
   let topo () = Topology.two_tier ~racks:3 ~servers_per_rack:10 ~cst:500. ~cta:1500. in
   let cfg =
@@ -41,7 +42,7 @@ let replicate idx =
     }
   in
   let tasks = Generator.generate (Prng.create (1000 + (17 * idx))) (topo ()) cfg in
-  List.map (fun name -> Engine.run (topo ()) (Registry.make name) tasks) algorithms
+  Array.of_list (List.map (fun name -> Engine.run (topo ()) (Registry.make name) tasks) algorithms)
 
 let () =
   let domains = Sweep.domain_count () in
@@ -63,7 +64,7 @@ let () =
           Array.to_list
             (Array.map
                (fun runs_of_rep ->
-                 Metrics.completed_fraction (List.nth runs_of_rep ai))
+                 Metrics.completed_fraction runs_of_rep.(ai))
                runs)
         in
         let pct v = 100. *. v in
@@ -82,9 +83,6 @@ let () =
        rows);
 
   (* Determinism check: a 1-domain rerun fingerprints identically. *)
-  let fp runs_array =
-    Array.to_list runs_array
-    |> List.concat_map (fun rs -> List.map Report.fingerprint rs)
-  in
+  let fp = Array.map (Array.map Report.fingerprint) in
   let seq, _ = timed (fun () -> Sweep.map ~domains:1 replications replicate) in
   Printf.printf "deterministic vs sequential rerun: %b\n" (fp runs = fp seq)

@@ -36,12 +36,13 @@ let () =
 
   (* Plan the migration: move one random chunk of every third file onto
      the new rack, spreading over its servers. *)
+  let targets = Array.of_list new_rack in
   let moves =
     List.filteri (fun i _ -> i mod 3 = 0) files
     |> List.mapi (fun i fid ->
            let f = Cluster.file cluster fid in
            let chunk = Prng.int g f.Cluster.n in
-           (fid, chunk, List.nth new_rack (i mod List.length new_rack)))
+           (fid, chunk, targets.(i mod Array.length targets)))
   in
   let tasks =
     Generator.rebalance_tasks g cluster ~moves ~now:0. ~deadline_factor:12. ~first_id:0

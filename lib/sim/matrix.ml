@@ -37,10 +37,6 @@ type cell = {
    them). *)
 let detector_shown c = not (String.equal (fst c.detector) "off")
 
-let cell_count axes =
-  List.length axes.profiles * List.length axes.codes * List.length axes.topologies
-  * List.length axes.algorithms * List.length axes.detectors
-
 let validate axes =
   if axes.profiles = [] then invalid_arg "Matrix: empty profile axis";
   if axes.codes = [] then invalid_arg "Matrix: empty code axis";
@@ -75,7 +71,7 @@ let run ?domains axes =
   let nt = Array.length topologies in
   let na = Array.length algorithms in
   let nd = Array.length detectors in
-  let total = cell_count axes in
+  let total = Array.length profiles * nd * nc * nt * na in
   let cells =
     Sweep.map ?domains total (fun idx ->
         (* Enumeration order: profile, detector, code, topology,

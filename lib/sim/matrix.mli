@@ -52,9 +52,6 @@ type cell = {
   run : Metrics.run;
 }
 
-val cell_count : axes -> int
-(** Product of the five axis lengths. *)
-
 val run : ?domains:int -> axes -> cell list
 (** Execute every cell over {!S3_par.Sweep.map} and return them in
     enumeration order. Raises [Invalid_argument] on an empty axis, a

@@ -91,8 +91,7 @@ let make_packet ~packet_bytes ~n ~k =
   let encode_schedule = lazy (Schedule.compile (Lazy.force parity_bits)) in
   { n; k; packet = packet_bytes; gen; par; parity_tables; parity_bits; encode_schedule }
 
-let default_packet_bytes = 128
-let make ~n ~k = make_packet ~packet_bytes:default_packet_bytes ~n ~k
+let make ~n ~k = make_packet ~packet_bytes:128 ~n ~k
 
 let n c = c.n
 let k c = c.k

@@ -44,8 +44,10 @@ val set_default_kernel : kernel -> unit
 val default_kernel : unit -> kernel
 
 val make : n:int -> k:int -> code
-(** [make ~n ~k] builds the code with the default
-    {!default_packet_bytes} packet. Requires [0 < k <= n <= 256]. *)
+(** [make ~n ~k] builds the code with the default 128-byte packet,
+    sized so one stripe (1 KiB per shard) of a (9,6) code sits
+    comfortably in L1 while amortizing per-stripe op dispatch. Requires
+    [0 < k <= n <= 256]. *)
 
 val make_packet : packet_bytes:int -> n:int -> k:int -> code
 (** {!make} with an explicit packet size, which sets the stripe
@@ -53,10 +55,6 @@ val make_packet : packet_bytes:int -> n:int -> k:int -> code
     positive multiple of 8; tests use small packets to exercise stripe
     logic on small inputs. Codes with different [packet_bytes] produce
     different (equally decodable) parity bytes. *)
-
-val default_packet_bytes : int
-(** 128 — sized so one stripe (1 KiB per shard) of a (9,6) code sits
-    comfortably in L1 while amortizing per-stripe op dispatch. *)
 
 val n : code -> int
 val k : code -> int

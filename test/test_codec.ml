@@ -2,8 +2,9 @@
    schedule kernel is pinned bit-identical to the byte-wise table
    oracle on every operation, the bitmatrix lift is checked to be a
    ring homomorphism (the property decode's lift-the-inverse shortcut
-   rests on), and multi-domain striped encodes are pinned
-   byte-identical to sequential ones. *)
+   rests on), multi-domain striped encodes are pinned byte-identical
+   to sequential ones, and the schedule kernel must stay at least 10x
+   faster than the table kernel. *)
 
 module Rs = S3_storage.Reed_solomon
 module Bitmatrix = S3_storage.Bitmatrix
@@ -98,6 +99,28 @@ let test_decode_no_trailing_copy () =
   let full = Rs.decode c (indexed shards) in
   Alcotest.(check int) "padded length" (4 * 1024) (Bytes.length full);
   Alcotest.(check bytes) "prefix is the object" data (Bytes.sub full 0 4096)
+
+(* The schedule kernel's reason to exist: a (9,6) encode of 1 MiB at
+   least 10x faster than the byte-wise table kernel. CPU time, with the
+   two kernels' runs interleaved and the best of 5 kept for each, so a
+   busy machine slows both alike. *)
+let test_schedule_kernel_floor () =
+  let c = Rs.make ~n:9 ~k:6 in
+  let len = 1024 * 1024 in
+  let data = random_bytes (Prng.create 5) len in
+  let best = Array.make 2 infinity in
+  for _ = 1 to 5 do
+    List.iteri
+      (fun i kernel ->
+        let t0 = Sys.time () in
+        ignore (Rs.encode ~kernel c data);
+        best.(i) <- Float.min best.(i) (Sys.time () -. t0))
+      [ Rs.Schedule; Rs.Table ]
+  done;
+  let mbps s = float_of_int len /. (s *. 1e6) in
+  if best.(0) *. 10. > best.(1) then
+    Alcotest.failf "schedule kernel %.1f MB/s is below 10x the table kernel's %.1f MB/s"
+      (mbps best.(0)) (mbps best.(1))
 
 (* Every erasure pattern up to n - k losses decodes and rebuilds
    identically under both kernels. *)
@@ -278,4 +301,5 @@ let tests =
       tc "decode without trailing copy" `Quick test_decode_no_trailing_copy;
       tc "exhaustive erasure patterns" `Quick test_exhaustive_erasures
     ]
-    @ List.map QCheck_alcotest.to_alcotest qcheck )
+    @ List.map QCheck_alcotest.to_alcotest qcheck
+    @ [ tc "schedule kernel >= 10x table kernel" `Quick test_schedule_kernel_floor ] )

@@ -320,6 +320,11 @@ let test_golden_storm_resume_beats_restart () =
      the run — the scrubbed fingerprints must differ from omniscient. *)
   Alcotest.(check bool) "latency-2 run differs from the omniscient run" true
     (not (String.equal (scrub omni) (scrub resume)));
+  (* Zero latency, by contrast, replays the omniscient run on the
+     storm: only the detection counters tell the two apart. *)
+  let zero = Engine.run ~faults ~detector:zero_latency ~retry:Retry.default big (lpst ()) tasks in
+  Alcotest.(check string) "zero-latency run replays the omniscient run" (scrub omni)
+    (scrub zero);
   (* The acceptance criterion: on the same fault plan and the same
      detection latency, resume-enabled recovery hits at least as many
      deadlines as restart-from-zero, and throws away less work. *)

@@ -111,16 +111,6 @@ let parse_faults = function
   | None -> Ok Fault.empty
   | Some spec -> Fault.of_string spec
 
-let codec_arg =
-  Arg.(value & opt string "schedule"
-       & info [ "codec" ] ~docv:"KERNEL"
-           ~doc:"RS codec kernel for the storage data path: 'schedule' (compiled \
-                 word-wide XOR schedules, the default) or 'table' (the byte-wise \
-                 reference). The two are bit-identical; this only selects the \
-                 implementation, so every simulation output is unchanged.")
-
-let parse_codec s = S3_storage.Reed_solomon.kernel_of_string s
-
 let fingerprint_arg =
   Arg.(value & flag
        & info [ "fingerprint" ]
@@ -300,24 +290,20 @@ let run_cmd =
   in
   let run topo_kind racks servers cst cta fat_k ports levels algs tasks rate chunk (n, k)
       factor jitter profile_spec fg seed cloud verbose faults_spec detect_spec retry_spec
-      watchdog_spec codec csv fingerprint =
+      watchdog_spec csv fingerprint =
     setup_logs verbose;
     match (make_topology topo_kind racks servers cst cta fat_k ports levels,
            parse_algorithms algs, parse_faults faults_spec, parse_watchdog watchdog_spec,
-           parse_codec codec, parse_profile profile_spec,
-           (parse_detect detect_spec, parse_retry retry_spec))
+           parse_profile profile_spec, (parse_detect detect_spec, parse_retry retry_spec))
     with
-    | Error e, _, _, _, _, _, _
-    | _, Error e, _, _, _, _, _
-    | _, _, Error e, _, _, _, _
-    | _, _, _, Error e, _, _, _
-    | _, _, _, _, Error e, _, _
-    | _, _, _, _, _, Error e, _
-    | _, _, _, _, _, _, (Error e, _)
-    | _, _, _, _, _, _, (_, Error e) -> `Error (false, e)
-    | Ok topo, Ok names, Ok faults, Ok watchdog, Ok kernel, Ok profile,
-      (Ok detector, Ok retry) ->
-      S3_storage.Reed_solomon.set_default_kernel kernel;
+    | Error e, _, _, _, _, _
+    | _, Error e, _, _, _, _
+    | _, _, Error e, _, _, _
+    | _, _, _, Error e, _, _
+    | _, _, _, _, Error e, _
+    | _, _, _, _, _, (Error e, _)
+    | _, _, _, _, _, (_, Error e) -> `Error (false, e)
+    | Ok topo, Ok names, Ok faults, Ok watchdog, Ok profile, (Ok detector, Ok retry) ->
       (try
          let workload, header =
            match profile with
@@ -371,7 +357,7 @@ let run_cmd =
             (const run $ topology_arg $ racks $ servers $ cst $ cta $ fat_k $ bcube_ports
              $ bcube_levels $ algorithms_arg $ tasks_arg $ rate_arg $ chunk_arg $ code_arg
              $ factor_arg $ jitter_arg $ profile_arg $ fg_arg $ seed_arg $ cloud_arg
-             $ verbose_arg $ faults_arg $ detect_arg $ retry_arg $ watchdog_arg $ codec_arg
+             $ verbose_arg $ faults_arg $ detect_arg $ retry_arg $ watchdog_arg
              $ csv_arg $ fingerprint_arg))
   in
   Cmd.v (Cmd.info "run" ~doc:"Simulate a synthetic background-task workload.") term
@@ -390,22 +376,20 @@ let trace_cmd =
     Arg.(value & opt float 10. & info [ "deadline-factor" ] ~doc:"Deadline = factor x LRT.")
   in
   let run topo_kind racks servers cst cta fat_k ports levels algs file machines tasks chunk
-      factor fg seed cloud verbose faults_spec detect_spec retry_spec watchdog_spec codec
-      csv fingerprint =
+      factor fg seed cloud verbose faults_spec detect_spec retry_spec watchdog_spec csv
+      fingerprint =
     setup_logs verbose;
     match (make_topology topo_kind racks servers cst cta fat_k ports levels,
            parse_algorithms algs, parse_faults faults_spec, parse_watchdog watchdog_spec,
-           parse_codec codec, (parse_detect detect_spec, parse_retry retry_spec))
+           (parse_detect detect_spec, parse_retry retry_spec))
     with
-    | Error e, _, _, _, _, _
-    | _, Error e, _, _, _, _
-    | _, _, Error e, _, _, _
-    | _, _, _, Error e, _, _
-    | _, _, _, _, Error e, _
-    | _, _, _, _, _, (Error e, _)
-    | _, _, _, _, _, (_, Error e) -> `Error (false, e)
-    | Ok topo, Ok names, Ok faults, Ok watchdog, Ok kernel, (Ok detector, Ok retry) ->
-      S3_storage.Reed_solomon.set_default_kernel kernel;
+    | Error e, _, _, _, _
+    | _, Error e, _, _, _
+    | _, _, Error e, _, _
+    | _, _, _, Error e, _
+    | _, _, _, _, (Error e, _)
+    | _, _, _, _, (_, Error e) -> `Error (false, e)
+    | Ok topo, Ok names, Ok faults, Ok watchdog, (Ok detector, Ok retry) ->
       (try
          let g = Prng.create seed in
          let records =
@@ -434,7 +418,7 @@ let trace_cmd =
             (const run $ topology_arg $ racks $ servers $ cst $ cta $ fat_k $ bcube_ports
              $ bcube_levels $ algorithms_arg $ file_arg $ machines_arg $ tasks_arg $ chunk_arg
              $ factor_arg $ fg_arg $ seed_arg $ cloud_arg $ verbose_arg $ faults_arg
-             $ detect_arg $ retry_arg $ watchdog_arg $ codec_arg $ csv_arg
+             $ detect_arg $ retry_arg $ watchdog_arg $ csv_arg
              $ fingerprint_arg))
   in
   Cmd.v (Cmd.info "trace" ~doc:"Simulate a Google-style arrival trace.") term

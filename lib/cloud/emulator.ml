@@ -48,11 +48,6 @@ let data_plane c =
   in
   { Engine.control_latency; shape_rate }
 
-let run ?(config = default_config) ?sim_config ?faults ?detector ?retry ?on_failure
-    ?watchdog topo alg tasks =
-  let dp = data_plane config in
-  let run =
-    Engine.run ?config:sim_config ~data_plane:dp ?faults ?detector ?retry ?on_failure
-      ?watchdog topo alg tasks
-  in
-  { run with S3_sim.Metrics.algorithm = run.S3_sim.Metrics.algorithm }
+let run ?sim_config ?faults ?detector ?retry ?watchdog topo alg tasks =
+  Engine.run ?config:sim_config ~data_plane:(data_plane default_config) ?faults ?detector
+    ?retry ?watchdog topo alg tasks

@@ -30,20 +30,19 @@ val data_plane : config -> S3_sim.Engine.data_plane
     configuration. *)
 
 val run :
-  ?config:config ->
   ?sim_config:S3_sim.Engine.config ->
   ?faults:S3_fault.Fault.t ->
   ?detector:S3_fault.Detector.config ->
   ?retry:S3_sim.Retry.config ->
-  ?on_failure:(now:float -> server:int -> S3_sim.Metrics.Task.t list) ->
   ?watchdog:S3_sim.Watchdog.config ->
   S3_net.Topology.t ->
   S3_core.Algorithm.t ->
   S3_sim.Metrics.Task.t list ->
   S3_sim.Metrics.run
-(** Execute the workload on the emulated testbed. The result is
-    directly comparable with {!S3_sim.Engine.run} on the same inputs —
-    that comparison is the validation experiment. [faults], [detector],
-    [retry], [on_failure] and [watchdog] pass straight through to the
-    engine, so chaos and graceful-degradation scenarios run under the
-    noisy data plane too. *)
+(** Execute the workload on the emulated testbed, with the data plane
+    of {!default_config}. The result is directly comparable with
+    {!S3_sim.Engine.run} on the same inputs — that comparison is the
+    validation experiment. [faults], [detector], [retry] and
+    [watchdog] pass straight through to the engine, so chaos and
+    graceful-degradation scenarios run under the noisy data plane
+    too. *)

@@ -7,20 +7,21 @@
 type rates = (int * float) list
 (** [(flow_id, megabits/s)] pairs. *)
 
-val water_fill : Problem.view -> Problem.flow list -> rates
-(** Max–min fair progressive filling: every flow's rate rises in
-    lockstep; a flow freezes when some entity on its route saturates.
-    Flows with an empty route get an effectively unbounded rate capped
-    at finishing within a nominal epsilon. This is what "task receives
-    full bandwidth" means for the heuristic baselines. *)
-
 val priority_fill : Problem.view -> Problem.flow list list -> rates
 (** Strict-priority filling: groups are served in order, each
-    water-filled over the capacity the earlier groups left. EDF = one
-    group per task in deadline order; FIFO = a single head group. *)
+    water-filled over the capacity the earlier groups left. Water
+    filling is max–min fair progressive filling: every flow's rate
+    rises in lockstep; a flow freezes when some entity on its route
+    saturates. Flows with an empty route get an effectively unbounded
+    rate capped at finishing within a nominal epsilon. EDF = one group
+    per task in deadline order; FIFO = a single head group — what
+    "task receives full bandwidth" means for the heuristic
+    baselines. *)
 
 val lp_allocate :
   ?state:S3_lp.Lp.state ->
+  (* lint: allow unused-export — s3bench/workloads.ml still passes
+     ~incremental:true; it goes when the benchmark files next change *)
   ?incremental:bool ->
   ?lower:(Problem.flow -> float) ->
   Problem.view -> Problem.flow list -> rates option

@@ -26,8 +26,6 @@ let factor t e =
 let add_path t path lrb =
   List.iter (fun e -> Hashtbl.replace t.tbl e (factor t e +. lrb)) path
 
-let path_max t path = List.fold_left (fun acc e -> max acc (factor t e)) 0. path
-
 let of_view (v : Problem.view) =
   match v.Problem.load with
   | Some f -> { tbl = Hashtbl.create 64; base = Some f }

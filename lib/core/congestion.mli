@@ -21,9 +21,6 @@ val factor : t -> int -> float
 val add_path : t -> int list -> float -> unit
 (** Commit [lrb] on every entity of a path. *)
 
-val path_max : t -> int list -> float
-(** Worst congestion factor along a path; 0 for the empty path. *)
-
 val select_least_congested : Problem.view -> Problem.Task.t -> int array
 (** Phase I: pick the task's [k] sources greedily by least congested
     path, breaking ties toward lower server ids for determinism. *)

@@ -10,8 +10,8 @@ let edf ?(name = "EDF") ?(sources = Algorithm.Random_sources 2) () =
     reselect = Some (Algorithm.reselect_of_policy sources)
   }
 
-let dis_edf ?(name = "DisEDF") ?(sources = Algorithm.Random_sources 2) () =
-  { Algorithm.name;
+let dis_edf ?(sources = Algorithm.Random_sources 2) () =
+  { Algorithm.name = "DisEDF";
     select_sources = Algorithm.source_selector sources;
     allocate =
       (fun v -> Allocation.priority_fill v (Sequencing.disjoint_groups v ~key:deadline_key));

@@ -10,4 +10,4 @@
     with pairwise entity-disjoint routes. *)
 
 val edf : ?name:string -> ?sources:Algorithm.source_policy -> unit -> Algorithm.t
-val dis_edf : ?name:string -> ?sources:Algorithm.source_policy -> unit -> Algorithm.t
+val dis_edf : ?sources:Algorithm.source_policy -> unit -> Algorithm.t

@@ -13,5 +13,5 @@
     Both pick sources with the given policy (the paper's FIFO family
     chooses randomly). *)
 
-val fifo : ?name:string -> ?sources:Algorithm.source_policy -> unit -> Algorithm.t
-val dis_fifo : ?name:string -> ?sources:Algorithm.source_policy -> unit -> Algorithm.t
+val fifo : ?sources:Algorithm.source_policy -> unit -> Algorithm.t
+val dis_fifo : ?sources:Algorithm.source_policy -> unit -> Algorithm.t

@@ -1,4 +1,5 @@
-let lpall ?(sources = Algorithm.Least_congested) () =
+let lpall () =
+  let sources = Algorithm.Least_congested in
   let lp_state = S3_lp.Lp.create_state () in
   let allocate (v : Problem.view) =
     match Lazy.force v.Problem.flows with

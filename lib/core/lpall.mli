@@ -9,6 +9,7 @@
     which is exactly why it transmits plenty of bytes yet misses
     deadlines (paper, Figs. 2–3 discussion). *)
 
-val lpall : ?sources:Algorithm.source_policy -> unit -> Algorithm.t
-(** The LP is solved as in {!Lpst.lpst}: through one {!S3_lp.Lp.state}
-    per instance, block-decomposed and warm-started. *)
+val lpall : unit -> Algorithm.t
+(** Sources are picked least-congested first. The LP is solved as in
+    {!Lpst.lpst}: through one {!S3_lp.Lp.state} per instance,
+    block-decomposed and warm-started. *)

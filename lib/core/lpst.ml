@@ -66,8 +66,8 @@ let admit_into (v : Problem.view) residual candidates =
       ok)
     candidates
 
-let admit ?(admission = Rtf_order) (v : Problem.view) =
-  let ordered = Sequencing.ordered_tasks v ~key:(admission_key admission) in
+let admit (v : Problem.view) =
+  let ordered = Sequencing.ordered_tasks v ~key:(admission_key Rtf_order) in
   admit_into v (make_residual v) ordered
 
 (* Re-triage a previously admitted set against (possibly reduced)

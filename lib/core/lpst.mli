@@ -33,11 +33,9 @@ type bandwidth =
   | Lp_max  (** Phase III as published: LP utilization maximization *)
   | Lrb_only  (** ablation heuristic: every admitted task gets exactly LRB *)
 
-val admit :
-  ?admission:admission -> Problem.view ->
-  (Problem.Task.t * Problem.flow list) list
-(** Phase II alone: the admitted tasks, in admission order — exposed
-    for tests and the Table 2 walkthrough. *)
+val admit : Problem.view -> (Problem.Task.t * Problem.flow list) list
+(** Phase II alone, in RTF order: the admitted tasks, in admission
+    order — exposed so Phase II can be timed on its own. *)
 
 val admit_into :
   Problem.view -> float array ->

@@ -1,7 +1,7 @@
 let slack_key v (_, flows) = Rtf.task_rtf v flows
 
-let lstf ?(name = "LSTF") ?(sources = Algorithm.Random_sources 3) () =
-  { Algorithm.name;
+let lstf ?(sources = Algorithm.Random_sources 3) () =
+  { Algorithm.name = "LSTF";
     select_sources = Algorithm.source_selector sources;
     allocate = (fun v -> Allocation.priority_fill v (Sequencing.head_only v ~key:slack_key));
     abandon_expired = false;

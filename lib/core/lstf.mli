@@ -6,4 +6,4 @@
     optimized": LSTF still ignores source selection and per-task
     bandwidth shaping. *)
 
-val lstf : ?name:string -> ?sources:Algorithm.source_policy -> unit -> Algorithm.t
+val lstf : ?sources:Algorithm.source_policy -> unit -> Algorithm.t

@@ -2,7 +2,8 @@ let names =
   [ "fifo"; "disfifo"; "edf"; "disedf"; "lstf"; "lpall"; "lpst"; "lpst-p1"; "lpst-p2";
     "lpst-p3"; "sp-ff"; "edf-cong" ]
 
-let make ?(seed = 42) name =
+let make name =
+  let seed = 42 in
   match String.lowercase_ascii name with
   | "fifo" -> Fifo.fifo ~sources:(Algorithm.Random_sources seed) ()
   | "disfifo" -> Fifo.dis_fifo ~sources:(Algorithm.Random_sources (seed + 1)) ()
@@ -30,8 +31,3 @@ let make ?(seed = 42) name =
       ~bandwidth:Lpst.Lrb_only ~name:"SP+FirstFit" ()
   | "edf-cong" -> Edf.edf ~name:"EDF+CongSel" ~sources:Algorithm.Least_congested ()
   | other -> invalid_arg (Printf.sprintf "Registry.make: unknown algorithm %S" other)
-
-let competitors ?seed () =
-  List.map (make ?seed) [ "fifo"; "disfifo"; "edf"; "disedf"; "lpall"; "lpst" ]
-
-let ablations ?seed () = List.map (make ?seed) [ "lpst"; "lpst-p1"; "lpst-p2"; "lpst-p3" ]

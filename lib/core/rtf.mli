@@ -12,13 +12,11 @@ val lrb : now:float -> deadline:float -> remaining:float -> float
 val flow_lrb : Problem.view -> Problem.flow -> float
 (** LRB of one subtask flow at the view's current time. *)
 
-val flow_rtf : Problem.view -> Problem.flow -> float
-(** Eq. (12): [d - max(now, s) - remaining / C(path)] with [C] the
-    bottleneck {e available} capacity of the flow's route.
-    [neg_infinity] when the path currently has zero capacity. *)
-
 val task_rtf : Problem.view -> Problem.flow list -> float
-(** Eq. (13): the task's RTF is the minimum over its subtask flows.
+(** Eq. (13): the task's RTF is the minimum over its subtask flows of
+    eq. (12), [d - max(now, s) - remaining / C(path)] with [C] the
+    bottleneck {e available} capacity of the flow's route
+    ([neg_infinity] when that path currently has zero capacity).
     Raises [Invalid_argument] on an empty flow list. *)
 
 val path_feasible :

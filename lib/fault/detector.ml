@@ -118,9 +118,6 @@ type event =
   | Confirmed of int
   | Seen_alive of int
 
-let server_of = function
-  | Suspected s | Cleared s | Confirmed s | Seen_alive s -> s
-
 (* The physical crash/recover timeline, with the plan's own semantics
    (rack outages expanded to per-server crashes, re-crashing a dead
    server deduplicated): replay a private cursor over every change

@@ -27,7 +27,11 @@
     configs and plans replay byte-identically, and a zero-latency
     detector ([suspect = 0, confirm = 0, fp = 0]) confirms each crash
     batch at its injection instant in the physical fire order — i.e. it
-    is observationally identical to running without a detector. *)
+    is observationally identical to running without a detector, with
+    one exception: a server that crashes and recovers at the same
+    instant recovers at exactly [crash + suspect], which the detector
+    treats as a blip and never suspects, while the omniscient engine
+    kills and re-homes its flows. *)
 
 type config = {
   suspect : float;
@@ -43,14 +47,6 @@ type config = {
           [\[0, fp_horizon)]; finite, > 0 when [fp > 0] *)
 }
 
-val default : config
-(** [suspect = 1.], [confirm = 1.], no false positives
-    ([fp = 0], [fp_seed = 211], [fp_horizon = 0.]). *)
-
-val latency : config -> float
-(** [suspect + confirm]: seconds from a (non-retracted) crash to its
-    confirmation. *)
-
 val v :
   ?suspect:float ->
   ?confirm:float ->
@@ -59,18 +55,20 @@ val v :
   ?fp_horizon:float ->
   unit ->
   config
-(** Build a config, validating each field (raises [Invalid_argument]
+(** Build a config; the defaults are [suspect = 1.], [confirm = 1.]
+    and no false positives ([fp = 0], [fp_seed = 211],
+    [fp_horizon = 0.]). Validates each field (raises [Invalid_argument]
     on negative or non-finite windows, negative [fp], or [fp > 0]
     without a positive [confirm] and a finite positive [fp_horizon] —
     false positives need a confirmation window to clear inside). *)
 
 val of_string : string -> (config, string) result
 (** Parse a compact comma-separated spec of [KEY=VALUE] overrides on
-    {!default}: [suspect=S], [confirm=C], [fp=N], [fp-seed=K] and
-    [fp-horizon=H] (underscored spellings accepted), plus the shorthand
+    the defaults of {!v}: [suspect=S], [confirm=C], [fp=N], [fp-seed=K]
+    and [fp-horizon=H] (underscored spellings accepted), plus the shorthand
     [latency=L] meaning [suspect=L,confirm=0] — detection fires [L]
     seconds after the crash with no retraction window. The empty string
-    and ["default"] mean {!default}. Returns [Error] with a one-line
+    and ["default"] mean [v ()]. Returns [Error] with a one-line
     human-readable message on malformed input. *)
 
 val to_string : config -> string
@@ -87,19 +85,14 @@ type event =
   | Seen_alive of int
       (** a confirmed-dead server recovered — it may be selected again *)
 
-val server_of : event -> int
-
-val schedule : S3_net.Topology.t -> config -> Fault.t -> (float * event) list
-(** The full precomputed detection schedule for a plan, sorted by time
-    (equal-time events in deterministic generation order: real
-    detections in physical crash order before false positives).
-    Exposed for tests and invariant checks; {!start} consumes it. *)
-
 (** {2 Engine-facing cursor} *)
 
 type state
-(** Mutable replay cursor over a {!schedule}, mirroring the {!Fault}
-    cursor discipline ([start] / [next_change] / [advance]). *)
+(** Mutable replay cursor over the plan's detection schedule, which is
+    precomputed and sorted by time (equal-time events in deterministic
+    generation order: real detections in physical crash order before
+    false positives). It mirrors the {!Fault} cursor discipline
+    ([start] / [next_change] / [advance]). *)
 
 val start : S3_net.Topology.t -> config -> Fault.t -> state
 (** Cursor at time 0: nothing suspected, nothing believed dead. *)

@@ -59,6 +59,7 @@ val events : t -> event list
 
 val is_empty : t -> bool
 
+(* lint: allow unused-export — README.md's fault-injection example calls it *)
 val random :
   S3_util.Prng.t -> S3_net.Topology.t -> horizon:float ->
   ?crashes:int -> ?rack_outages:int -> ?degradations:int ->
@@ -165,6 +166,7 @@ val deliverable : state -> int -> from:float -> until:float -> float
 
 (** {2 Closed-loop repair} *)
 
+(* lint: allow unused-export — README.md's fault-injection example calls it *)
 val closed_loop_repair :
   S3_util.Prng.t -> S3_storage.Cluster.t -> deadline_factor:float ->
   first_id:int -> now:float -> server:int -> S3_workload.Task.t list

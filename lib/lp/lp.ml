@@ -19,10 +19,6 @@ type error =
   | Infeasible
   | Unbounded
 
-let pp_error ppf = function
-  | Infeasible -> Format.pp_print_string ppf "infeasible"
-  | Unbounded -> Format.pp_print_string ppf "unbounded"
-
 (* Reusable solver state: the simplex workspace plus a snapshot of the
    last successfully solved problem. The snapshot enables two reuse
    levels:
@@ -76,19 +72,6 @@ let objective_of p x =
     acc := !acc +. (p.objective.(j) *. x.(j))
   done;
   !acc
-
-let feasible ?(tol = 1e-6) p x =
-  Array.length x = p.nvars
-  && (let ok = ref true in
-      for j = 0 to p.nvars - 1 do
-        if x.(j) < p.lower.(j) -. tol then ok := false
-      done;
-      List.iter
-        (fun { coeffs; bound } ->
-          let lhs = List.fold_left (fun acc (j, a) -> acc +. (a *. x.(j))) 0. coeffs in
-          if lhs > bound +. tol then ok := false)
-        p.constraints;
-      !ok)
 
 let finish p y =
   let values = Array.init p.nvars (fun j -> p.lower.(j) +. y.(j)) in

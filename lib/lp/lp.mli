@@ -29,8 +29,6 @@ type error =
   | Infeasible
   | Unbounded
 
-val pp_error : Format.formatter -> error -> unit
-
 type state
 (** Reusable solver state: a simplex tableau workspace (no per-solve
     allocation of the working matrices) plus the last solved problem's
@@ -67,10 +65,3 @@ val solve : ?state:state -> problem -> (solution, error) result
     tableau would. [state] enables workspace reuse, the exact-repeat
     memo and warm starts across consecutive solves (see {!state});
     without it the solve is cold. *)
-
-val feasible : ?tol:float -> problem -> float array -> bool
-(** [feasible p x] checks [x] against all constraints and lower bounds
-    of [p] with tolerance [tol] (default [1e-6]). *)
-
-val objective_of : problem -> float array -> float
-(** Evaluate the objective at a point. *)

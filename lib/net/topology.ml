@@ -88,11 +88,6 @@ let route_array t ~src ~dst =
     cache.(idx) <- Some r;
     r
 
-let bottleneck t ~src ~dst =
-  match route t ~src ~dst with
-  | [] -> infinity
-  | ids -> List.fold_left (fun acc id -> min acc t.entities.(id).capacity) infinity ids
-
 (* Deterministic pair hash for ECMP-style path choice; SplitMix-style
    mixing keeps path selection well spread without a PRNG dependency. *)
 let pair_hash a b =

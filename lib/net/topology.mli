@@ -102,7 +102,3 @@ val route_array : t -> src:int -> dst:int -> int array
     returned array is shared by all callers and must not be mutated.
     Raises [Invalid_argument] on bad server indices. *)
 
-val bottleneck : t -> src:int -> dst:int -> float
-(** Minimum raw capacity along [route src dst]; [infinity] for the
-    empty route. This is the [C_{o,p}] of the paper's RTF formula
-    before foreground traffic is subtracted. *)

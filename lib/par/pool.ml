@@ -28,10 +28,7 @@ type t = {
   mutable error : exn option;  (* first failure of the batch *)
   mutable shutdown : bool;
   mutable workers : unit Domain.t list;
-  domains : int;
 }
-
-let size t = t.domains
 
 (* Claim-and-run loop for one generation; returns when the generation
    has no more jobs (or has moved on). Shared by workers and the
@@ -93,8 +90,7 @@ let create ~domains =
       finished = 0;
       error = None;
       shutdown = false;
-      workers = [];
-      domains
+      workers = []
     }
   in
   t.workers <- List.init (domains - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t 0));

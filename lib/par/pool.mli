@@ -16,9 +16,6 @@ val create : domains:int -> t
     sequential execution with no domain ever spawned). Raises
     [Invalid_argument] when [domains < 1]. *)
 
-val size : t -> int
-(** The configured domain count (workers + the participating caller). *)
-
 val run : t -> jobs:int -> (int -> unit) -> unit
 (** [run t ~jobs body] executes [body i] for every [i] in
     [0 .. jobs - 1] across the pool's domains and returns when all of

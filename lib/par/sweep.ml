@@ -33,33 +33,26 @@ let set_domain_count n =
   if n < 1 then invalid_arg "Sweep.set_domain_count: domains must be >= 1";
   default_domains := Some (min n 64)
 
-let map ?domains ?pool n f =
+let map ?domains n f =
   if n < 0 then invalid_arg "Sweep.map: negative job count";
   if n = 0 then [||]
   else begin
     let out = Array.make n None in
     let body i = out.(i) <- Some (f i) in
-    (match pool with
-     | Some p -> Pool.run p ~jobs:n body
-     | None ->
-       let domains = match domains with Some d -> d | None -> domain_count () in
-       if domains <= 1 then
-         for i = 0 to n - 1 do
-           body i
-         done
-       else Pool.with_pool ~domains:(min domains n) (fun p -> Pool.run p ~jobs:n body));
+    let domains = match domains with Some d -> d | None -> domain_count () in
+    if domains <= 1 then
+      for i = 0 to n - 1 do
+        body i
+      done
+    else Pool.with_pool ~domains:(min domains n) (fun p -> Pool.run p ~jobs:n body);
     Array.map (function Some v -> v | None -> assert false) out
   end
 
-let map_ranges ?domains ?pool n f =
+let map_ranges ?domains n f =
   if n < 0 then invalid_arg "Sweep.map_ranges: negative count";
   if n = 0 then [||]
   else begin
-    let jobs =
-      match pool with
-      | Some p -> Pool.size p
-      | None -> ( match domains with Some d -> max 1 d | None -> domain_count ())
-    in
+    let jobs = match domains with Some d -> max 1 d | None -> domain_count () in
     (* Balanced contiguous partition of [0, n): the first [n mod jobs]
        ranges carry one extra index. Depends only on (n, jobs), so a
        caller pinning [domains] gets the same partition every run. *)
@@ -70,11 +63,11 @@ let map_ranges ?domains ?pool n f =
           let lo = (i * base) + min i extra in
           (lo, lo + base + if i < extra then 1 else 0))
     in
-    map ?domains ?pool jobs (fun i ->
+    map ?domains jobs (fun i ->
         let lo, hi = bounds.(i) in
         f ~lo ~hi)
   end
 
-let map_list ?domains ?pool f xs =
+let map_list f xs =
   let input = Array.of_list xs in
-  Array.to_list (map ?domains ?pool (Array.length input) (fun i -> f input.(i)))
+  Array.to_list (map (Array.length input) (fun i -> f input.(i)))

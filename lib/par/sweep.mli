@@ -19,15 +19,13 @@ val set_domain_count : int -> unit
     benchmark harness pinning a sequential baseline). Raises
     [Invalid_argument] when the count is < 1. *)
 
-val map : ?domains:int -> ?pool:Pool.t -> int -> (int -> 'a) -> 'a array
+val map : ?domains:int -> int -> (int -> 'a) -> 'a array
 (** [map n f] computes [|f 0; ...; f (n-1)|] with jobs distributed
-    over [domains] domains (default {!domain_count}; an explicit
-    [pool] reuses already-spawned domains instead). A single-domain
+    over [domains] domains (default {!domain_count}). A single-domain
     run executes inline without spawning anything. The first job
     exception cancels the remaining jobs and is re-raised. *)
 
-val map_ranges :
-  ?domains:int -> ?pool:Pool.t -> int -> (lo:int -> hi:int -> 'a) -> 'a array
+val map_ranges : ?domains:int -> int -> (lo:int -> hi:int -> 'a) -> 'a array
 (** [map_ranges n f] splits [0, n) into one balanced contiguous range
     per worker (at most [min domains n] ranges; the first [n mod jobs]
     ranges get one extra index) and computes [f ~lo ~hi] for each,
@@ -36,5 +34,6 @@ val map_ranges :
     deterministic decomposition — the shape the striped codec uses for
     index-ordered merges. The jobs contract of {!map} applies. *)
 
-val map_list : ?domains:int -> ?pool:Pool.t -> ('a -> 'b) -> 'a list -> 'b list
-(** List version of {!map}, preserving input order. *)
+val map_list : ('a -> 'b) -> 'a list -> 'b list
+(** List version of {!map} at the default domain count, preserving
+    input order. *)

@@ -1062,6 +1062,11 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
           end)
         (infinity, infinity) !active
     in
+    (* Every live flow has more than [volume_epsilon] left, so a
+       completion time at or before [now] means [remaining /. rate] fell
+       below the clock's resolution (a clock past ~1e7 s): step one ulp,
+       so [advance_volumes] moves the residual instead of stalling. *)
+    let t_cmp = if t_cmp > !now then t_cmp else Float.succ !now in
     min (min t_arr t_fg) (min t_dl t_cmp)
   in
   let stalls = ref 0 in

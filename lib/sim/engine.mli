@@ -55,9 +55,6 @@ type config = {
   seed : int;  (** seeds the foreground process *)
 }
 
-val default_config : config
-(** No foreground traffic, seed 7. *)
-
 type data_plane = {
   control_latency : unit -> float;
       (** seconds every transfer stays paused after a scheduling event —
@@ -69,15 +66,14 @@ type data_plane = {
           assigned rate, so shaping cannot violate capacity *)
 }
 
-val ideal_data_plane : data_plane
-(** No latency, rates applied exactly (the simulator of §5.1). *)
-
 exception Invalid_selection of { task : int; server : int; detail : string }
 (** The algorithm returned an unusable source selection (wrong count,
     a non-candidate, a duplicate) at spawn or re-selection time.
     [server] is the offending server, or [-1] when the problem is not
     tied to one (a count mismatch). *)
 
+(* lint: allow unused-export — README.md's closed-loop repair example passes
+   ?on_failure *)
 val run :
   ?config:config ->
   ?data_plane:data_plane ->
@@ -139,7 +135,10 @@ val run :
     applies only to confirmed deaths). [on_failure] fires per
     {e confirmation}, trailing the physical crash by the detection
     latency. A zero-latency detector replays the omniscient engine's
-    decisions exactly (only the detection counters differ).
+    decisions exactly (only the detection counters differ), except on a
+    crash and recovery at the same instant: the detector sees a blip
+    and kills nothing, where the omniscient engine kills and re-homes
+    the server's flows.
 
     [retry] (default off) arms a stall timer on every flow that holds
     volume, no rate, and a route through a degraded entity: [retries]

@@ -23,9 +23,6 @@ type t
 val create : S3_util.Prng.t -> S3_net.Topology.t -> config -> t
 (** Occupancies start at an initial draw for time 0. *)
 
-val fraction : t -> int -> float
-(** Current occupancy of an entity, in [0, max_frac]. *)
-
 val available : t -> int -> float
 (** Raw capacity times (1 - occupancy) — what background traffic may
     use on this entity right now. *)

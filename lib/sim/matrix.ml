@@ -60,7 +60,7 @@ let validate axes =
 let workload_seed axes ~pi ~ci ~ti =
   axes.seed + (pi * 1_000_003) + (ci * 10_007) + (ti * 101)
 
-let run ?domains axes =
+let run axes =
   validate axes;
   let profiles = Array.of_list axes.profiles in
   let codes = Array.of_list axes.codes in
@@ -73,7 +73,7 @@ let run ?domains axes =
   let nd = Array.length detectors in
   let total = Array.length profiles * nd * nc * nt * na in
   let cells =
-    Sweep.map ?domains total (fun idx ->
+    Sweep.map total (fun idx ->
         (* Enumeration order: profile, detector, code, topology,
            algorithm — algorithm fastest-varying, so groups stay
            contiguous runs of [na] cells. *)

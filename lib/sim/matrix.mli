@@ -52,11 +52,11 @@ type cell = {
   run : Metrics.run;
 }
 
-val run : ?domains:int -> axes -> cell list
-(** Execute every cell over {!S3_par.Sweep.map} and return them in
-    enumeration order. Raises [Invalid_argument] on an empty axis, a
-    bad code, or a negative task count; the message is one line and
-    CLI-ready. *)
+val run : axes -> cell list
+(** Execute every cell over {!S3_par.Sweep.map} (at its default domain
+    count) and return them in enumeration order. Raises
+    [Invalid_argument] on an empty axis, a bad code, or a negative task
+    count; the message is one line and CLI-ready. *)
 
 val csv : cell list -> string
 (** One row per cell:
@@ -75,7 +75,3 @@ val markdown : axes -> cell list -> string
     name), per-profile cell tables, a per-run fingerprint appendix,
     and a final [Report fingerprint:] line — the MD5 of {!csv}, which
     CI compares against the cram golden to detect drift. *)
-
-val report_fingerprint : cell list -> string
-(** MD5 hex digest of {!csv} — the single value that pins the whole
-    artifact pair. *)

@@ -1,5 +1,4 @@
 module Task = S3_workload.Task
-module Table = S3_util.Table
 
 type outcome = {
   task : Task.t;
@@ -60,12 +59,3 @@ let normalized_completion_times r =
 
 let mean_plan_time r =
   if r.plan_calls = 0 then 0. else r.plan_time /. float_of_int r.plan_calls
-
-let summary_header = [ "algorithm"; "completed"; "remaining(GB)"; "utilization" ]
-
-let summary_row r =
-  [ r.algorithm;
-    string_of_int (completed r);
-    Table.fmt_float ~decimals:2 (remaining_volume_gb r);
-    Table.fmt_pct r.utilization
-  ]

@@ -95,12 +95,9 @@ val completed : run -> int
 
 val completed_fraction : run -> float
 
-val remaining_volume : run -> float
-(** Total megabits left untransferred at failed tasks' deadlines — the
-    paper's "remaining volume" (they quote it in GB; divide by 8000). *)
-
 val remaining_volume_gb : run -> float
-(** Remaining volume in gigabytes. *)
+(** Total volume left untransferred at failed tasks' deadlines, in
+    gigabytes — the paper's "remaining volume". *)
 
 val normalized_completion_times : run -> float list
 (** For completed tasks: (finish - arrival) / (deadline - arrival), the
@@ -108,9 +105,3 @@ val normalized_completion_times : run -> float list
 
 val mean_plan_time : run -> float
 (** Average seconds per scheduling-plan computation (Fig. 5 metric). *)
-
-val summary_row : run -> string list
-(** [algorithm; completed; remaining GB; utilization] — the columns of
-    Fig. 2 — formatted for {!S3_util.Table}. *)
-
-val summary_header : string list

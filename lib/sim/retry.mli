@@ -42,6 +42,7 @@ type config = {
 val default : config
 (** [retries = 2], [timeout = 1.], [backoff = 2.], [resume = true]. *)
 
+(* lint: allow unused-export — README.md's failure-detection example calls it *)
 val v :
   ?retries:int ->
   ?timeout:float ->
@@ -76,8 +77,6 @@ type fstate = {
 
 val fresh : unit -> fstate
 (** Not stalled, full retry budget. *)
-
-val stalled : fstate -> bool
 
 val mark_stalled : fstate -> now:float -> unit
 (** Start the timer if it is not already running (idempotent while the

@@ -32,6 +32,7 @@ val default : config
 (** [slack = 0.5], [max_swaps = 3] (the n-k spare count of a (9,6)
     code), [backoff = 1.]. *)
 
+(* lint: allow unused-export — README.md's watchdog example calls it *)
 val v : ?slack:float -> ?max_swaps:int -> ?backoff:float -> unit -> config
 (** Build a config, validating each field (raises [Invalid_argument]
     on a negative slack, negative budget, or non-positive backoff). *)

@@ -35,11 +35,6 @@ let get bm r c =
     invalid_arg "Bitmatrix.get: out of range";
   Bytes.get bm.bits ((r * bm.cols) + c) <> '\000'
 
-let ones bm =
-  let total = ref 0 in
-  Bytes.iter (fun b -> if b <> '\000' then incr total) bm.bits;
-  !total
-
 let element_ones e =
   Gf256.check e;
   let block = lift_block e in
@@ -53,26 +48,6 @@ let element_ones e =
       done;
       acc + !c)
     0 block
-
-let mul a b =
-  if a.cols <> b.rows then invalid_arg "Bitmatrix.mul: shape mismatch";
-  let bits = Bytes.make (a.rows * b.cols) '\000' in
-  for i = 0 to a.rows - 1 do
-    for j = 0 to b.cols - 1 do
-      let acc = ref 0 in
-      for t = 0 to a.cols - 1 do
-        if
-          Bytes.get a.bits ((i * a.cols) + t) <> '\000'
-          && Bytes.get b.bits ((t * b.cols) + j) <> '\000'
-        then acc := !acc lxor 1
-      done;
-      if !acc = 1 then Bytes.set bits ((i * b.cols) + j) '\001'
-    done
-  done;
-  { rows = a.rows; cols = b.cols; bits }
-
-let equal a b =
-  a.rows = b.rows && a.cols = b.cols && Bytes.equal a.bits b.bits
 
 let apply_packets bm ~srcs ~soffs ~dsts ~doffs ~packet =
   if packet <= 0 then invalid_arg "Bitmatrix.apply_packets: packet must be positive";

@@ -31,20 +31,10 @@ val get : t -> int -> int -> bool
 (** [get bm r c] reads one bit. Raises [Invalid_argument] out of
     range. *)
 
-val ones : t -> int
-(** Total set bits — the XOR cost of the dumb (schedule-free) packet
-    data path, used for matrix-density diagnostics. *)
-
 val element_ones : int -> int
 (** [element_ones e] is the popcount of the 8×8 lift of the field
     element [e] — the row-scaling heuristic minimizes the sum of this
     over a generator row before any schedule is compiled. *)
-
-val mul : t -> t -> t
-(** Bit-matrix product over GF(2); exercised by the tests to pin the
-    lift-is-a-homomorphism property that decode relies on. *)
-
-val equal : t -> t -> bool
 
 val apply_packets :
   t ->

@@ -37,7 +37,7 @@ let alive t s =
 let alive_servers t =
   List.filter (fun s -> t.up.(s)) (List.init (Array.length t.up) Fun.id)
 
-let add_file t g ?(policy = Placement.Rack_aware) ~n ~k ~chunk_volume () =
+let add_file t g ~n ~k ~chunk_volume () =
   if k <= 0 || n < k then invalid_arg "Cluster.add_file: need 0 < k <= n";
   if chunk_volume <= 0. then invalid_arg "Cluster.add_file: chunk_volume must be positive";
   let eligible = alive_servers t in
@@ -50,7 +50,7 @@ let add_file t g ?(policy = Placement.Rack_aware) ~n ~k ~chunk_volume () =
   let rec draw attempts =
     if attempts > 64 then Array.of_list (Prng.sample g n eligible)
     else begin
-      let servers = Placement.place g t.topo policy ~object_id:id ~n in
+      let servers = Placement.place g t.topo Placement.Rack_aware ~object_id:id ~n in
       if Array.for_all (fun s -> t.up.(s)) servers then servers else draw (attempts + 1)
     end
   in

@@ -24,25 +24,16 @@ val create : S3_net.Topology.t -> t
 val topology : t -> S3_net.Topology.t
 
 val add_file :
-  t -> S3_util.Prng.t -> ?policy:Placement.policy -> n:int -> k:int ->
-  chunk_volume:float -> unit -> file_id
-(** Place a new [(n, k)]-coded file (default policy [Rack_aware]).
+  t -> S3_util.Prng.t -> n:int -> k:int -> chunk_volume:float -> unit -> file_id
+(** Place a new [(n, k)]-coded file with the [Rack_aware] policy.
     Raises [Invalid_argument] on bad code parameters or when fewer than
     [n] servers are alive. *)
 
 val file : t -> file_id -> file
 (** Raises [Not_found] on unknown ids. *)
 
-val files : t -> file list
-(** All files, in id order. *)
-
 val alive : t -> int -> bool
 (** Is this server up? *)
-
-val alive_servers : t -> int list
-
-val chunks_on : t -> int -> (file_id * int) list
-(** Chunks currently stored on a server (file, chunk index). *)
 
 val survivors : t -> file_id -> (int * int) list
 (** [(chunk index, server)] pairs of the file's live chunks — the

@@ -22,7 +22,6 @@ let check a =
   if a < 0 || a > 255 then invalid_arg "Gf256: element out of range"
 
 let add a b = a lxor b
-let sub = add
 
 let mul a b = if a = 0 || b = 0 then 0 else exp_table.(log_table.(a) + log_table.(b))
 
@@ -44,10 +43,6 @@ let mul_table a =
 let inv a =
   if a = 0 then raise Division_by_zero;
   exp_table.(255 - log_table.(a))
-
-let div a b =
-  if b = 0 then raise Division_by_zero;
-  if a = 0 then 0 else exp_table.(log_table.(a) + 255 - log_table.(b))
 
 let pow a e =
   if e < 0 then invalid_arg "Gf256.pow: negative exponent";

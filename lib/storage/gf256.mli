@@ -4,14 +4,11 @@
     exp/log tables over the AES-friendly primitive polynomial
     x⁸+x⁴+x³+x²+1 (0x11D), the standard choice in storage systems
     (ISA-L, Jerasure). All operations are total on valid elements;
-    [div] and [inv] raise [Division_by_zero] on a zero divisor. *)
+    [inv] raises [Division_by_zero] on zero. Addition is also
+    subtraction (characteristic 2), and [mul a (inv b)] divides. *)
 
 val add : int -> int -> int
-val sub : int -> int -> int
-(** In characteristic 2, [sub = add]. *)
-
 val mul : int -> int -> int
-val div : int -> int -> int
 val inv : int -> int
 val pow : int -> int -> int
 (** [pow a e] with [e >= 0]; [pow 0 0 = 1]. *)

@@ -35,23 +35,12 @@ let identity n = init ~rows:n ~cols:n (fun i j -> if i = j then 1 else 0)
 
 let copy m = { m with data = Array.copy m.data }
 
-let equal a b = a.nrows = b.nrows && a.ncols = b.ncols && a.data = b.data
-
 let mul a b =
   if a.ncols <> b.nrows then invalid_arg "Matrix.mul: shape mismatch";
   init ~rows:a.nrows ~cols:b.ncols (fun i j ->
       let acc = ref 0 in
       for k = 0 to a.ncols - 1 do
         acc := Gf256.add !acc (Gf256.mul (get a i k) (get b k j))
-      done;
-      !acc)
-
-let apply m v =
-  if Array.length v <> m.ncols then invalid_arg "Matrix.apply: vector length";
-  Array.init m.nrows (fun i ->
-      let acc = ref 0 in
-      for j = 0 to m.ncols - 1 do
-        acc := Gf256.add !acc (Gf256.mul (get m i j) v.(j))
       done;
       !acc)
 
@@ -110,15 +99,3 @@ let invert m =
 let vandermonde ~rows ~cols =
   if rows > 256 then invalid_arg "Matrix.vandermonde: too many rows for GF(256)";
   init ~rows ~cols (fun i j -> Gf256.pow i j)
-
-let cauchy ~rows ~cols =
-  if rows + cols > 256 then invalid_arg "Matrix.cauchy: rows + cols must be <= 256";
-  init ~rows ~cols (fun i j -> Gf256.inv (Gf256.add i (rows + j)))
-
-let pp ppf m =
-  for i = 0 to m.nrows - 1 do
-    for j = 0 to m.ncols - 1 do
-      Format.fprintf ppf "%3d%s" (get m i j) (if j = m.ncols - 1 then "" else " ")
-    done;
-    if i < m.nrows - 1 then Format.pp_print_newline ppf ()
-  done

@@ -3,26 +3,17 @@
 type t
 (** Row-major matrix of field elements. *)
 
-val create : rows:int -> cols:int -> t
-(** Zero matrix. *)
-
 val init : rows:int -> cols:int -> (int -> int -> int) -> t
 (** [init ~rows ~cols f] fills entry (i,j) with [f i j]; entries are
     validated as field elements. *)
 
-val identity : int -> t
 val rows : t -> int
 val cols : t -> int
 val get : t -> int -> int -> int
 val set : t -> int -> int -> int -> unit
-val copy : t -> t
-val equal : t -> t -> bool
 
 val mul : t -> t -> t
 (** Matrix product. Raises [Invalid_argument] on shape mismatch. *)
-
-val apply : t -> int array -> int array
-(** Matrix–vector product. *)
 
 val select_rows : t -> int list -> t
 (** New matrix from the given rows, in order. *)
@@ -33,10 +24,3 @@ val invert : t -> t option
 val vandermonde : rows:int -> cols:int -> t
 (** Entry (i,j) = iʲ in GF(2⁸). Any [cols] rows with distinct i are
     independent for [rows <= 256]. *)
-
-val cauchy : rows:int -> cols:int -> t
-(** Cauchy matrix with x_i = i, y_j = rows + j; every square submatrix
-    is invertible, which is the MDS property the codec relies on.
-    Requires [rows + cols <= 256]. *)
-
-val pp : Format.formatter -> t -> unit

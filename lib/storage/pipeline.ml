@@ -28,11 +28,11 @@ let file_info t id =
   | Some info -> info
   | None -> raise Not_found
 
-let write_file t g ?policy ~n ~k data =
+let write_file t g ~n ~k data =
   let code = Reed_solomon.make ~n ~k in
   let shards = Reed_solomon.encode code data in
   let chunk_volume = volume_of_bytes (Bytes.length shards.(0)) in
-  let id = Cluster.add_file t.cluster g ?policy ~n ~k ~chunk_volume () in
+  let id = Cluster.add_file t.cluster g ~n ~k ~chunk_volume () in
   let locations = (Cluster.file t.cluster id).Cluster.locations in
   Array.iteri
     (fun chunk server -> Store.put t.store ~server ~file:id ~chunk shards.(chunk))
@@ -61,11 +61,7 @@ let read_file t id =
   Reed_solomon.decode ~length:info.length info.code
     (List.map (fun (chunk, _, blob) -> (chunk, blob)) subset)
 
-let fail_server t server =
-  ignore (Store.wipe_server t.store server);
-  Cluster.fail_server t.cluster server
-
-let repair ?progress t ~file ~chunk ~sources ~destination =
+let repair t ~file ~chunk ~sources ~destination =
   let info = file_info t file in
   let meta = Cluster.file t.cluster file in
   if chunk < 0 || chunk >= meta.Cluster.n then invalid_arg "Pipeline.repair: chunk index";
@@ -88,17 +84,7 @@ let repair ?progress t ~file ~chunk ~sources ~destination =
   if List.length shards < k then
     invalid_arg "Pipeline.repair: fewer than k sources";
   let subset = List.filteri (fun i _ -> i < k) shards in
-  let len =
-    match subset with
-    | (_, blob) :: _ -> Bytes.length blob
-    | [] -> invalid_arg "Pipeline.repair: fewer than k sources"
-  in
-  let sb = Reed_solomon.stripe_bytes info.code in
-  let on_stripe = Option.map (fun f s -> f (min ((s + 1) * sb) len) len) progress in
-  let rebuilt = Reed_solomon.reconstruct_stripes ?on_stripe info.code ~index:chunk subset in
-  (* The byte-wise tail past the last full stripe completes with the
-     reconstruction itself; report it as the final progress step. *)
-  (match progress with Some f when len mod sb <> 0 || len = 0 -> f len len | _ -> ());
+  let rebuilt = Reed_solomon.reconstruct_stripes info.code ~index:chunk subset in
   (* Metadata first (it validates destination), then bytes. *)
   Cluster.place_chunk t.cluster file ~chunk ~server:destination;
   Store.put t.store ~server:destination ~file ~chunk rebuilt

@@ -8,7 +8,8 @@
     loop the paper's prototype closes with rsync.
 
     All sizes here are bytes; the workload generator's task volumes are
-    megabits — [volume_of_bytes] converts. *)
+    megabits, and [write_file] records each chunk's volume in megabits
+    (at least 0.001, so tasks always have positive volume). *)
 
 type t
 
@@ -25,41 +26,21 @@ val create : Cluster.t -> t
 val cluster : t -> Cluster.t
 val store : t -> Store.t
 
-val volume_of_bytes : int -> float
-(** Megabits occupied by a blob of this many bytes (min 0.001 so tasks
-    always have positive volume). *)
-
-val write_file :
-  t -> S3_util.Prng.t -> ?policy:Placement.policy -> n:int -> k:int -> bytes ->
-  file_info
-(** Encode, place and persist a new object. *)
-
-val file_info : t -> Cluster.file_id -> file_info
-(** Raises [Not_found] for unknown files. *)
+val write_file : t -> S3_util.Prng.t -> n:int -> k:int -> bytes -> file_info
+(** Encode, place (rack-aware) and persist a new object. *)
 
 val read_file : t -> Cluster.file_id -> bytes
 (** Decode the object from any k live shards. Raises [Failure] when
     fewer than k shards survive (data loss). *)
 
-val fail_server : t -> int -> (Cluster.file_id * int) list
-(** Kill a server: wipes its blobs and marks its chunks lost in the
-    metadata. Returns the lost (file, chunk) pairs. *)
-
 val repair :
-  ?progress:(int -> int -> unit) ->
   t -> file:Cluster.file_id -> chunk:int -> sources:int list -> destination:int -> unit
 (** Rebuild one lost chunk at [destination] by reading the shards the
     [sources] servers hold (they must hold >= k live shards of the
     file between them; extra sources are ignored). Verifies nothing is
     overwritten: raises [Invalid_argument] if the chunk is not
     currently lost, a source holds no shard of the file, or the
-    destination already holds one.
-
-    [progress ready total] is called in ascending order of [ready] as
-    reconstruction streams through the codec's stripes ([total] is the
-    shard length in bytes; the final call reports [total total] once
-    the byte-wise tail is done) — the hook that lets a driver overlap
-    repair work with simulated transfers. *)
+    destination already holds one. *)
 
 val scrub : t -> (Cluster.file_id * int) list
 (** Integrity pass over every placed shard: any whose bytes fail their

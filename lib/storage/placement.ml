@@ -77,8 +77,3 @@ let place g topo policy ~object_id ~n =
   | Flat_uniform -> flat_uniform g topo n
   | Rack_aware -> rack_aware g topo n
   | Crush_weighted w -> crush_weighted w topo ~object_id n
-
-let spread topo servers =
-  let seen = Hashtbl.create 8 in
-  Array.iter (fun s -> Hashtbl.replace seen (Topology.rack_of topo s) ()) servers;
-  Hashtbl.length seen

@@ -28,7 +28,3 @@ val place :
     deterministic in [object_id] and ignores [g]. Raises
     [Invalid_argument] when [n] exceeds the number of (eligible)
     servers. *)
-
-val spread : S3_net.Topology.t -> int array -> int
-(** [spread topo servers] is the number of distinct racks touched — a
-    placement-quality measure used by tests. *)

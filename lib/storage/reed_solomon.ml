@@ -1,18 +1,6 @@
 type kernel = Table | Schedule
 
-let kernel_name = function Table -> "table" | Schedule -> "schedule"
-
-let kernel_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "table" -> Ok Table
-  | "schedule" -> Ok Schedule
-  | other ->
-    Error (Printf.sprintf "unknown codec kernel %S (expected table or schedule)" other)
-
-let default = ref Schedule
-let set_default_kernel k = default := k
-let default_kernel () = !default
-let resolve_kernel = function Some k -> k | None -> !default
+let resolve_kernel = Option.value ~default:Schedule
 
 type code = {
   n : int;
@@ -401,32 +389,28 @@ let recon_map c ~index shards =
   let inv, srcs = select_k c shards in
   (Matrix.mul (Matrix.select_rows c.gen [ index ]) inv, srcs)
 
-let reconstruct_into ~kernel ~domains ~on_stripe c ~index shards =
+let reconstruct_into ~kernel ~domains c ~index shards =
   let len = check_shards c shards in
   let r, srcs = recon_map c ~index shards in
   let out = Bytes.create len in
   let bits = lazy (Bitmatrix.of_matrix r) in
   let sched = lazy (Schedule.compile (Lazy.force bits)) in
-  run_striped ~kernel ~packet:c.packet ~domains ~on_stripe ~r ~tables:(gf_tables r)
+  run_striped ~kernel ~packet:c.packet ~domains ~on_stripe:None ~r ~tables:(gf_tables r)
     ~bits ~sched ~srcs ~dsts:[| out |] ~dbases:[| 0 |] ~len;
   out
 
-let reconstruct ?kernel ?(share = false) c ~index shards =
+let reconstruct ?kernel c ~index shards =
   if index < 0 || index >= c.n then invalid_arg "Reed_solomon.reconstruct: index";
   match List.assoc_opt index shards with
-  | Some s -> if share then s else Bytes.copy s (* already have it *)
-  | None ->
-    reconstruct_into ~kernel:(resolve_kernel kernel) ~domains:1 ~on_stripe:None c
-      ~index shards
+  | Some s -> Bytes.copy s (* already have it *)
+  | None -> reconstruct_into ~kernel:(resolve_kernel kernel) ~domains:1 c ~index shards
 
-let reconstruct_stripes ?kernel ?(domains = 1) ?on_stripe c ~index shards =
+let reconstruct_stripes ?kernel ?(domains = 1) c ~index shards =
   if index < 0 || index >= c.n then
     invalid_arg "Reed_solomon.reconstruct_stripes: index";
   match List.assoc_opt index shards with
   | Some s -> s (* streaming callers rebuild lost shards; nothing to do *)
-  | None ->
-    reconstruct_into ~kernel:(resolve_kernel kernel) ~domains ~on_stripe c ~index
-      shards
+  | None -> reconstruct_into ~kernel:(resolve_kernel kernel) ~domains c ~index shards
 
 let repair_traffic_factor c = float_of_int c.k
 

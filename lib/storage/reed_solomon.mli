@@ -25,23 +25,15 @@
     GF(256) table loops on tails), and [Schedule], the production
     path (compiled word-wide XOR schedules on stripes, a fused
     multiply-accumulate table kernel on tails). The equivalence is
-    pinned by the QCheck oracle suite in [test/test_codec.ml]. *)
+    pinned by the QCheck oracle suite in [test/test_codec.ml]. Every
+    operation's [?kernel] defaults to [Schedule]; tests pass [Table] to
+    compare against the reference. *)
 
 type code
 
 type kernel =
   | Table  (** byte-wise reference: the oracle the fast path is pinned to *)
   | Schedule  (** compiled word-wide XOR schedules + fused table tails *)
-
-val kernel_name : kernel -> string
-val kernel_of_string : string -> (kernel, string) result
-
-val set_default_kernel : kernel -> unit
-(** Process-wide default used when an operation's [?kernel] argument
-    is omitted (initially [Schedule]); the CLI's [--codec] flag routes
-    here. Call from the main domain only. *)
-
-val default_kernel : unit -> kernel
 
 val make : n:int -> k:int -> code
 (** [make ~n ~k] builds the code with the default 128-byte packet,
@@ -71,11 +63,15 @@ val stripe_count : code -> shard_length:int -> int
 val shard_length : code -> data_length:int -> int
 (** Length every shard will have for an object of [data_length] bytes. *)
 
+(* lint: allow unused-export — ?kernel selects the Table reference kernel
+   that the codec tests compare the Schedule kernel against *)
 val encode : ?kernel:kernel -> code -> bytes -> bytes array
 (** [encode c data] returns the [n] shards; shards [0 .. k-1] are the
     (padded) data split verbatim, the rest are parity in the striped
     layout above. *)
 
+(* lint: allow unused-export — ?kernel selects the Table reference kernel
+   that the codec tests compare the Schedule kernel against *)
 val decode : ?kernel:kernel -> ?length:int -> code -> (int * bytes) list -> bytes
 (** [decode c shards] rebuilds the object from any [k] of the [(shard
     index, shard)] pairs; extra pairs are ignored, [length] (default:
@@ -86,17 +82,18 @@ val decode : ?kernel:kernel -> ?length:int -> code -> (int * bytes) list -> byte
     [Invalid_argument] on fewer than [k] shards, duplicate or
     out-of-range indices, or mismatched shard lengths. *)
 
-val reconstruct :
-  ?kernel:kernel -> ?share:bool -> code -> index:int -> (int * bytes) list -> bytes
+(* lint: allow unused-export — ?kernel selects the Table reference kernel
+   that the codec tests compare the Schedule kernel against *)
+val reconstruct : ?kernel:kernel -> code -> index:int -> (int * bytes) list -> bytes
 (** [reconstruct c ~index shards] rebuilds the single lost shard
     [index] from any [k] surviving shards — the repair operation whose
     network traffic the S3 scheduler manages (reading [k] chunks to
     rebuild one). When the shard is already present in [shards] it is
-    returned defensively copied unless [share] is set (internal
-    callers that only read, e.g. the repair pipeline, pass
-    [~share:true] to skip the copy). *)
+    returned defensively copied. *)
 
 val encode_stripes :
+  (* lint: allow unused-export — ?kernel selects the Table reference
+     kernel that the codec tests compare the Schedule kernel against *)
   ?kernel:kernel ->
   ?domains:int ->
   ?on_stripe:(int -> unit) ->
@@ -106,27 +103,26 @@ val encode_stripes :
 (** Streaming/striped {!encode}: bit-identical output, computed
     stripe by stripe. [on_stripe i] fires once per full stripe index
     in ascending order, as soon as that stripe's bytes are final in
-    every parity shard — the hook the repair pipeline uses to overlap
-    reconstruction with simulated transfers. [domains > 1] fans
-    contiguous stripe ranges out over a {!S3_par.Sweep} pool (each job
-    writes freshly allocated buffers, merged in index order), so the
+    every parity shard. [domains > 1] fans contiguous stripe ranges
+    out over a {!S3_par.Sweep} pool (each job writes freshly allocated
+    buffers, merged in index order), so the
     result and the callback sequence are byte-identical to the
     sequential run; the byte-wise tail is always computed on the
     calling domain. *)
 
 val reconstruct_stripes :
+  (* lint: allow unused-export — ?kernel selects the Table reference
+     kernel that the codec tests compare the Schedule kernel against *)
   ?kernel:kernel ->
   ?domains:int ->
-  ?on_stripe:(int -> unit) ->
   code ->
   index:int ->
   (int * bytes) list ->
   bytes
-(** Streaming/striped {!reconstruct} (never copies a held shard —
-    the streaming interface is for rebuilding lost shards, so when
-    [index] is present in [shards] that shard is returned directly and
-    no callback fires). Same determinism contract as
-    {!encode_stripes}. *)
+(** Striped {!reconstruct} (never copies a held shard — the striped
+    interface is for rebuilding lost shards, so when [index] is present
+    in [shards] that shard is returned directly). Same determinism
+    contract as {!encode_stripes}. *)
 
 val repair_traffic_factor : code -> float
 (** [k]: bytes read over the network per byte repaired, the paper's

@@ -35,7 +35,6 @@ let helper_traffic p ~object_size =
 
 let repair_traffic p ~object_size = fd p *. helper_traffic p ~object_size
 
-let mds_equivalent p = (p.n, p.d)
 
 let repair_savings p =
   (* Classic MDS repair of the same object moves k * (M/k) = M. *)

@@ -44,10 +44,6 @@ val repair_traffic : params -> object_size:float -> float
 (** Total network volume of one repair: [d * beta] (gamma). For MSR
     with [d = k] this is the paper's "repairing x bytes moves kx". *)
 
-val mds_equivalent : params -> int * int
-(** The [(n, d)] erasure-code view of the scheduling problem —
-    what the generator should use for candidate counts. *)
-
 val repair_savings : params -> float
 (** [1 - gamma / (k * chunk)]: fraction of repair traffic saved
     relative to classic MDS repair of the same object. 0 when

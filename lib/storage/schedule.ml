@@ -17,25 +17,12 @@ type t = {
   ops : int array;
 }
 
-let inputs t = t.inputs
-let outputs t = t.outputs
-let op_count t = Array.length t.ops / 3
-
-let xor_count t =
-  let n = ref 0 in
-  let i = ref 0 in
-  while !i < Array.length t.ops do
-    if t.ops.(!i) = 1 then incr n;
-    i := !i + 3
-  done;
-  !n
-
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)
 
 (* Rows as packed bitsets, 62 bits per word, for cheap Hamming
-   distances during smart compilation. *)
+   distances during compilation. *)
 let row_bits bm r =
   let cols = Bitmatrix.cols bm in
   let words = ((cols + 61) / 62) in
@@ -64,7 +51,7 @@ let hamming a b =
   done;
   !acc
 
-let compile ?(smart = true) bm =
+let compile bm =
   let rows = Bitmatrix.rows bm and cols = Bitmatrix.cols bm in
   if rows mod 8 <> 0 || cols mod 8 <> 0 then
     invalid_arg "Schedule.compile: bit dimensions must be multiples of 8";
@@ -102,13 +89,12 @@ let compile ?(smart = true) bm =
     let row = bits.(target) in
     let scratch = popcount row in
     let best = ref None in
-    if smart then
-      for u = 0 to target - 1 do
-        let cost = 1 + hamming row bits.(u) in
-        match !best with
-        | Some (_, c) when c <= cost -> ()
-        | _ -> if cost < scratch then best := Some (u, cost)
-      done;
+    for u = 0 to target - 1 do
+      let cost = 1 + hamming row bits.(u) in
+      match !best with
+      | Some (_, c) when c <= cost -> ()
+      | _ -> if cost < scratch then best := Some (u, cost)
+    done;
     match !best with
     | None -> emit_from_columns ~seed:None row target
     | Some (u, _) ->

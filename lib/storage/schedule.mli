@@ -16,27 +16,12 @@
 
 type t
 
-val compile : ?smart:bool -> Bitmatrix.t -> t
+val compile : Bitmatrix.t -> t
 (** [compile bm] compiles the lifted matrix into an XOR program whose
-    {!apply} is bit-identical to [Bitmatrix.apply_packets bm]. With
-    [smart] (the default) each output row may be derived from the
-    cheapest previously computed output row; [~smart:false] compiles
-    every row from scratch (the dumb schedule, kept for tests and op
-    accounting). Requires bit dimensions that are multiples of 8. *)
-
-val inputs : t -> int
-(** Input shard count (lifted columns / 8). *)
-
-val outputs : t -> int
-(** Output shard count (lifted rows / 8). *)
-
-val op_count : t -> int
-(** Number of packet ops — the per-stripe work; smart compilation
-    never exceeds the dumb count. *)
-
-val xor_count : t -> int
-(** XOR ops only (copies and zeroes excluded) — the figure of merit
-    jerasure minimizes. *)
+    {!apply} is bit-identical to [Bitmatrix.apply_packets bm]. Each
+    output row is derived from the cheapest previously computed output
+    row when that beats building it from the input columns. Requires
+    bit dimensions that are multiples of 8. *)
 
 val apply :
   t ->

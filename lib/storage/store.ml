@@ -22,9 +22,6 @@ let put t ~server ~file ~chunk blob =
   Hashtbl.replace (table t server) (file, chunk)
     { blob = Bytes.copy blob; crc = Crc32.digest blob }
 
-let get t ~server ~file ~chunk =
-  Option.map (fun s -> Bytes.copy s.blob) (Hashtbl.find_opt (table t server) (file, chunk))
-
 let borrow t ~server ~file ~chunk =
   Option.map (fun s -> s.blob) (Hashtbl.find_opt (table t server) (file, chunk))
 
@@ -61,9 +58,3 @@ let wipe_server t server =
   let n = Hashtbl.length tbl in
   Hashtbl.reset tbl;
   n
-
-let shard_count t =
-  Array.fold_left (fun acc tbl -> acc + Hashtbl.length tbl) 0 t.shards
-
-let server_bytes t server =
-  Hashtbl.fold (fun _ s acc -> acc + Bytes.length s.blob) (table t server) 0

@@ -16,15 +16,12 @@ val put : t -> server:int -> file:int -> chunk:int -> bytes -> unit
 (** Store (a copy of) a shard. Overwrites silently. Raises
     [Invalid_argument] on a bad server index. *)
 
-val get : t -> server:int -> file:int -> chunk:int -> bytes option
-(** Read (a copy of) a shard; [None] when absent. *)
-
 val borrow : t -> server:int -> file:int -> chunk:int -> bytes option
 (** Read the stored shard {e without} copying: the returned buffer is
     the store's own, so the caller must treat it as read-only (mutating
     it would silently corrupt the stored shard past its checksum). For
-    internal read-only paths — codec sources, verification — where
-    {!get}'s defensive copy is pure memory traffic. *)
+    read-only paths — codec sources, verification — where a defensive
+    copy would be pure memory traffic. *)
 
 val delete : t -> server:int -> file:int -> chunk:int -> unit
 (** Remove a shard if present. *)
@@ -46,9 +43,3 @@ val scrub : t -> (int * int * int) list
 val corrupt : t -> server:int -> file:int -> chunk:int -> unit
 (** Fault injection for tests: flip one byte of a stored shard without
     updating its checksum. No-op on absent/empty shards. *)
-
-val shard_count : t -> int
-(** Total shards stored. *)
-
-val server_bytes : t -> int -> int
-(** Bytes held by one server. *)

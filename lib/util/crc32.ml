@@ -27,5 +27,3 @@ let update crc buf ~pos ~len =
   Int32.logxor !c 0xFFFFFFFFl
 
 let digest b = update init b ~pos:0 ~len:(Bytes.length b)
-
-let digest_string s = digest (Bytes.unsafe_of_string s)

@@ -6,8 +6,6 @@
 val digest : bytes -> int32
 (** Checksum of a whole buffer. *)
 
-val digest_string : string -> int32
-
 val update : int32 -> bytes -> pos:int -> len:int -> int32
 (** Incremental interface: feed a slice into a running checksum
     (start from [init]). Raises [Invalid_argument] on bad slices. *)

@@ -35,8 +35,6 @@ let percentile p xs =
     a.(lo) +. (frac *. (a.(hi) -. a.(lo)))
   end
 
-let median xs = percentile 50. xs
-
 type cdf = float array (* sorted samples *)
 
 let cdf_of_samples xs =

@@ -22,9 +22,6 @@ val percentile : float -> float list -> float
     linear interpolation between order statistics. Raises
     [Invalid_argument] on the empty list or out-of-range [p]. *)
 
-val median : float list -> float
-(** 50th percentile. *)
-
 type cdf
 (** An empirical cumulative distribution function. *)
 

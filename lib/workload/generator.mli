@@ -54,11 +54,6 @@ type kind_profile = {
   profile_deadline_factor : float;  (** deadline = this x LRT *)
 }
 
-val default_mix : kind_profile list
-(** A production-flavoured blend: urgent (9,6) repairs (50%, factor 6),
-    single-source rebalance moves (30%, factor 12), and lax (9,6)
-    backups (20%, factor 25). *)
-
 val generate_mixed :
   S3_util.Prng.t -> S3_net.Topology.t ->
   num_tasks:int -> arrival_rate:float -> chunk_size_mb:float ->
@@ -70,7 +65,10 @@ val generate_mixed :
     (default 0, must lie in [0, 1)) spreads each task's deadline factor
     uniformly over [factor*(1-j), factor*(1+j)] as in {!generate}; 0
     draws nothing from the PRNG, so jitter-free streams are unchanged.
-    The named {!Profile}s feed this entry point. *)
+    [profiles] defaults to a production-flavoured blend: urgent (9,6)
+    repairs (50%, factor 6), single-source rebalance moves (30%, factor
+    12), and lax (9,6) backups (20%, factor 25). The named {!Profile}s
+    feed this entry point. *)
 
 val repair_tasks_on_failure :
   S3_util.Prng.t -> S3_storage.Cluster.t -> server:int -> now:float ->

@@ -99,14 +99,6 @@ type spec = {
 
 let default_tasks = 200
 
-let spec ?(scale = 1.) ?tasks profile =
-  if (not (Float.is_finite scale)) || scale <= 0. then
-    invalid_arg "Profile.spec: scale must be finite and > 0";
-  (match tasks with
-   | Some n when n < 0 -> invalid_arg "Profile.spec: tasks must be >= 0"
-   | _ -> ());
-  { profile; scale; tasks }
-
 let arrival_rate s = s.profile.arrival_rate *. s.scale
 
 let task_count ~default s = Option.value s.tasks ~default
@@ -127,10 +119,9 @@ let of_string str =
       | [] -> (
         match acc with
         | None, _, _ -> err "spec %S names no profile" str
-        | Some profile, scale, tasks -> (
-          match spec ?scale ?tasks profile with
-          | s -> Ok s
-          | exception Invalid_argument m -> Error m))
+        | Some profile, scale, tasks ->
+          (* Each value was range-checked as it was read. *)
+          Ok { profile; scale = Option.value scale ~default:1.; tasks })
       | item :: rest -> (
         let profile_seen, scale_seen, tasks_seen = acc in
         match String.index_opt item '=' with

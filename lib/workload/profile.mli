@@ -26,16 +26,11 @@ type t = private {
           each link the foreground process may take (0 = idle cluster) *)
 }
 
-val all : t list
+val names : string list
 (** The six named profiles, in canonical report order:
     [sequential-rw], [random-rw], [mixed-70-30], [db-oltp],
-    [app-server], [data-pipeline]. *)
-
-val names : string list
-(** Names of {!all}, same order. *)
-
-val find : string -> (t, string) result
-(** Case-insensitive lookup by name; the error lists valid names. *)
+    [app-server], [data-pipeline]. {!of_string} looks a name up,
+    case-insensitively. *)
 
 (** {1 Specs — a profile plus run-shaping overrides} *)
 
@@ -48,13 +43,6 @@ type spec = {
   tasks : int option;  (** per-run task count; [None] defers to the
                            caller's default *)
 }
-
-val spec : ?scale:float -> ?tasks:int -> t -> spec
-(** [scale] defaults to 1. Raises [Invalid_argument] on a non-finite or
-    non-positive scale or a negative task count. *)
-
-val arrival_rate : spec -> float
-(** [profile.arrival_rate *. scale]. *)
 
 val task_count : default:int -> spec -> int
 (** The spec's task count, or [default] when the spec left it open. *)
@@ -70,22 +58,16 @@ val to_string : spec -> string
     shortest round-trip decimal; [of_string (to_string s)] returns a
     spec equal to [s]. *)
 
-val default_tasks : int
-(** Task count used when neither the spec nor the caller names one
-    (200 — small enough for a multi-cell matrix, large enough to
-    separate the algorithms). *)
-
-val compile_mix : ?code:int * int -> t -> Generator.kind_profile list
-(** The profile's task-kind mix, with every [Some (n, k)] entry
-    re-coded to [code] when given — the hook the matrix runner's
-    erasure-code dimension plugs into. Single-source ([None]) entries
-    are untouched. *)
-
 val generate :
   ?code:int * int -> ?tasks:int ->
   S3_util.Prng.t -> S3_net.Topology.t -> spec -> Task.t list
 (** Compile the spec and synthesize its task stream via
-    {!Generator.generate_mixed}. [code] re-codes the mix as in
-    {!compile_mix}; [tasks] is the fallback count for specs that left
-    [tasks] unset (default {!default_tasks}). Same PRNG seed, spec and
-    topology give an identical list. *)
+    {!Generator.generate_mixed}, at the profile's arrival rate times
+    the spec's scale. [code] re-codes every [Some (n, k)] entry of the
+    mix — the hook the matrix runner's erasure-code dimension plugs
+    into; single-source ([None]) entries are untouched, and a code
+    without [0 < k <= n] raises [Invalid_argument]. [tasks] is the
+    fallback count for specs that left [tasks] unset (default 200 —
+    small enough for a multi-cell matrix, large enough to separate the
+    algorithms). Same PRNG seed, spec and topology give an identical
+    list. *)

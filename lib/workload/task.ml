@@ -28,6 +28,9 @@ let pp ppf t =
     t.destination t.arrival t.deadline
 
 let v ~id ?(kind = Generic) ~arrival ~deadline ~volume ~k ~sources ~destination () =
+  (* Each later comparison is false on NaN, so finiteness comes first. *)
+  if not (Float.is_finite arrival && Float.is_finite deadline && Float.is_finite volume) then
+    invalid_arg "Task.v: arrival, deadline and volume must be finite";
   if arrival < 0. then invalid_arg "Task.v: negative arrival";
   if deadline <= arrival then invalid_arg "Task.v: deadline must follow arrival";
   if volume <= 0. then invalid_arg "Task.v: volume must be positive";
@@ -46,16 +49,7 @@ let v ~id ?(kind = Generic) ~arrival ~deadline ~volume ~k ~sources ~destination 
 
 let total_volume t = float_of_int t.k *. t.volume
 
-let least_required_time ~full_capacity t =
-  if full_capacity <= 0. then invalid_arg "Task.least_required_time: capacity";
-  t.volume /. full_capacity
-
 let compare_arrival a b =
   match Float.compare a.arrival b.arrival with
-  | 0 -> Int.compare a.id b.id
-  | c -> c
-
-let compare_deadline a b =
-  match Float.compare a.deadline b.deadline with
   | 0 -> Int.compare a.id b.id
   | c -> c

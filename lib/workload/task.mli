@@ -30,19 +30,12 @@ val pp : Format.formatter -> t -> unit
 val v :
   id:int -> ?kind:kind -> arrival:float -> deadline:float -> volume:float ->
   k:int -> sources:int array -> destination:int -> unit -> t
-(** Smart constructor; validates every field invariant listed above
-    ([kind] defaults to [Generic]). Raises [Invalid_argument]. *)
+(** Smart constructor; validates every field invariant listed above,
+    and that [arrival], [deadline] and [volume] are finite ([kind]
+    defaults to [Generic]). Raises [Invalid_argument]. *)
 
 val total_volume : t -> float
 (** [k * volume]: megabits entering the destination if completed. *)
 
-val least_required_time : full_capacity:float -> t -> float
-(** The paper's LRT: per-chunk transfer time at full link speed,
-    [volume / full_capacity]. Deadlines in the evaluation are
-    [arrival + factor * LRT]. *)
-
 val compare_arrival : t -> t -> int
 (** Order by arrival time, ties by id — the FIFO order. *)
-
-val compare_deadline : t -> t -> int
-(** Order by deadline, ties by id — the EDF order. *)

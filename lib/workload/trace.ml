@@ -13,7 +13,8 @@ let parse_line line =
     match String.split_on_char ',' line with
     | [ t; m ] -> (
       match (float_of_string_opt (String.trim t), int_of_string_opt (String.trim m)) with
-      | Some time, Some machine when time >= 0. && machine >= 0 -> Some { time; machine }
+      | Some time, Some machine when Float.is_finite time && time >= 0. && machine >= 0 ->
+        Some { time; machine }
       | _ -> invalid_arg (Printf.sprintf "Trace.parse_line: malformed %S" line))
     | _ -> invalid_arg (Printf.sprintf "Trace.parse_line: malformed %S" line)
 

@@ -15,12 +15,11 @@ type record = {
   machine : int;  (** source machine identifier *)
 }
 
-val parse_line : string -> record option
-(** Parse one [time,machine] CSV line; returns [None] for blank lines
-    and [#] comments. Raises [Invalid_argument] on malformed input. *)
-
 val parse : string -> record list
-(** Parse a whole trace body, preserving order. *)
+(** Parse a whole trace body of [time,machine] CSV lines, preserving
+    order; blank lines and [#] comments are skipped. Raises
+    [Invalid_argument] on a malformed line, including a time that is
+    negative, NaN or infinite. *)
 
 val to_csv : record list -> string
 (** Inverse of [parse]; ends with a newline when non-empty. *)

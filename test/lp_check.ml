@@ -1,0 +1,32 @@
+(* Checks on {!S3_lp.Lp} results that only the tests use: a
+   feasibility oracle, the objective at a point, and an error printer. *)
+
+module Lp = S3_lp.Lp
+
+(* [feasible p x]: [x] meets every constraint and lower bound of [p]
+   within [tol]. *)
+let feasible ?(tol = 1e-6) (p : Lp.problem) x =
+  Array.length x = p.Lp.nvars
+  && (let ok = ref true in
+      for j = 0 to p.Lp.nvars - 1 do
+        if x.(j) < p.Lp.lower.(j) -. tol then ok := false
+      done;
+      List.iter
+        (fun { Lp.coeffs; bound } ->
+          let lhs = List.fold_left (fun acc (j, a) -> acc +. (a *. x.(j))) 0. coeffs in
+          if lhs > bound +. tol then ok := false)
+        p.Lp.constraints;
+      !ok)
+
+(* The objective at [x], summed in variable order: the same float
+   operations as the solver's own evaluation. *)
+let objective_of (p : Lp.problem) x =
+  let acc = ref 0. in
+  for j = 0 to p.Lp.nvars - 1 do
+    acc := !acc +. (p.Lp.objective.(j) *. x.(j))
+  done;
+  !acc
+
+let pp_error ppf = function
+  | Lp.Infeasible -> Format.pp_print_string ppf "infeasible"
+  | Lp.Unbounded -> Format.pp_print_string ppf "unbounded"

@@ -41,6 +41,9 @@ let test_deadline_slack () =
 
 (* ---- RTF ---- *)
 
+(* Eq. (12) for one flow: the RTF of a task with that single flow. *)
+let flow_rtf v f = Rtf.task_rtf v [ f ]
+
 let test_lrb () =
   checkf "basic" 100. (Rtf.lrb ~now:0. ~deadline:10. ~remaining:1000.);
   checkf "partway" 250. (Rtf.lrb ~now:6. ~deadline:10. ~remaining:1000.);
@@ -54,10 +57,10 @@ let test_flow_rtf () =
   let t = task ~deadline:10. ~volume:6000. ~sources:[| 1 |] ~destination:0 () in
   let available _ = 2000. in
   let v = view ~available [ flow t ] in
-  checkf "rtf" 7. (Rtf.flow_rtf v (flow t));
+  checkf "rtf" 7. (flow_rtf v (flow t));
   (* Before the task's start time, waiting begins at s_i. *)
   let future = task ~arrival:5. ~deadline:10. ~volume:6000. ~sources:[| 1 |] ~destination:0 () in
-  checkf "uses max(now, s)" 2. (Rtf.flow_rtf (view ~available [ flow future ]) (flow future))
+  checkf "uses max(now, s)" 2. (flow_rtf (view ~available [ flow future ]) (flow future))
 
 let test_task_rtf_min () =
   let t = task ~k:2 ~deadline:10. ~volume:2000. ~sources:[| 1; 4 |] ~destination:0 () in
@@ -65,7 +68,7 @@ let test_task_rtf_min () =
      same bottleneck, but shrink one server's capacity to differ. *)
   let available e = if e = 4 then 500. else raw_available topo e in
   let v = view ~available (flows_of t) in
-  let rtfs = List.map (Rtf.flow_rtf v) (flows_of t) in
+  let rtfs = List.map (flow_rtf v) (flows_of t) in
   checkf "task rtf is min" (S3_util.Stats.minimum rtfs) (Rtf.task_rtf v (flows_of t));
   Alcotest.check_raises "empty" (Invalid_argument "Rtf.task_rtf: no flows") (fun () ->
       ignore (Rtf.task_rtf v []))
@@ -73,7 +76,7 @@ let test_task_rtf_min () =
 let test_rtf_zero_capacity () =
   let t = task () in
   let v = view ~available:(fun _ -> 0.) [ flow t ] in
-  Alcotest.(check bool) "neg infinity" true (Rtf.flow_rtf v (flow t) = neg_infinity)
+  Alcotest.(check bool) "neg infinity" true (flow_rtf v (flow t) = neg_infinity)
 
 (* ---- Congestion ---- *)
 
@@ -91,8 +94,8 @@ let test_congestion_path_ops () =
   Congestion.add_path c [ 1; 2 ] 50.;
   Congestion.add_path c [ 2; 3 ] 25.;
   checkf "sum" 75. (Congestion.factor c 2);
-  checkf "path max" 75. (Congestion.path_max c [ 1; 2; 3 ]);
-  checkf "empty path" 0. (Congestion.path_max c [])
+  checkf "one path" 50. (Congestion.factor c 1);
+  checkf "untouched" 0. (Congestion.factor c 4)
 
 let test_select_least_congested () =
   (* A busy flow into server 0 from server 1; a new task should prefer
@@ -125,10 +128,13 @@ let test_select_random () =
 
 (* ---- Allocation ---- *)
 
+(* Max–min water filling is priority filling with one group. *)
+let water_fill v flows = Allocation.priority_fill v [ flows ]
+
 let test_water_fill_single () =
   let t = task ~sources:[| 1 |] ~destination:0 () in
   let v = view [ flow t ] in
-  let rates = Allocation.water_fill v [ flow t ] in
+  let rates = water_fill v [ flow t ] in
   checkf "full path speed" 1000. (rate_of rates 0)
 
 let test_water_fill_sharing () =
@@ -136,7 +142,7 @@ let test_water_fill_sharing () =
   let t = task ~k:2 ~sources:[| 1; 2 |] ~destination:0 () in
   let flows = flows_of t in
   let v = view flows in
-  let rates = Allocation.water_fill v flows in
+  let rates = water_fill v flows in
   List.iter (fun f -> checkf "half each" 500. (rate_of rates f.Problem.flow_id)) flows;
   Alcotest.(check bool) "capacities respected" true (respects_capacities v rates)
 
@@ -149,7 +155,7 @@ let test_water_fill_max_min () =
   let fb = flow ~flow_id:1 ~source:4 tb in
   let available e = if e = T.server_entity topo 4 then 200. else raw_available topo e in
   let v = view ~available [ fa; fb ] in
-  let rates = Allocation.water_fill v [ fa; fb ] in
+  let rates = water_fill v [ fa; fb ] in
   checkf "throttled flow" 200. (rate_of rates 1);
   checkf "other takes the rest" 800. (rate_of rates 0)
 
@@ -257,12 +263,12 @@ let qcheck =
   [ Test.make ~name:"water_fill respects all capacities" ~count:300 scenario (fun s ->
         let flows = random_flows s in
         let v = view flows in
-        respects_capacities v (Allocation.water_fill v flows));
+        respects_capacities v (water_fill v flows));
     Test.make ~name:"water_fill gives every flow a positive rate" ~count:300 scenario
       (fun s ->
         let flows = random_flows s in
         let v = view flows in
-        let rates = Allocation.water_fill v flows in
+        let rates = water_fill v flows in
         List.for_all (fun f -> rate_of rates f.Problem.flow_id > 0.) flows);
     Test.make ~name:"lp_allocate respects capacities and beats water_fill's total" ~count:200
       scenario (fun s ->
@@ -273,7 +279,7 @@ let qcheck =
         | Some rates ->
           let total r = List.fold_left (fun acc (_, x) -> acc +. x) 0. r in
           respects_capacities v rates
-          && total rates >= total (Allocation.water_fill v flows) -. 1e-6);
+          && total rates >= total (water_fill v flows) -. 1e-6);
     Test.make ~name:"priority_fill never exceeds capacities" ~count:200 scenario (fun s ->
         let flows = random_flows s in
         let v = view flows in

@@ -39,17 +39,17 @@ let restart_retry = { Retry.default with Retry.resume = false }
 
 let test_detector_spec_roundtrip () =
   Alcotest.(check string) "default round trip" "suspect=1,confirm=1"
-    (Detector.to_string Detector.default);
+    (Detector.to_string (Detector.v ()));
   (match Detector.of_string "default" with
    | Ok c ->
-     Alcotest.(check string) "'default' parses" (Detector.to_string Detector.default)
+     Alcotest.(check string) "'default' parses" (Detector.to_string (Detector.v ()))
        (Detector.to_string c)
    | Error e -> Alcotest.fail e);
   (match Detector.of_string "latency=2.5" with
    | Ok c ->
      checkf "latency shorthand is all silence" 2.5 c.Detector.suspect;
      checkf "with no confirmation window" 0. c.Detector.confirm;
-     checkf "latency" 2.5 (Detector.latency c)
+     checkf "latency" 2.5 (c.Detector.suspect +. c.Detector.confirm)
    | Error e -> Alcotest.fail e);
   (match Detector.of_string "suspect=0.5,confirm=2,fp=3,fp_seed=9,fp_horizon=40" with
    | Error e -> Alcotest.fail e
@@ -102,6 +102,18 @@ let test_retry_spec_roundtrip () =
 
 (* ---- the detection schedule ---- *)
 
+(* The whole detection schedule, read off the engine-facing cursor:
+   every batch stamped with the instant it fires. *)
+let schedule topo c faults =
+  let st = Detector.start topo c faults in
+  let rec go acc =
+    let t = Detector.next_change st in
+    if Float.is_finite t then
+      go (List.rev_append (List.map (fun e -> (t, e)) (Detector.advance st t)) acc)
+    else List.rev acc
+  in
+  go []
+
 let event_to_string (t, ev) =
   let kind, s =
     match ev with
@@ -113,7 +125,7 @@ let event_to_string (t, ev) =
   Printf.sprintf "%s%d@%g" kind s t
 
 let sched c spec =
-  String.concat " " (List.map event_to_string (Detector.schedule topo c (plan spec)))
+  String.concat " " (List.map event_to_string (schedule topo c (plan spec)))
 
 let test_schedule_semantics () =
   let c = Detector.v ~suspect:1. ~confirm:1. () in
@@ -141,7 +153,7 @@ let test_schedule_semantics () =
 
 let test_schedule_false_positives () =
   let c = Detector.v ~suspect:1. ~confirm:2. ~fp:4 ~fp_seed:99 ~fp_horizon:50. () in
-  let evs = Detector.schedule topo c (plan "crash@10:1") in
+  let evs = schedule topo c (plan "crash@10:1") in
   let count p = List.length (List.filter p evs) in
   let confirms = count (fun (_, e) -> match e with Detector.Confirmed _ -> true | _ -> false) in
   let suspects = count (fun (_, e) -> match e with Detector.Suspected _ -> true | _ -> false) in
@@ -157,7 +169,7 @@ let test_schedule_false_positives () =
     (String.concat " " (List.map event_to_string by_time));
   (* Dropped-not-rerolled: adding the crash only removes colliding
      draws, it never shifts the surviving ones. *)
-  let fp_only = Detector.schedule topo c Fault.empty in
+  let fp_only = schedule topo c Fault.empty in
   List.iter
     (fun ev ->
       let is_real (_, e) =
@@ -175,7 +187,7 @@ let test_schedule_false_positives () =
   Alcotest.(check string) "schedule replays byte-identically"
     (String.concat " " (List.map event_to_string evs))
     (String.concat " "
-       (List.map event_to_string (Detector.schedule topo c (plan "crash@10:1"))))
+       (List.map event_to_string (schedule topo c (plan "crash@10:1"))))
 
 let test_cursor () =
   let c = Detector.v ~suspect:1. ~confirm:1. () in
@@ -267,6 +279,39 @@ let test_golden_blip_unnoticed () =
   let omni = Engine.run ~faults topo (Registry.make "lpst") [ one_task () ] in
   Alcotest.(check int) "omniscient kills on the blip" 1 omni.Metrics.flows_killed;
   checkf "and pays the restart" 1.5 (finish omni)
+
+(* The one exception to zero-latency equivalence, on the CLI's [run]
+   scene ([--tasks 60 --rate 1 -a lpst]): server 3 crashes and recovers
+   at t=10. The recovery lands at exactly [crash + suspect], which the
+   detector's blip rule ignores, so the detector run kills nothing
+   while the omniscient run kills and re-homes the server's flows. *)
+let test_golden_same_instant_bounce () =
+  let topo = T.two_tier ~racks:3 ~servers_per_rack:10 ~cst:500. ~cta:1500. in
+  let cfg =
+    { S3_workload.Generator.num_tasks = 60;
+      arrival_rate = 1.;
+      chunk_size_mb = 64.;
+      code_mix = [ ((9, 6), 1.) ];
+      deadline_factor = 10.;
+      deadline_jitter = 0.5;
+      placement = S3_storage.Placement.Rack_aware
+    }
+  in
+  let tasks = S3_workload.Generator.generate (Prng.create 11) topo cfg in
+  let config = { Engine.foreground = S3_sim.Foreground.none; seed = 12 } in
+  let faults = plan "crash@10:3,recover@10:3" in
+  let run ?detector () =
+    Engine.run ~config ~faults ?detector topo (Registry.make "lpst") tasks
+  in
+  let omni = run () and zero = run ~detector:zero_latency () in
+  Alcotest.(check (pair int int)) "omniscient: 4 flows killed, 4 tasks re-homed" (4, 4)
+    (omni.Metrics.flows_killed, omni.Metrics.tasks_rehomed);
+  Alcotest.(check (pair int int)) "zero latency: nothing killed or re-homed" (0, 0)
+    (zero.Metrics.flows_killed, zero.Metrics.tasks_rehomed);
+  Alcotest.(check int) "never suspected" 0 zero.Metrics.suspicions;
+  Alcotest.(check int) "both complete every task" 120
+    (Metrics.completed omni + Metrics.completed zero);
+  Alcotest.(check bool) "the runs differ" true (scrub omni <> scrub zero)
 
 let test_golden_suspected_avoided () =
   (* Server 1 suspected (long confirmation window, never confirmed):
@@ -435,15 +480,18 @@ let qcheck =
         let ok = ref true in
         List.iter
           (fun (t, ev) ->
-            let s = Detector.server_of ev in
+            let s =
+              match ev with
+              | Detector.Suspected s | Cleared s | Confirmed s | Seen_alive s -> s
+            in
             match (ev, Hashtbl.find_opt crash_t s) with
             | Detector.Suspected _, Some t0 ->
               if t < t0 +. c.Detector.suspect -. 1e-9 then ok := false
             | Detector.Confirmed _, Some t0 ->
-              if t < t0 +. Detector.latency c -. 1e-9 then ok := false
+              if t < t0 +. c.Detector.suspect +. c.Detector.confirm -. 1e-9 then ok := false
             | Detector.Confirmed _, None -> ok := false  (* confirmed without a crash *)
             | _ -> ())
-          (Detector.schedule topo c faults);
+          (schedule topo c faults);
         !ok);
     Test.make ~name:"detector: zero latency replays the omniscient engine" ~count:60
       alg_and_seed (fun (name, seed) ->
@@ -532,6 +580,7 @@ let tests =
       tc "cursor" `Quick test_cursor;
       tc "golden: deferred settle + resume" `Quick test_golden_deferred_settle;
       tc "golden: blip unnoticed" `Quick test_golden_blip_unnoticed;
+      tc "golden: same-instant bounce" `Quick test_golden_same_instant_bounce;
       tc "golden: suspected source avoided" `Quick test_golden_suspected_avoided;
       tc "golden: storm, resume vs restart" `Quick test_golden_storm_resume_beats_restart;
       tc "golden: retry ladder re-home" `Quick test_golden_retry_rehome;

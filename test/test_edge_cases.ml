@@ -89,8 +89,12 @@ let test_lpst_arrival_order_admission () =
   let older = task ~id:1 ~arrival:0. ~deadline:100. ~volume:9000. ~sources:[| 1 |] ~destination:0 () in
   let newer = task ~id:2 ~arrival:1. ~deadline:11. ~volume:9500. ~sources:[| 2 |] ~destination:0 () in
   let v = view ~now:1. (flows_of older @ flows_of newer) in
+  (* Under [Lrb_only] exactly the admitted tasks get bandwidth. *)
   let ids admission =
-    List.map (fun ((t : Task.t), _) -> t.Task.id) (Lpst.admit ~admission v)
+    let alg = Lpst.lpst ~admission ~bandwidth:Lpst.Lrb_only () in
+    alg.S3_core.Algorithm.allocate v
+    |> List.filter_map (fun (fid, rate) -> if rate > 0. then Some (fid / 100) else None)
+    |> List.sort_uniq Int.compare
   in
   Alcotest.(check (list int)) "arrival order favours the older" [ 1 ] (ids Lpst.Arrival_order);
   Alcotest.(check (list int)) "rtf order favours the urgent" [ 2 ] (ids Lpst.Rtf_order)
@@ -185,6 +189,59 @@ let test_zero_available_capacity () =
   Alcotest.(check int) "fails" 0 (Metrics.completed run);
   Alcotest.(check int) "no clamping even at the edge" 0 run.Metrics.clamp_events
 
+(* The CLI's [run] workload (two_tier(3x10), 500/1500 Mb/s, (9,6),
+   rate 0.5/s, deadline factor 10 with jitter 0.5, seed 11) with five
+   tasks of [chunk] MB, run to the end: no clamping, and every
+   transferred bit is completed, wasted or shed. *)
+let run_to_the_end ?faults ?detector ~chunk alg =
+  let topo = T.two_tier ~racks:3 ~servers_per_rack:10 ~cst:500. ~cta:1500. in
+  let cfg =
+    { S3_workload.Generator.num_tasks = 5;
+      arrival_rate = 0.5;
+      chunk_size_mb = chunk;
+      code_mix = [ ((9, 6), 1.) ];
+      deadline_factor = 10.;
+      deadline_jitter = 0.5;
+      placement = Placement.Rack_aware
+    }
+  in
+  let tasks = S3_workload.Generator.generate (Prng.create 11) topo cfg in
+  let config = { Engine.foreground = S3_sim.Foreground.none; seed = 12 } in
+  let run = Engine.run ~config ?faults ?detector topo (Registry.make alg) tasks in
+  let completed =
+    List.fold_left
+      (fun acc (o : Metrics.outcome) ->
+        if o.Metrics.completed then acc +. Task.total_volume o.Metrics.task else acc)
+      0. run.Metrics.outcomes
+  in
+  Alcotest.(check int) "every task resolved" 5 (List.length run.Metrics.outcomes);
+  Alcotest.(check int) "no clamping" 0 run.Metrics.clamp_events;
+  let accounted = completed +. run.Metrics.wasted +. run.Metrics.shed_volume in
+  Alcotest.(check bool)
+    (Printf.sprintf "transferred %.17g = completed + wasted + shed %.17g"
+       run.Metrics.transferred accounted)
+    true
+    (Float.abs (run.Metrics.transferred -. accounted)
+    <= (1e-9 *. Float.max 1. run.Metrics.transferred));
+  run
+
+(* Huge chunks push the clock to ~5e7 s, where a flow with just over
+   [volume_epsilon] left finishes in less than one ulp of [now]. *)
+let test_coarse_clock_completion () =
+  let run = run_to_the_end ~chunk:1e9 "lpst" in
+  Alcotest.(check int) "all complete" 5 (Metrics.completed run)
+
+(* A detector that confirms a crash 1e15 s late: at that clock one ulp
+   is 0.125 s, longer than the re-homed fetch's last 12 Mb take. *)
+let test_coarse_clock_after_late_detection () =
+  let faults =
+    match S3_fault.Fault.of_string "crash@1:0" with Ok f -> f | Error e -> failwith e
+  in
+  let run =
+    run_to_the_end ~faults ~detector:(S3_fault.Detector.v ~suspect:1e15 ()) ~chunk:64. "fifo"
+  in
+  Alcotest.(check int) "the crash is confirmed" 1 run.Metrics.detections
+
 let tests =
   ( "edge_cases",
     [ tc "fat-tree ECMP spreads over cores" `Quick test_fat_tree_ecmp_spreads;
@@ -197,5 +254,7 @@ let tests =
       tc "trace burstiness" `Quick test_trace_burstiness;
       tc "csv outcomes parse back" `Quick test_csv_outcomes_parse_back;
       tc "identical tasks tiebreak" `Quick test_engine_identical_deadlines_tiebreak;
-      tc "near-zero available capacity" `Quick test_zero_available_capacity
+      tc "near-zero available capacity" `Quick test_zero_available_capacity;
+      tc "completion below the clock's resolution" `Quick test_coarse_clock_completion;
+      tc "coarse clock after a late detection" `Quick test_coarse_clock_after_late_detection
     ] )

@@ -576,14 +576,18 @@ let repair_fixture () =
   let big = T.two_tier ~racks:3 ~servers_per_rack:10 ~cst:500. ~cta:1500. in
   let cluster = Cluster.create big in
   let g = Prng.create 5 in
-  for _ = 1 to 40 do
-    ignore (Cluster.add_file cluster g ~n:9 ~k:6 ~chunk_volume:512. ())
-  done;
-  (big, cluster)
+  let files = List.init 40 (fun _ -> Cluster.add_file cluster g ~n:9 ~k:6 ~chunk_volume:512. ()) in
+  (big, cluster, files)
 
 let test_closed_loop_repair () =
-  let big, cluster = repair_fixture () in
-  let lost = List.length (Cluster.chunks_on cluster 3) in
+  let big, cluster, files = repair_fixture () in
+  (* The chunks server 3 holds, which its crash loses. *)
+  let lost =
+    List.length
+      (List.concat_map
+         (fun id -> List.filter (( = ) 3) (Array.to_list (Cluster.file cluster id).Cluster.locations))
+         files)
+  in
   Alcotest.(check bool) "fixture stores chunks on the victim" true (lost > 0);
   let repair =
     Fault.closed_loop_repair (Prng.create 17) cluster ~deadline_factor:10. ~first_id:1000
@@ -604,7 +608,7 @@ let test_closed_loop_repair () =
 
 let test_closed_loop_repair_deterministic () =
   let fingerprint () =
-    let big, cluster = repair_fixture () in
+    let big, cluster, _ = repair_fixture () in
     let repair =
       Fault.closed_loop_repair (Prng.create 17) cluster ~deadline_factor:10. ~first_id:1000
     in

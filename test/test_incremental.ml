@@ -516,7 +516,7 @@ let reference_solve r (p : Lp.problem) =
     match Simplex.maximize_sparse ~ws:r.ws ?warm ~obj:p.Lp.objective ~rows ~rhs () with
     | Ok (y, basis) ->
       let values = Array.mapi (fun j l -> l +. y.(j)) p.Lp.lower in
-      let s = { Lp.values; objective_value = Lp.objective_of p values } in
+      let s = { Lp.values; objective_value = Lp_check.objective_of p values } in
       r.last <- Some (p, basis, s);
       Ok { s with Lp.values = Array.copy values }
     | Error e ->
@@ -551,8 +551,8 @@ let lp_stream_mismatch seed =
           if ea = eb then None
           else
             Some
-              (Format.asprintf "different errors (reference %a, blocks %a)" Lp.pp_error ea
-                 Lp.pp_error eb)
+              (Format.asprintf "different errors (reference %a, blocks %a)" Lp_check.pp_error ea
+                 Lp_check.pp_error eb)
         | Ok _, Error _ | Error _, Ok _ -> Some "one path failed, the other solved"
       in
       match mismatch with

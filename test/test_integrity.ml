@@ -14,9 +14,10 @@ let checkf msg = Alcotest.check (Alcotest.float 1e-9) msg
 
 let test_crc_known_vectors () =
   (* Standard IEEE CRC-32 check values. *)
-  Alcotest.(check int32) "check string" 0xCBF43926l (Crc32.digest_string "123456789");
+  let digest s = Crc32.digest (Bytes.of_string s) in
+  Alcotest.(check int32) "check string" 0xCBF43926l (digest "123456789");
   Alcotest.(check int32) "empty" 0l (Crc32.digest Bytes.empty);
-  Alcotest.(check int32) "single a" 0xE8B7BE43l (Crc32.digest_string "a")
+  Alcotest.(check int32) "single a" 0xE8B7BE43l (digest "a")
 
 let test_crc_incremental () =
   let b = Bytes.of_string "the quick brown fox" in
@@ -40,8 +41,7 @@ let test_msr_at_d_equals_k_is_mds () =
   let p = Regenerating.make ~n:9 ~k:6 ~d:6 Regenerating.Msr in
   checkf "alpha = M/k" (1. /. 6.) (Regenerating.node_storage p ~object_size:1.);
   checkf "gamma = M" 1. (Regenerating.repair_traffic p ~object_size:1.);
-  checkf "no savings" 0. (Regenerating.repair_savings p);
-  Alcotest.(check (pair int int)) "mds view" (9, 6) (Regenerating.mds_equivalent p)
+  checkf "no savings" 0. (Regenerating.repair_savings p)
 
 let test_msr_savings_grow_with_d () =
   let gamma d =

@@ -410,6 +410,146 @@ let test_cmt_error_reported () =
     Alcotest.(check bool) "non-suppressible" false f.Rules.suppressible
   | fs -> Alcotest.failf "expected one cmt-error, got %d findings" (List.length fs)
 
+(* --- typed stage: unused-export (a whole program) ----------------- *)
+
+(* A fixture program: [(path, module, source)] files compiled in order
+   with [ocamlc -c -bin-annot] at the repo-relative paths they name, so
+   lib/, bin/ and test/ classify as in the real tree. A file given a
+   module name ([Some "Storage__Matrix"] for lib/storage/matrix.ml) is
+   compiled the way dune compiles a wrapped library's module: under
+   that name, opening its wrapper. Returns the unused-export findings
+   plus the syntactic stage's on every interface, which is where an
+   allowance without a justification is reported. *)
+let lint_program files =
+  Lazy.force typed_initialized;
+  let dir = Filename.temp_dir "s3lint_program" "" in
+  let dirs =
+    List.sort_uniq String.compare (List.map (fun (p, _, _) -> Filename.dirname p) files)
+  in
+  let run cmd =
+    Sys.command (Printf.sprintf "cd %s && %s >/dev/null 2>&1" (Filename.quote dir) cmd) = 0
+  in
+  List.iter (fun d -> ignore (run ("mkdir -p " ^ Filename.quote d))) dirs;
+  let includes = String.concat " " (List.map (fun d -> "-I " ^ Filename.quote d) dirs) in
+  List.iter
+    (fun (path, modname, source) ->
+      let oc = open_out (Filename.concat dir path) in
+      output_string oc source;
+      close_out oc;
+      let naming =
+        match modname with
+        | None -> ""
+        | Some m ->
+          let out =
+            Filename.quote
+              (Filename.concat (Filename.dirname path) (String.uncapitalize_ascii m))
+          in
+          let wrapper = String.sub m 0 (Option.get (String.index_opt m '_')) in
+          if Filename.check_suffix path ".mli" then Printf.sprintf "-o %s.cmi" out
+          else
+            Printf.sprintf "-open %s -o %s.cmo%s" wrapper out
+              (if List.exists (fun (q, _, _) -> q = path ^ "i") files then
+                 Printf.sprintf " -cmi-file %s.cmi" out
+               else "")
+      in
+      if
+        not
+          (run
+             (Printf.sprintf "ocamlc -c -bin-annot -no-alias-deps -w -49 %s %s %s" includes
+                naming (Filename.quote path)))
+      then Alcotest.failf "fixture %s failed to compile:\n%s" path source)
+    files;
+  let typed = Typed.unused_exports ~source_root:dir (Typed.cmt_files_under dir) in
+  let hygiene =
+    List.concat_map
+      (fun (path, _, _) ->
+        if Filename.check_suffix path ".mli" then Rules.lint_file (Filename.concat dir path)
+        else [])
+      files
+  in
+  ignore (run ("rm -rf " ^ Filename.quote dir));
+  typed @ hygiene
+
+let messages findings = List.map (fun (f : Rules.finding) -> f.Rules.message) findings
+
+let mentions needle (f : Rules.finding) =
+  let n = String.length needle and m = String.length f.Rules.message in
+  let rec at i = i + n <= m && (String.sub f.Rules.message i n = needle || at (i + 1)) in
+  at 0
+
+let check_unused msg expected findings =
+  Alcotest.(check (list string)) msg expected
+    (List.map
+       (fun (f : Rules.finding) -> Printf.sprintf "%s:%d %s" f.Rules.file f.Rules.line f.Rules.rule)
+       findings)
+
+(* lib/a: [used] has a caller in bin/, [own] only in a.ml, [tested]
+   only in test/. *)
+let test_unused_export_values () =
+  let findings =
+    lint_program
+      [ ("lib/a.mli", None, "val used : int -> int\nval own : int -> int\nval tested : int -> int\n");
+        ("lib/a.ml", None, "let own x = x + 1\nlet used x = own x\nlet tested x = x\n");
+        ("bin/main.ml", None, "let () = print_int (A.used 1)\n");
+        ("test/t.ml", None, "let () = print_int (A.tested 1)\n")
+      ]
+  in
+  check_unused "own-module and test-only values fire" [ "lib/a.mli:2 unused-export"; "lib/a.mli:3 unused-export" ]
+    findings;
+  Alcotest.(check bool) "own use named" true (List.exists (mentions "only its own module") findings);
+  Alcotest.(check bool) "test-only named" true
+    (List.exists (mentions "nothing outside test/") findings)
+
+let test_unused_export_suppressed () =
+  let program allowance =
+    [ ("lib/a.mli", None, allowance ^ "\nval f : int -> int\n");
+      ("lib/a.ml", None, "let f x = x\n")
+    ]
+  in
+  check_rules "justified allowance" []
+    (lint_program
+       (program "(* lint: allow unused-export — README.md's example calls it *)"));
+  check_rules "allowance without a justification" [ "unused-export"; "suppression" ]
+    (lint_program (program "(* lint: allow unused-export *)"))
+
+let optional_program ?(impl = "let f ?(x = 0) () = x\n") caller =
+  lint_program
+    [ ("lib/o.mli", None, "val f : ?x:int -> unit -> int\n");
+      ("lib/o.ml", None, impl);
+      ("bin/main.ml", None, caller)
+    ]
+
+let test_unused_export_optional () =
+  (match optional_program "let () = print_int (O.f ())\n" with
+  | [ f ] -> Alcotest.(check bool) "no caller passes ?x" true (mentions "?x" f)
+  | fs -> Alcotest.failf "expected one finding, got: %s" (String.concat "; " (messages fs)));
+  check_rules "a caller passes it" [] (optional_program "let () = print_int (O.f ~x:1 ())\n");
+  check_rules "forwarding ?x counts"
+    []
+    (optional_program "let g ?x () = O.f ?x ()\nlet () = print_int (g ())\n");
+  match
+    optional_program ~impl:"let f ?x:_ () = 0\n" "let () = print_int (O.f ~x:1 ())\n"
+  with
+  | [ f ] -> Alcotest.(check bool) "bound as ?x:_" true (mentions "?x:_" f)
+  | fs -> Alcotest.failf "expected one finding, got: %s" (String.concat "; " (messages fs))
+
+(* Two wrapped libraries each with a module [Matrix]; bin/ reaches
+   [Storage.Matrix.m] through a local alias, so only [Sim.Matrix.m]
+   is unused. *)
+let test_unused_export_same_basename () =
+  let findings =
+    lint_program
+      [ ("lib/storage/storage.ml", None, "module Matrix = Storage__Matrix\n");
+        ("lib/storage/matrix.mli", Some "Storage__Matrix", "val m : int -> int\n");
+        ("lib/storage/matrix.ml", Some "Storage__Matrix", "let m x = x\n");
+        ("lib/sim/sim.ml", None, "module Matrix = Sim__Matrix\n");
+        ("lib/sim/matrix.mli", Some "Sim__Matrix", "val m : int -> int\n");
+        ("lib/sim/matrix.ml", Some "Sim__Matrix", "let m x = x\n");
+        ("bin/main.ml", None, "module M = Storage.Matrix\nlet () = print_int (M.m 1)\n")
+      ]
+  in
+  check_unused "only the unused Matrix fires" [ "lib/sim/matrix.mli:1 unused-export" ] findings
+
 (* --- machine-readable output -------------------------------------- *)
 
 module Json = S3lint.Json
@@ -497,6 +637,10 @@ let tests =
       tc "typed: nondet-source quiet" `Quick test_nondet_source_quiet;
       tc "typed: nondet-source suppressed" `Quick test_nondet_source_suppressed;
       tc "typed: cmt error reported" `Quick test_cmt_error_reported;
+      tc "typed: unused-export values" `Quick test_unused_export_values;
+      tc "typed: unused-export suppressed" `Quick test_unused_export_suppressed;
+      tc "typed: unused-export optional arguments" `Quick test_unused_export_optional;
+      tc "typed: unused-export same basename" `Quick test_unused_export_same_basename;
       tc "output: baseline diff" `Quick test_baseline_diff;
       QCheck_alcotest.to_alcotest json_roundtrip
     ] )

@@ -6,7 +6,7 @@ let checkf msg = Alcotest.check (Alcotest.float 1e-6) msg
 let solve_exn p =
   match Lp.solve p with
   | Ok s -> s
-  | Error e -> Alcotest.failf "unexpected %a" Lp.pp_error e
+  | Error e -> Alcotest.failf "unexpected %a" Lp_check.pp_error e
 
 let test_simple_max () =
   (* max 3x + 2y st x + y <= 4, x + 3y <= 6 -> (4, 0), obj 12 *)
@@ -18,7 +18,7 @@ let test_simple_max () =
   in
   let s = solve_exn p in
   checkf "objective" 12. s.Lp.objective_value;
-  Alcotest.(check bool) "feasible" true (Lp.feasible p s.Lp.values)
+  Alcotest.(check bool) "feasible" true (Lp_check.feasible p s.Lp.values)
 
 let test_interior_optimum () =
   (* max x + y st 2x + y <= 4, x + 2y <= 4 -> (4/3, 4/3), obj 8/3 *)

@@ -14,18 +14,24 @@ let fresh () = (Pipeline.create (Cluster.create topo), Prng.create 101)
 
 let payload n = Bytes.init n (fun i -> Char.chr ((i * 37) land 0xff))
 
+(* Kill a server the way a dead disk does: its blobs go, and the
+   metadata marks its chunks lost. Returns the lost (file, chunk)
+   pairs. *)
+let fail_server p server =
+  ignore (Store.wipe_server (Pipeline.store p) server);
+  Cluster.fail_server (Pipeline.cluster p) server
+
 (* ---- Store ---- *)
 
 let test_store_basics () =
   let s = Store.create ~servers:3 in
-  Alcotest.(check (option bytes)) "absent" None (Store.get s ~server:0 ~file:1 ~chunk:2);
+  Alcotest.(check (option bytes)) "absent" None (Store.borrow s ~server:0 ~file:1 ~chunk:2);
   Store.put s ~server:0 ~file:1 ~chunk:2 (Bytes.of_string "abc");
   Alcotest.(check (option bytes)) "present" (Some (Bytes.of_string "abc"))
-    (Store.get s ~server:0 ~file:1 ~chunk:2);
-  Alcotest.(check int) "count" 1 (Store.shard_count s);
-  Alcotest.(check int) "bytes" 3 (Store.server_bytes s 0);
+    (Store.borrow s ~server:0 ~file:1 ~chunk:2);
+  Alcotest.(check (option bytes)) "other server" None (Store.borrow s ~server:1 ~file:1 ~chunk:2);
   Store.delete s ~server:0 ~file:1 ~chunk:2;
-  Alcotest.(check int) "deleted" 0 (Store.shard_count s)
+  Alcotest.(check (option bytes)) "deleted" None (Store.borrow s ~server:0 ~file:1 ~chunk:2)
 
 let test_store_isolation () =
   let s = Store.create ~servers:3 in
@@ -33,7 +39,7 @@ let test_store_isolation () =
   Store.put s ~server:1 ~file:1 ~chunk:1 (Bytes.of_string "b");
   Alcotest.(check int) "wipe loses only own shards" 1 (Store.wipe_server s 0);
   Alcotest.(check (option bytes)) "other survives" (Some (Bytes.of_string "b"))
-    (Store.get s ~server:1 ~file:1 ~chunk:1)
+    (Store.borrow s ~server:1 ~file:1 ~chunk:1)
 
 let test_store_copies () =
   (* The store must not alias caller buffers. *)
@@ -43,7 +49,7 @@ let test_store_copies () =
   Bytes.set blob 0 'X';
   Alcotest.(check (option bytes)) "insulated from caller writes"
     (Some (Bytes.of_string "mutable"))
-    (Store.get s ~server:0 ~file:0 ~chunk:0)
+    (Store.borrow s ~server:0 ~file:0 ~chunk:0)
 
 let test_store_validation () =
   let s = Store.create ~servers:2 in
@@ -60,7 +66,14 @@ let test_write_read () =
   let info = Pipeline.write_file p g ~n:9 ~k:6 data in
   Alcotest.(check int) "length recorded" 300 info.Pipeline.length;
   Alcotest.(check bytes) "read back" data (Pipeline.read_file p info.Pipeline.id);
-  Alcotest.(check int) "9 shards stored" 9 (Store.shard_count (Pipeline.store p));
+  let locations = (Cluster.file (Pipeline.cluster p) info.Pipeline.id).Cluster.locations in
+  Alcotest.(check bool) "9 shards stored" true
+    (Array.length locations = 9
+    && Array.for_all Fun.id
+         (Array.mapi
+            (fun chunk server ->
+              Store.borrow (Pipeline.store p) ~server ~file:info.Pipeline.id ~chunk <> None)
+            locations));
   Alcotest.(check bool) "scrub passes" true (Pipeline.verify_file p info.Pipeline.id)
 
 let test_read_survives_failures () =
@@ -70,11 +83,11 @@ let test_read_survives_failures () =
   let locations = (Cluster.file (Pipeline.cluster p) info.Pipeline.id).Cluster.locations in
   (* Lose n - k = 3 servers: still readable. *)
   List.iter
-    (fun i -> ignore (Pipeline.fail_server p locations.(i)))
+    (fun i -> ignore (fail_server p locations.(i)))
     [ 0; 3; 7 ];
   Alcotest.(check bytes) "read despite 3 losses" data (Pipeline.read_file p info.Pipeline.id);
   (* A fourth loss makes it unrecoverable. *)
-  ignore (Pipeline.fail_server p locations.(1));
+  ignore (fail_server p locations.(1));
   Alcotest.check_raises "data loss"
     (Failure "Pipeline.read_file: unrecoverable (fewer than k shards)") (fun () ->
       ignore (Pipeline.read_file p info.Pipeline.id))
@@ -86,7 +99,7 @@ let test_repair_restores_bytes () =
   let id = info.Pipeline.id in
   let locations = (Cluster.file (Pipeline.cluster p) id).Cluster.locations in
   let victim = locations.(2) in
-  let lost = Pipeline.fail_server p victim in
+  let lost = fail_server p victim in
   Alcotest.(check (list (pair int int))) "chunk 2 lost" [ (id, 2) ] lost;
   (* Schedule-equivalent: pick 4 live sources and a destination. *)
   let sources =
@@ -111,7 +124,7 @@ let test_repair_validation () =
       Pipeline.repair p ~file:id ~chunk:0
         ~sources:[ locations.(1); locations.(2) ]
         ~destination:14);
-  ignore (Pipeline.fail_server p locations.(0));
+  ignore (fail_server p locations.(0));
   Alcotest.check_raises "bad source"
     (Invalid_argument "Pipeline.repair: source holds no live chunk of this file") (fun () ->
       Pipeline.repair p ~file:id ~chunk:0
@@ -144,9 +157,16 @@ let test_scheduled_repair_end_to_end () =
   Alcotest.(check bool) "bytes verified" true (Pipeline.verify_file p id);
   Alcotest.(check bytes) "object intact" data (Pipeline.read_file p id)
 
+(* The metadata records each chunk's volume in megabits; with n = k = 1
+   the one shard is the object itself. *)
 let test_volume_of_bytes () =
-  Alcotest.(check (float 1e-12)) "mb conversion" 8. (Pipeline.volume_of_bytes 1_000_000);
-  Alcotest.(check bool) "floor for tiny blobs" true (Pipeline.volume_of_bytes 1 > 0.)
+  let chunk_volume bytes =
+    let p, g = fresh () in
+    let info = Pipeline.write_file p g ~n:1 ~k:1 (payload bytes) in
+    (Cluster.file (Pipeline.cluster p) info.Pipeline.id).Cluster.chunk_volume
+  in
+  Alcotest.(check (float 1e-12)) "mb conversion" 8. (chunk_volume 1_000_000);
+  Alcotest.(check bool) "floor for tiny blobs" true (chunk_volume 1 > 0.)
 
 let qcheck =
   let open QCheck in
@@ -160,7 +180,7 @@ let qcheck =
         let id = info.Pipeline.id in
         let locations = (Cluster.file (Pipeline.cluster p) id).Cluster.locations in
         let chunk = Prng.int g 6 in
-        ignore (Pipeline.fail_server p locations.(chunk));
+        ignore (fail_server p locations.(chunk));
         let sources =
           Cluster.survivors (Pipeline.cluster p) id |> List.map snd
           |> List.filteri (fun i _ -> i < 4)

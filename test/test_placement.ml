@@ -10,6 +10,10 @@ let distinct a =
   let l = Array.to_list a in
   List.length (List.sort_uniq compare l) = List.length l
 
+(* Distinct racks a placement touches. *)
+let spread topo servers =
+  List.length (List.sort_uniq Int.compare (Array.to_list (Array.map (T.rack_of topo) servers)))
+
 let test_flat_uniform () =
   let g = Prng.create 1 in
   for obj = 0 to 50 do
@@ -24,7 +28,7 @@ let test_rack_aware_spread () =
     let placed = P.place g topo P.Rack_aware ~object_id:obj ~n:6 in
     Alcotest.(check bool) "distinct" true (distinct placed);
     (* 6 chunks over 3 racks: exactly 2 per rack. *)
-    Alcotest.(check int) "all racks used" 3 (P.spread topo placed);
+    Alcotest.(check int) "all racks used" 3 (spread topo placed);
     List.iter
       (fun r ->
         let in_rack =
@@ -101,7 +105,7 @@ let qcheck =
       (fun (n, seed) ->
         let g = Prng.create seed in
         let placed = P.place g topo P.Rack_aware ~object_id:0 ~n in
-        P.spread topo placed = min n 3)
+        spread topo placed = min n 3)
   ]
 
 let tests =

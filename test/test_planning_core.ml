@@ -55,7 +55,7 @@ let same_outcome a b =
   | _ -> false
 
 let feasible_if_ok p = function
-  | Ok (s : Lp.solution) -> Lp.feasible p s.Lp.values
+  | Ok (s : Lp.solution) -> Lp_check.feasible p s.Lp.values
   | Error _ -> true
 
 (* The central property: a state-carrying solver run (exact-solution
@@ -117,7 +117,7 @@ let dense_matches_sparse seed =
       Array.iteri (fun j a -> acc := !acc +. (a *. v.(j))) objective;
       !acc
     in
-    Float.abs (obj_of x -. s.Lp.objective_value) <= 1e-6 && Lp.feasible p x
+    Float.abs (obj_of x -. s.Lp.objective_value) <= 1e-6 && Lp_check.feasible p x
   | Error `Infeasible, Error Lp.Infeasible -> true
   | Error `Unbounded, Error Lp.Unbounded -> true
   | _ -> false

@@ -11,25 +11,55 @@ module Prng = S3_util.Prng
 let tc = Alcotest.test_case
 let topo () = T.two_tier ~racks:3 ~servers_per_rack:10 ~cst:500. ~cta:1500.
 
+let find name = Result.map (fun s -> s.Profile.profile) (Profile.of_string name)
+
 let profile name =
-  match Profile.find name with
+  match find name with
   | Ok p -> p
   | Error e -> Alcotest.fail e
+
+let all = List.map profile Profile.names
+
+let spec ?(scale = 1.) ?tasks p = { Profile.profile = p; scale; tasks }
+
+(* [Profile.generate]'s stream is [Generator.generate_mixed]'s at the
+   profile's rate times the scale, over [mix]. *)
+let generated_as_mixed ?code ~mix seed s =
+  let p = s.Profile.profile in
+  let direct = Profile.generate ?code (Prng.create seed) (topo ()) s in
+  let mixed =
+    Generator.generate_mixed (Prng.create seed) (topo ())
+      ~num_tasks:(Profile.task_count ~default:200 s)
+      ~arrival_rate:(p.Profile.arrival_rate *. s.Profile.scale)
+      ~chunk_size_mb:p.Profile.chunk_size_mb ~deadline_jitter:p.Profile.deadline_jitter
+      ~profiles:mix ()
+  in
+  direct = mixed
+
+(* The code override: every coded entry of the mix re-coded, in
+   place, single-source entries untouched. *)
+let recode code (mix : Generator.kind_profile list) =
+  List.map
+    (fun (kp : Generator.kind_profile) ->
+      match kp.Generator.profile_code with
+      | None -> kp
+      | Some _ -> { kp with Generator.profile_code = Some code })
+    mix
 
 (* ---- unit cases ---- *)
 
 let test_find () =
-  Alcotest.(check int) "six profiles" 6 (List.length Profile.all);
+  Alcotest.(check int) "six profiles" 6 (List.length Profile.names);
   List.iter
     (fun name ->
-      match Profile.find name with
+      match find name with
       | Ok p -> Alcotest.(check string) "found by name" name p.Profile.name
       | Error e -> Alcotest.fail e)
     Profile.names;
-  (match Profile.find "DB-OLTP" with
+  (match find "DB-OLTP" with
    | Ok p -> Alcotest.(check string) "case-insensitive" "db-oltp" p.Profile.name
    | Error e -> Alcotest.fail e);
-  (match Profile.find "nope" with
+  (match find "nope" with
    | Ok _ -> Alcotest.fail "unknown name accepted"
    | Error e -> Alcotest.(check bool) "error names the options" true
                   (String.length e > 0))
@@ -70,16 +100,11 @@ let test_rejection () =
 
 let test_compile_mix () =
   let p = profile "app-server" in
-  let recoded = Profile.compile_mix ~code:(12, 8) p in
-  List.iter2
-    (fun (orig : Generator.kind_profile) (re : Generator.kind_profile) ->
-      match (orig.Generator.profile_code, re.Generator.profile_code) with
-      | None, None -> ()
-      | Some _, Some c -> Alcotest.(check (pair int int)) "re-coded" (12, 8) c
-      | _ -> Alcotest.fail "code override changed an entry's shape")
-    p.Profile.mix recoded;
+  Alcotest.(check bool) "generated from the re-coded mix" true
+    (generated_as_mixed ~code:(12, 8) ~mix:(recode (12, 8) p.Profile.mix) 3
+       (spec ~tasks:50 p));
   Alcotest.check_raises "bad code" (Invalid_argument "Profile.compile_mix: bad (n, k)")
-    (fun () -> ignore (Profile.compile_mix ~code:(4, 6) p))
+    (fun () -> ignore (Profile.generate ~code:(4, 6) (Prng.create 1) (topo ()) (spec p)))
 
 (* ---- properties ---- *)
 
@@ -88,8 +113,8 @@ let qcheck =
   let spec_arb =
     let gen =
       Gen.map3
-        (fun p scale tasks -> Profile.spec ~scale ?tasks p)
-        (Gen.oneofl Profile.all)
+        (fun p scale tasks -> spec ~scale ?tasks p)
+        (Gen.oneofl all)
         (Gen.map (fun x -> Float.of_int (1 + x) /. 16.) (Gen.int_bound 127))
         (Gen.opt (Gen.int_bound 500))
     in
@@ -105,14 +130,14 @@ let qcheck =
           && s'.Profile.tasks = s.Profile.tasks
           && String.equal (Profile.to_string s') (Profile.to_string s));
     Test.make ~name:"same seed generates the identical task stream" ~count:60
-      (pair (oneofl Profile.all) seed) (fun (p, seed) ->
-        let s = Profile.spec ~scale:1.5 ~tasks:40 p in
+      (pair (oneofl all) seed) (fun (p, seed) ->
+        let s = spec ~scale:1.5 ~tasks:40 p in
         let a = Profile.generate (Prng.create seed) (topo ()) s in
         let b = Profile.generate (Prng.create seed) (topo ()) s in
         a = b && List.length a = 40);
     Test.make ~name:"every profile's volume law: volume = 8 x chunk MB" ~count:60
-      (pair (oneofl Profile.all) seed) (fun (p, seed) ->
-        let s = Profile.spec ~tasks:30 p in
+      (pair (oneofl all) seed) (fun (p, seed) ->
+        let s = spec ~tasks:30 p in
         let tasks = Profile.generate (Prng.create seed) (topo ()) s in
         List.for_all
           (fun (t : Task.t) ->
@@ -120,17 +145,15 @@ let qcheck =
             Float.equal t.Task.volume (8. *. p.Profile.chunk_size_mb))
           tasks);
     Test.make ~name:"arrival-rate scaling law: arrivals contract by 1/scale" ~count:60
-      (pair (oneofl Profile.all) seed) (fun (p, seed) ->
+      (pair (oneofl all) seed) (fun (p, seed) ->
         (* Scaling multiplies the Poisson rate and nothing else: the
            PRNG streams align draw for draw, so every arrival divides
            by the scale and every deadline offset is preserved, both to
            float round-off (absolute sums and the a + x - a dance
            re-round differently at different magnitudes). *)
         let scale = 4. in
-        let base = Profile.generate (Prng.create seed) (topo ()) (Profile.spec ~tasks:25 p) in
-        let fast =
-          Profile.generate (Prng.create seed) (topo ()) (Profile.spec ~scale ~tasks:25 p)
-        in
+        let base = Profile.generate (Prng.create seed) (topo ()) (spec ~tasks:25 p) in
+        let fast = Profile.generate (Prng.create seed) (topo ()) (spec ~scale ~tasks:25 p) in
         List.for_all2
           (fun (b : Task.t) (f : Task.t) ->
             let b_off = b.Task.deadline -. b.Task.arrival in
@@ -140,22 +163,13 @@ let qcheck =
             && Float.abs (f_off -. b_off) <= 1e-9 *. Float.max 1. b_off
             && b.Task.k = f.Task.k)
           base fast);
-    Test.make ~name:"compiled arrival rate is profile rate x scale" ~count:200 spec_arb
-      (fun s ->
-        (* lint: allow float-eq — arrival_rate is this exact product *)
-        Float.equal (Profile.arrival_rate s)
-          (s.Profile.profile.Profile.arrival_rate *. s.Profile.scale));
+    Test.make ~name:"compiled arrival rate is profile rate x scale" ~count:100
+      (pair spec_arb seed) (fun (s, seed) ->
+        generated_as_mixed ~mix:s.Profile.profile.Profile.mix seed s);
     Test.make ~name:"code override re-codes every coded entry" ~count:100
-      (pair (oneofl Profile.all) (oneofl [ (6, 4); (9, 6); (12, 8); (14, 10) ]))
-      (fun (p, code) ->
-        let recoded = Profile.compile_mix ~code p in
-        List.length recoded = List.length p.Profile.mix
-        && List.for_all
-             (fun (kp : Generator.kind_profile) ->
-               match kp.Generator.profile_code with
-               | None -> true
-               | Some c -> c = code)
-             recoded)
+      (triple (oneofl all) (oneofl [ (6, 4); (9, 6); (12, 8); (14, 10) ]) seed)
+      (fun (p, code, seed) ->
+        generated_as_mixed ~code ~mix:(recode code p.Profile.mix) seed (spec ~tasks:30 p))
   ]
 
 let tests =

@@ -1,6 +1,5 @@
 (* Validate, Report and the mixed-kind generator. *)
 
-module Validate = S3_core.Validate
 module Problem = S3_core.Problem
 module Report = S3_sim.Report
 module Engine = S3_sim.Engine

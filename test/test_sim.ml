@@ -65,7 +65,7 @@ let test_lpst_rejects_hopeless_task () =
      1000 Mb/s path in 2 s and never starts the doomed transfer. *)
   let run = Engine.run topo (Registry.make "lpst") [ single_task ~deadline:2. ~volume:5000. () ] in
   checkf "no wasted transfer" 0. run.Metrics.transferred;
-  checkf "full volume stranded" 5000. (Metrics.remaining_volume run);
+  checkf "full volume stranded" 5000. (Metrics.remaining_volume_gb run *. 8000.);
   checkf "engine stops at the deadline" 2. run.Metrics.horizon
 
 let test_completed_before_deadline_invariant () =
@@ -141,21 +141,22 @@ let test_empty_workload () =
 
 let test_foreground_none () =
   let fg = Foreground.create (Prng.create 1) topo Foreground.none in
-  checkf "no occupancy" 0. (Foreground.fraction fg 0);
   checkf "full capacity" 1000. (Foreground.available fg 0);
   Alcotest.(check bool) "never changes" true (Foreground.next_change fg = infinity)
 
 let test_foreground_uniform () =
   let fg = Foreground.create (Prng.create 2) topo (Foreground.uniform ~max_frac:0.4) in
+  (* Occupancy is 1 - available / capacity. *)
+  let occupancy e = 1. -. (Foreground.available fg e /. (T.entity topo e).T.capacity) in
   for e = 0 to Array.length (T.entities topo) - 1 do
-    let f = Foreground.fraction fg e in
-    Alcotest.(check bool) "in range" true (f >= 0. && f < 0.4)
+    let f = occupancy e in
+    Alcotest.(check bool) "in range" true (f >= -1e-12 && f < 0.4)
   done;
   checkf "first change at 5s" 5. (Foreground.next_change fg);
-  let before = List.init 5 (Foreground.fraction fg) in
+  let before = List.init 5 occupancy in
   Foreground.advance fg 12.;
   checkf "next change advances" 15. (Foreground.next_change fg);
-  let after = List.init 5 (Foreground.fraction fg) in
+  let after = List.init 5 occupancy in
   Alcotest.(check bool) "occupancies redrawn" true (before <> after)
 
 let test_foreground_validation () =
@@ -179,12 +180,9 @@ let test_metrics_accessors () =
   let big, tasks = workload ~tasks:30 19 in
   let run = Engine.run big (Registry.make "lpst") tasks in
   checkf "fraction" (float_of_int (Metrics.completed run) /. 30.) (Metrics.completed_fraction run);
-  checkf "gb conversion" (Metrics.remaining_volume run /. 8000.) (Metrics.remaining_volume_gb run);
   List.iter
     (fun t -> Alcotest.(check bool) "normalized in (0, 1]" true (t > 0. && t <= 1. +. 1e-9))
     (Metrics.normalized_completion_times run);
-  Alcotest.(check int) "summary arity" (List.length Metrics.summary_header)
-    (List.length (Metrics.summary_row run));
   Alcotest.(check bool) "plan time measured" true (Metrics.mean_plan_time run >= 0.);
   Alcotest.(check bool) "events counted" true (run.Metrics.events > 0)
 

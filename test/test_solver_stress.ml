@@ -107,7 +107,7 @@ let qcheck =
         | Ok s ->
           floor_sum <= budget +. 1e-6
           && Float.abs (s.Lp.objective_value -. budget) <= 1e-6
-          && Lp.feasible p s.Lp.values
+          && Lp_check.feasible p s.Lp.values
         | Error Lp.Infeasible -> floor_sum > budget -. 1e-6
         | Error Lp.Unbounded -> false);
     Test.make ~name:"phase-I selection: k distinct candidates on random load" ~count:250

@@ -27,7 +27,6 @@ let test_percentile () =
   checkf "p0" 10. (Stats.percentile 0. xs);
   checkf "p100" 40. (Stats.percentile 100. xs);
   checkf "p50 interpolates" 25. (Stats.percentile 50. xs);
-  checkf "median" 25. (Stats.median xs);
   checkf "single" 7. (Stats.percentile 33. [ 7. ]);
   Alcotest.check_raises "empty" (Invalid_argument "Stats.percentile: empty") (fun () ->
       ignore (Stats.percentile 50. []));

@@ -33,8 +33,8 @@ let test_two_tier_routes () =
 let test_two_tier_capacities () =
   let t = two_tier () in
   Alcotest.(check (float 1e-9)) "server nic" 500. (T.entity t (T.server_entity t 3)).T.capacity;
-  Alcotest.(check (float 1e-9)) "intra bottleneck" 500. (T.bottleneck t ~src:0 ~dst:1);
-  Alcotest.(check (float 1e-9)) "self bottleneck" infinity (T.bottleneck t ~src:2 ~dst:2)
+  Alcotest.(check (list (float 1e-9))) "intra route at NIC capacity" [ 500.; 500. ]
+    (List.map (fun e -> (T.entity t e).T.capacity) (T.route t ~src:0 ~dst:1))
 
 let test_two_tier_validation () =
   Alcotest.check_raises "bad sizes" (Invalid_argument "Topology.two_tier: sizes") (fun () ->

@@ -4,7 +4,7 @@
    lint every .ml/.mli from the Parsetree, enforce mli-required.
    Typed stage: for each --cmt PATH (a .cmt file or a directory dune
    built artifacts into), run the determinism/domain-safety passes over
-   the Typedtree.
+   the Typedtree, and the unused-export pass over all of them at once.
 
    Findings are merged, optionally diffed against a committed baseline
    (--baseline: only *new* findings fail), and rendered as text, JSON
@@ -14,8 +14,8 @@ open S3lint
 
 let usage =
   "usage: s3lint [options] [dir-or-file ...]\n\
-   \  --cmt PATH            also run typed passes over .cmt files in PATH\n\
-   \                        (repeatable; directories are walked)\n\
+   \  --cmt PATH            also run typed passes over .cmt/.cmti files in\n\
+   \                        PATH (repeatable; directories are walked)\n\
    \  --format text|json|sarif   output format (default text)\n\
    \  --baseline FILE       report only findings not in FILE\n\
    \  --write-baseline FILE write all findings to FILE as JSON and exit 0\n\
@@ -102,6 +102,7 @@ let () =
     | _ ->
       Typed_rules.init ~dirs:(List.sort_uniq String.compare (List.map Filename.dirname cmts));
       List.concat_map (Typed_rules.lint_cmt ~source_root:!source_root) cmts
+      @ Typed_rules.unused_exports ~source_root:!source_root cmts
   in
   let findings = Rules.sort_findings (syntactic @ typed) in
   let nfiles = List.length files + List.length cmts in

@@ -48,6 +48,10 @@ let rules =
       "[typed] Random.* global-state calls (seed an explicit Random.State.t or \
        Util.Prng instead), and wall-clock reads (Sys.time, Unix.gettimeofday, \
        Unix.time) in lib/ — timing belongs in bench/" );
+    ( "unused-export",
+      "[typed] a val in lib/**/*.mli that nothing outside its own module and \
+       test/ references, or an optional argument of one that no such caller \
+       passes or that the body binds as ?x:_" );
     ("suppression", "a lint:allow annotation that is malformed or lacks a justification");
     ("parse-error", "the file could not be read or parsed");
     ("cmt-error", "[typed] a .cmt artifact could not be read or carries no implementation")
@@ -606,13 +610,15 @@ let lint_file ?kind file =
   | source ->
     if Filename.check_suffix file ".mli" then (
       (* Interfaces carry no expression rules; parsing them still
-         catches syntax rot in files dune may not rebuild. *)
+         catches syntax rot in files dune may not rebuild. Their
+         allowances (the typed unused-export pass honours those on a
+         [val]) get the same hygiene check as an implementation's. *)
       match
         let lexbuf = Lexing.from_string source in
         Location.init lexbuf file;
         Parse.interface lexbuf
       with
-      | _ -> []
+      | _ -> sort_findings (suppression_hygiene ~file (comment_suppressions source))
       | exception exn ->
         parse_error ~file
           (match Location.error_of_exn exn with

@@ -63,7 +63,8 @@ val lint_source : kind:kind -> file:string -> string -> finding list
 
 val lint_file : ?kind:kind -> string -> finding list
 (** [lint_file path] reads and lints [path]. [.mli] files are parsed
-    (a syntax check) but carry no expression rules. [kind] defaults to
+    (a syntax check) and their [lint: allow] comments checked for a
+    justification, but carry no expression rules. [kind] defaults to
     [kind_of_path path]. Unreadable or unparseable files yield a
     single non-suppressible [parse-error] finding. *)
 

@@ -17,23 +17,29 @@
    - nondet-source   : global-state Random.* anywhere, wall-clock reads
                        in lib/.
 
+   A fifth pass, unused-export, reads the whole program at once (see
+   [unused_exports] at the end): every value a lib/ interface exports,
+   and every optional argument of one, needs a caller outside test/.
+
    Version notes: the walk uses Tast_iterator and never matches
    Texp_function directly (its representation changed in 5.2); lambda
    arguments are analysed as whole subtrees, with bound-vs-used ident
-   sets standing in for a closure-capture analysis. *)
+   sets standing in for a closure-capture analysis, and [?x:_]
+   parameters are found from their wildcard pattern and the source. *)
 
 open Typedtree
 
-let report ?(suppressible = true) findings rule ~file (loc : Location.t) message =
-  findings :=
-    { Rules.rule;
-      file;
-      line = loc.loc_start.pos_lnum;
-      col = loc.loc_start.pos_cnum - loc.loc_start.pos_bol;
-      message;
-      suppressible
-    }
-    :: !findings
+let finding rule ~file (loc : Location.t) message =
+  { Rules.rule;
+    file;
+    line = loc.loc_start.pos_lnum;
+    col = loc.loc_start.pos_cnum - loc.loc_start.pos_bol;
+    message;
+    suppressible = true
+  }
+
+let report findings rule ~file loc message =
+  findings := finding rule ~file loc message :: !findings
 
 (* ------------------------------------------------------------------ *)
 (* Environment plumbing                                                *)
@@ -598,7 +604,7 @@ let lint_cmt ?kind ?(source_root = ".") path =
     | _, _ -> [] (* interfaces, partial implementations: nothing to check *))
 
 (* Walk [root] (entering dot-directories — dune hides .objs there) and
-   collect every .cmt file. *)
+   collect every .cmt and .cmti file. *)
 let rec cmt_files_under root acc =
   if Sys.is_directory root then
     Array.fold_left
@@ -607,7 +613,327 @@ let rec cmt_files_under root acc =
       (let entries = Sys.readdir root in
        Array.sort compare entries;
        entries)
-  else if Filename.check_suffix root ".cmt" then root :: acc
+  else if Filename.check_suffix root ".cmt" || Filename.check_suffix root ".cmti" then
+    root :: acc
   else acc
 
 let cmt_files_under root = List.rev (cmt_files_under root [])
+
+(* ------------------------------------------------------------------ *)
+(* unused-export: a whole-program pass                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A compilation unit is keyed by its artifact directory and module
+   name. Library modules carry dune's wrapper prefix ([S3_sim__Matrix]
+   and [S3_storage__Matrix] differ), but every executable's modules are
+   named [Dune__exe__X], so two programs can each have a
+   [Dune__exe__Main]. A module name resolves to the unit in the
+   referrer's own directory first, else to the only unit of that
+   name. *)
+type unit_key = string * string
+
+type comp_unit = {
+  key : unit_key;
+  kind : Rules.kind;
+  impl : (string * structure) option;  (* source path, typedtree *)
+  intf : (string * signature) option;
+}
+
+let load_units paths =
+  let units = Hashtbl.create 64 in
+  List.iter
+    (fun path ->
+      match Cmt_format.read_cmt path with
+      | exception _ -> () (* lint_cmt already reports the unreadable file *)
+      | infos -> (
+        let key = (Filename.dirname path, infos.Cmt_format.cmt_modname) in
+        let prev =
+          match Hashtbl.find_opt units key with
+          | Some u -> u
+          | None -> { key; kind = Rules.Other; impl = None; intf = None }
+        in
+        match (infos.Cmt_format.cmt_annots, infos.Cmt_format.cmt_sourcefile) with
+        | Cmt_format.Implementation str, Some src ->
+          Hashtbl.replace units key
+            { prev with kind = Rules.kind_of_path src; impl = Some (src, str) }
+        | Cmt_format.Interface sg, Some src ->
+          Hashtbl.replace units key
+            { prev with kind = Rules.kind_of_path src; intf = Some (src, sg) }
+        | _ -> ()))
+    paths;
+  Hashtbl.fold (fun _ u acc -> u :: acc) units []
+  |> List.sort (fun a b -> compare a.key b.key)
+
+(* A path as names, with the unit's local module aliases
+   ([module T = S3_workload.Task]) substituted; [None] for functor
+   applications, whose values the pass does not track. *)
+let rec names_of_path local p =
+  match p with
+  | Path.Pident id -> (
+    match Ident.Tbl.find_opt local id with Some names -> Some names | None -> Some [ Ident.name id ])
+  | Path.Pdot (q, s) -> Option.map (fun names -> names @ [ s ]) (names_of_path local q)
+  | _ -> None
+
+let rec alias_target (me : module_expr) =
+  match me.mod_desc with
+  | Tmod_ident (p, _) -> Some p
+  | Tmod_constraint (me, _, _, _) -> alias_target me
+  | _ -> None
+
+(* [?x:_]: a wildcard pattern whose source text is preceded by
+   [?label:]. Working from the pattern and the source keeps the check
+   off Texp_function, whose shape changed in 5.2. *)
+let ignored_optional source (p : pattern) =
+  let i = p.pat_loc.loc_start.pos_cnum in
+  let blank c = c = ' ' || c = '\n' || c = '\t' in
+  let ident c = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '_' || c = '\'' in
+  let rec skip j = if j >= 0 && blank source.[j] then skip (j - 1) else j in
+  if i <= 0 || i >= String.length source || source.[i] <> '_' then None
+  else
+    let j = skip (i - 1) in
+    if j < 0 || source.[j] <> ':' then None
+    else
+      let stop = skip (j - 1) in
+      let rec start k = if k >= 0 && ident source.[k] then start (k - 1) else k in
+      let q = start stop in
+      if q >= 0 && q < stop && source.[q] = '?' then Some (String.sub source (q + 1) (stop - q))
+      else None
+
+let unit_display (_, modname) =
+  Str.global_replace (Str.regexp_string "__") "." modname
+
+(* The optional parameters of a [val]'s written type, each with the
+   location of its own type, so a finding can point at its line. *)
+let rec optional_params (ct : core_type) =
+  match ct.ctyp_desc with
+  | Ttyp_arrow (Asttypes.Optional l, dom, cod) -> (l, dom.ctyp_loc) :: optional_params cod
+  | Ttyp_arrow (_, _, cod) -> optional_params cod
+  | Ttyp_poly (_, t) -> optional_params t
+  | _ -> []
+
+let unused_exports ?(source_root = ".") paths =
+  let units = load_units paths in
+  let by_key = Hashtbl.create 64 and by_name = Hashtbl.create 64 in
+  List.iter
+    (fun u ->
+      Hashtbl.replace by_key u.key u;
+      Hashtbl.replace by_name (snd u.key)
+        (u.key :: Option.value ~default:[] (Hashtbl.find_opt by_name (snd u.key))))
+    units;
+  let find_unit ~dir name =
+    if Hashtbl.mem by_key (dir, name) then Some (dir, name)
+    else match Hashtbl.find_opt by_name name with Some [ key ] -> Some key | _ -> None
+  in
+  (* Pass 1: every unit's top-level module aliases, from both the
+     implementation and the interface — dune's wrapper ([module
+     Lpst = S3_core__Lpst]) is one. *)
+  let exported = Hashtbl.create 64 in
+  List.iter
+    (fun u ->
+      let local = Ident.Tbl.create 8 in
+      let note id p =
+        match names_of_path local p with
+        | Some names ->
+          Ident.Tbl.replace local id names;
+          Hashtbl.replace exported (u.key, Ident.name id) names
+        | None -> ()
+      in
+      Option.iter
+        (fun (_, str) ->
+          List.iter
+            (fun item ->
+              match item.str_desc with
+              | Tstr_module { mb_id = Some id; mb_expr; _ } ->
+                Option.iter (note id) (alias_target mb_expr)
+              | _ -> ())
+            str.str_items)
+        u.impl;
+      Option.iter
+        (fun (_, sg) ->
+          List.iter
+            (fun item ->
+              match item.sig_desc with
+              | Tsig_module { md_id = Some id; md_type = { mty_desc = Tmty_alias (p, _); _ }; _ } ->
+                note id p
+              | _ -> ())
+            sg.sig_items)
+        u.intf)
+    units;
+  let rec canonical ~dir names =
+    match names with
+    | [] -> None
+    | m :: rest -> (
+      match find_unit ~dir m with
+      | None -> None
+      | Some key -> (
+        match rest with
+        | sub :: rest' when Hashtbl.mem exported (key, sub) ->
+          canonical ~dir:(fst key) (Hashtbl.find exported (key, sub) @ rest')
+        | _ -> Some (key, rest)))
+  in
+  (* Pass 2: references from every unit outside test/. *)
+  let external_refs = Hashtbl.create 256 and own_refs = Hashtbl.create 256 in
+  let whole = Hashtbl.create 8 and passed = Hashtbl.create 256 in
+  let ignored = Hashtbl.create 8 in
+  List.iter
+    (fun u ->
+      match u.impl with
+      | Some (src, str) when u.kind <> Rules.Test ->
+        let local = Ident.Tbl.create 8 in
+        let top = Ident.Tbl.create 64 in
+        List.iter
+          (fun item ->
+            match item.str_desc with
+            | Tstr_value (_, vbs) ->
+              List.iter (fun id -> Ident.Tbl.replace top id ()) (let_bound_idents vbs)
+            | _ -> ())
+          str.str_items;
+        let resolve p =
+          match p with
+          | Path.Pident id when Ident.Tbl.mem top id -> Some (u.key, [ Ident.name id ])
+          | _ -> Option.bind (names_of_path local p) (canonical ~dir:(fst u.key))
+        in
+        let alias id me =
+          match alias_target me with
+          | Some p ->
+            Option.iter (Ident.Tbl.replace local id) (names_of_path local p);
+            true
+          | None -> false
+        in
+        let it =
+          { Tast_iterator.default_iterator with
+            expr =
+              (fun self e ->
+                (match e.exp_desc with
+                | Texp_ident (p, _, _) -> (
+                  match resolve p with
+                  | Some (key, vpath) ->
+                    Hashtbl.replace (if key = u.key then own_refs else external_refs)
+                      (key, vpath) ()
+                  | None -> ())
+                | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) -> (
+                  match resolve p with
+                  | Some (key, vpath) ->
+                    List.iter
+                      (function
+                        | Asttypes.Optional l, Some (a : expression)
+                          when not a.exp_loc.Location.loc_ghost ->
+                          Hashtbl.replace passed (key, vpath, l) ()
+                        | _ -> ())
+                      args
+                  | None -> ())
+                | _ -> ());
+                match e.exp_desc with
+                | Texp_letmodule (Some id, _, _, me, body) when alias id me -> self.expr self body
+                | _ -> Tast_iterator.default_iterator.expr self e);
+            module_binding =
+              (fun self mb ->
+                match mb.mb_id with
+                | Some id when alias id mb.mb_expr -> ()
+                | _ -> Tast_iterator.default_iterator.module_binding self mb);
+            module_expr =
+              (fun self me ->
+                (* A unit passed whole — to a functor, [include], a
+                   first-class pack — uses every value it exports. *)
+                (match me.mod_desc with
+                | Tmod_ident (p, _) -> (
+                  match Option.bind (names_of_path local p) (canonical ~dir:(fst u.key)) with
+                  | Some (key, []) when key <> u.key -> Hashtbl.replace whole key ()
+                  | _ -> ())
+                | _ -> ());
+                Tast_iterator.default_iterator.module_expr self me)
+          }
+        in
+        it.structure it str;
+        if u.kind = Rules.Lib then (
+          match read_source (Filename.concat source_root src) with
+          | None -> ()
+          | Some source ->
+            List.iter
+              (fun item ->
+                match item.str_desc with
+                | Tstr_value (_, vbs) ->
+                  List.iter
+                    (fun vb ->
+                      match let_bound_idents [ vb ] with
+                      | [ id ] ->
+                        let pit =
+                          { Tast_iterator.default_iterator with
+                            pat =
+                              (fun (type k) self (p : k general_pattern) ->
+                                (match p.pat_desc with
+                                | Tpat_any ->
+                                  Option.iter
+                                    (fun l -> Hashtbl.replace ignored (u.key, Ident.name id, l) ())
+                                    (ignored_optional source (p :> pattern))
+                                | _ -> ());
+                                Tast_iterator.default_iterator.pat self p)
+                          }
+                        in
+                        pit.expr pit vb.vb_expr
+                      | _ -> ())
+                    vbs
+                | _ -> ())
+              str.str_items)
+      | _ -> ())
+    units;
+  List.concat_map
+    (fun u ->
+      match u.intf with
+      | Some (src, sg) when u.kind = Rules.Lib -> (
+        (* Each finding with the line of its [val]: an allowance there
+           covers the value and every optional argument, one on an
+           argument's own line covers that argument alone. *)
+        let findings = ref [] in
+        List.iter
+          (fun item ->
+            match item.sig_desc with
+            | Tsig_value vd ->
+              let name = vd.val_name.txt in
+              let full = unit_display u.key ^ "." ^ name in
+              let vpath = [ name ] in
+              let note ?(loc = vd.val_loc) msg =
+                findings :=
+                  (finding "unused-export" ~file:src loc msg, vd.val_loc.loc_start.pos_lnum)
+                  :: !findings
+              in
+              if not (Hashtbl.mem external_refs (u.key, vpath) || Hashtbl.mem whole u.key) then
+                note
+                  (if Hashtbl.mem own_refs (u.key, vpath) then
+                     Printf.sprintf
+                       "%s is exported, but only its own module uses it; drop it from \
+                        the interface"
+                       full
+                   else
+                     Printf.sprintf
+                       "%s is exported, but nothing outside test/ references it; delete \
+                        it, or move a test oracle into test/"
+                       full)
+              else
+                List.iter
+                  (fun (l, loc) ->
+                    if Hashtbl.mem ignored (u.key, name, l) then
+                      note ~loc
+                        (Printf.sprintf
+                           "optional argument ?%s of %s is bound as ?%s:_; the body \
+                            ignores it"
+                           l full l)
+                    else if not (Hashtbl.mem passed (u.key, vpath, l)) then
+                      note ~loc
+                        (Printf.sprintf
+                           "optional argument ?%s of %s: no caller outside test/ passes it"
+                           l full))
+                  (optional_params vd.val_desc)
+            | _ -> ())
+          sg.sig_items;
+        match read_source (Filename.concat source_root src) with
+        | Some source ->
+          let sups = Rules.suppressions_of_source ~file:src source in
+          let allowed (f : Rules.finding) = Rules.filter_suppressed [ f ] sups = [] in
+          List.rev !findings
+          |> List.filter_map (fun (f, val_line) ->
+                 if allowed f || allowed { f with Rules.line = val_line } then None else Some f)
+        | None -> [])
+      | _ -> [])
+    units
+  |> Rules.sort_findings

@@ -30,6 +30,9 @@
       [test/]/[bench/], and wall-clock reads ([Sys.time],
       [Unix.gettimeofday], [Unix.time]) inside [lib/].
 
+    A fifth pass, [unused-export] ({!unused_exports}), reads the whole
+    program at once instead of one [.cmt] at a time.
+
     Suppressions use the same [lint: allow <rule> — <why>] grammar as
     the syntactic stage and are resolved against the original source
     file recorded in the cmt. *)
@@ -49,6 +52,23 @@ val lint_cmt : ?kind:Rules.kind -> ?source_root:string -> string -> Rules.findin
     unreadable cmt yields one non-suppressible [cmt-error]. *)
 
 val cmt_files_under : string -> string list
-(** All [.cmt] files under a directory (or the path itself if it is
-    one), entering hidden directories — dune keeps artifacts under
-    [.libname.objs/]. *)
+(** All [.cmt] and [.cmti] files under a directory (or the path itself
+    if it is one), entering hidden directories — dune keeps artifacts
+    under [.libname.objs/]. {!lint_cmt} finds nothing to check in a
+    [.cmti]. *)
+
+val unused_exports : ?source_root:string -> string list -> Rules.finding list
+(** The [unused-export] pass over a whole program: [paths] are every
+    [.cmt] and [.cmti] of it (see {!cmt_files_under}). References are
+    resolved to compilation units through dune's [Lib__Module] wrapper
+    and local [module X = ...] aliases. For each [val] of an interface
+    under [lib/] it reports, at the [val]'s line:
+    - a value that nothing outside its own module and [test/]
+      references;
+    - otherwise, an optional argument that no caller outside [test/]
+      passes (forwarding [?x] counts), or that the implementation binds
+      as [?x:_].
+
+    Units under [test/] are never referrers. A justified [lint: allow
+    unused-export] on the [val] line covers the value and its optional
+    arguments. *)

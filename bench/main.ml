@@ -43,9 +43,44 @@ let micro_tests =
           in
           { S3_lp.Lp.coeffs = (if coeffs = [] then [ (0, 1.) ] else coeffs); bound = 500. })
     in
-    S3_lp.Lp.make ~nvars:n ~objective:(Array.make n 1.) constrs
+    S3_lp.Lp.make ~nvars:n ~objective:(Array.make n 1.) ~lower:(Array.make n 0.) constrs
   in
   let p60 = lp_problem 60 in
+  (* Phase III alone, cold, on one arrival wave of s3bench's
+     leafspine-waves scene: 150 leaf-local repairs of 4 flows dealt
+     round-robin over the 52 leaves of a 1040-server leaf-spine, each
+     with its first 4 candidates as sources. Every route stays inside
+     its leaf, so the LP splits into one block per leaf. *)
+  let wave_view, wave_flows =
+    let leaves = 52 and per_leaf = 20 in
+    let topo =
+      S3_net.Topology.leaf_spine ~leaves ~spines:4 ~servers_per_leaf:per_leaf ~cst:1000.
+        ~cta:20000.
+    in
+    let flows =
+      List.concat
+        (List.init 150 (fun i ->
+             let base = i mod leaves * per_leaf and slot = i / leaves in
+             let sources = Array.init 6 (fun j -> base + ((slot + 1 + j) mod per_leaf)) in
+             let task =
+               S3_workload.Task.v ~id:i ~arrival:0. ~deadline:30. ~volume:200. ~k:4 ~sources
+                 ~destination:(base + (slot mod per_leaf)) ()
+             in
+             List.init 4 (fun j ->
+                 { S3_core.Problem.flow_id = (4 * i) + j;
+                   task;
+                   source = sources.(j);
+                   remaining = 200.
+                 })))
+    in
+    ( { S3_core.Problem.now = 0.;
+        topo;
+        flows = lazy flows;
+        available = (fun e -> (S3_net.Topology.entity topo e).S3_net.Topology.capacity);
+        load = None
+      },
+      flows )
+  in
   let rs = S3_storage.Reed_solomon.make ~n:9 ~k:6 in
   let data = Bytes.init 4096 (fun i -> Char.chr (i land 0xff)) in
   let shards = S3_storage.Reed_solomon.encode rs data in
@@ -55,6 +90,11 @@ let micro_tests =
       (Array.to_list (Array.mapi (fun i s -> (i, s)) shards))
   in
   [ Test.make ~name:"lp/simplex-60" (Staged.stage (fun () -> ignore (S3_lp.Lp.solve p60)));
+    Test.make ~name:"lp/allocate-leafspine"
+      (Staged.stage (fun () ->
+           ignore
+             (S3_core.Allocation.lp_allocate ~state:(S3_lp.Lp.create_state ())
+                ~lower:(S3_core.Rtf.flow_lrb wave_view) wave_view wave_flows)));
     Test.make ~name:"rs/encode-9_6-4KB"
       (Staged.stage (fun () -> ignore (S3_storage.Reed_solomon.encode rs data)));
     Test.make ~name:"rs/reconstruct-9_6-4KB"

@@ -107,40 +107,29 @@ let lp_allocate ?state ?incremental:_ ?(lower = fun _ -> 0.) (v : Problem.view) 
       (fun ((f : Problem.flow), _) -> (f.Problem.flow_id, max (lower f) (unbounded_rate f)))
       local
   in
-  if networked = [] then Some local_rates
-  else begin
-    let n = List.length networked in
-    let flows_arr = Array.of_list networked in
-    (* Group variable indices per entity to form capacity rows, one
-       slot per entity id (dense), in ascending-entity order. *)
-    let nent = Array.length (S3_net.Topology.entities v.Problem.topo) in
-    let cols = Array.make nent ([] : (int * float) list) in
-    Array.iteri
-      (fun j (_, route) -> Array.iter (fun e -> cols.(e) <- (j, 1.) :: cols.(e)) route)
-      flows_arr;
-    let constraints = ref [] in
-    for e = nent - 1 downto 0 do
-      match cols.(e) with
-      | [] -> ()
-      | coeffs ->
-        constraints := { Lp.coeffs; bound = max 0. (v.Problem.available e) } :: !constraints
-    done;
-    let constraints = !constraints in
-    let lower_arr = Array.map (fun (f, _) -> max 0. (lower f)) flows_arr in
+  match networked with
+  | [] -> Some local_rates
+  | _ -> (
+    (* One variable per networked flow, one capacity row per entity on
+       some route, built straight into the solver state's buffers. *)
+    let state = match state with Some st -> st | None -> Lp.create_state () in
     let problem =
-      Lp.make ~nvars:n ~objective:(Array.make n 1.) ~lower:lower_arr constraints
+      Lp.packing state
+        ~nkeys:(Array.length (S3_net.Topology.entities v.Problem.topo))
+        ~keys:snd
+        ~capacity:(fun e -> max 0. (v.Problem.available e))
+        ~lower:(fun (f, _) -> max 0. (lower f))
+        networked
     in
-    match Lp.solve ?state problem with
+    match Lp.solve ~state problem with
     | Error _ -> None
     | Ok { Lp.values; _ } ->
       let rates =
-        Array.to_list
-          (Array.mapi
-             (fun j ((f : Problem.flow), _) -> (f.Problem.flow_id, max 0. values.(j)))
-             flows_arr)
+        List.mapi
+          (fun j ((f : Problem.flow), _) -> (f.Problem.flow_id, max 0. values.(j)))
+          networked
       in
-      Some (local_rates @ rates)
-  end
+      Some (local_rates @ rates))
 
 let max_feasible_scale (v : Problem.view) demands =
   let load = Hashtbl.create 64 in

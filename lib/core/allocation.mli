@@ -28,10 +28,13 @@ val lp_allocate :
 (** One LP: maximize the sum of rates subject to per-entity capacity
     and per-flow lower bounds ([lower] defaults to zero everywhere).
     [None] when the lower bounds are infeasible. Flows with empty
-    routes are excluded from the LP and given their lower bound.
-    [state] is an {!S3_lp.Lp.state} reused across consecutive calls so
-    that identical or grown problems skip or warm-start the solver;
-    pass one state per algorithm instance. [incremental] is accepted
+    routes are excluded from the LP and given their lower bound. The
+    LP is built by {!S3_lp.Lp.packing} straight from each flow's
+    route: one variable per networked flow, in [flows] order, and one
+    capacity row per entity some route crosses, in ascending id.
+    [state] is an {!S3_lp.Lp.state} reused across consecutive calls:
+    its buffers hold the LP, and identical or grown problems skip or
+    warm-start the solver; pass one state per algorithm instance. [incremental] is accepted
     and ignored: it once chose between a keyed block solve and a plain
     one, and {!S3_lp.Lp.solve} now has only the block solve. The
     benchmark harness still passes it, so it stays until the next

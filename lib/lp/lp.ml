@@ -5,9 +5,15 @@ type constr = {
 
 type problem = {
   nvars : int;
+  nrows : int;
+  row_start : int array;
+  col : int array;
+  coef : float array;
+  bound : float array;
   objective : float array;
-  constraints : constr list;
   lower : float array;
+  root : int array;
+  anchor : int array;
 }
 
 type solution = {
@@ -19,44 +25,85 @@ type error =
   | Infeasible
   | Unbounded
 
-(* Reusable solver state: the simplex workspace plus a snapshot of the
-   last successfully solved problem. The snapshot enables two reuse
-   levels:
-   - identical problem (same structure, objective, bounds): the cached
-     solution is returned without touching the solver;
-   - same or grown structure (the old constraints are a coeff-wise
-     prefix of the new ones and variables were only appended): the old
-     optimal basis warm-starts phase 2, skipping phase 1.
-   Both checks are O(nonzeros), orders of magnitude below a solve. A
-   basis that cannot be replayed falls back to a cold solve. *)
-type snapshot = {
-  p_nvars : int;
-  p_cons : constr array;
-  p_obj : float array;
-  p_lower : float array;
-  p_basis : int array option;
-  p_values : float array;
-  p_objective_value : float;
-}
+(* Grow-only buffers: a call that needs more room replaces the buffer
+   (doubling), never shrinks it, and rewrites what it reads. A fresh
+   int buffer is all zeros, which [key_count] relies on. *)
+let ints a need = if Array.length a >= need then a else Array.make (max need (2 * Array.length a)) 0
 
+let floats a need =
+  if Array.length a >= need then a else Array.make (max need (2 * Array.length a)) 0.
+
+(* Union-find over rows with path compression; the smaller root wins,
+   so a block's root is its lowest row whatever the union order. Plain
+   top-level recursion: a [find] per entry must not allocate. *)
+let rec root_of link x = if link.(x) = x then x else root_of link link.(x)
+
+let rec compress link r x =
+  if link.(x) <> r then begin
+    let nx = link.(x) in
+    link.(x) <- r;
+    compress link r nx
+  end
+
+let find link x =
+  let r = root_of link x in
+  compress link r x;
+  r
+
+let union link a b =
+  let ra = find link a and rb = find link b in
+  if ra < rb then link.(rb) <- ra else if rb < ra then link.(ra) <- rb
+
+(* Point every row straight at its block's root, the form [solve]
+   reads. *)
+let flatten link m =
+  for r = 0 to m - 1 do
+    link.(r) <- find link r
+  done
+
+(* Reusable solver state. [build] and [spare] are two sets of problem
+   arrays: [packing] fills [build], and a solve that keeps a problem
+   built there as its memo swaps the two, so the memo's arrays are
+   never overwritten and never copied. Likewise [y]/[basis] receive a
+   solve's results and swap with [last_y]/[last_basis], the memo's.
+   The rest is per-call scratch. *)
 type state = {
   ws : Simplex.workspace;
-  mutable prev : snapshot option;
+  mutable build : problem;
+  mutable spare : problem;
+  mutable memo : problem option;  (* the last problem solved without error *)
+  mutable memo_basis : bool;  (* its basis in [last_basis] replays *)
+  mutable y : float array;  (* the scatter vector: values minus lower bounds *)
+  mutable basis : int array;  (* global basis: column < nvars, or nvars + slack row *)
+  mutable last_y : float array;
+  mutable last_basis : int array;
+  (* [packing]: per-key entry counts (all zero between calls), key -> row *)
+  mutable key_count : int array;
+  mutable key_row : int array;
+  (* [solve]: the block index. Variable [j] sits at [j] and row [i] at
+     [nvars + i] of [block_of] (its block, -1 for a variable in no
+     row) and [local] (its position in its block) — the global column
+     convention of a basis. Block [b]'s variables are
+     [bvars.(vstart.(b) ..)], its rows [brows.(rstart.(b) ..)]. *)
+  mutable number : int array;  (* root row -> block number *)
+  mutable block_of : int array;
+  mutable local : int array;
+  mutable vstart : int array;
+  mutable bvars : int array;
+  mutable rstart : int array;
+  mutable brows : int array;
+  mutable shifted : float array;  (* right-hand sides after the lower-bound shift *)
+  mutable hint : int array;  (* the warm basis, global *)
+  mutable bhint : int array;  (* one block's part of it, local *)
+  mutable bx : float array;  (* one block's solution, local *)
+  mutable bbasis : int array;  (* one block's basis, local *)
 }
 
-let create_state () = { ws = Simplex.create_workspace (); prev = None }
-
-let make ~nvars ~objective ?lower constraints =
+let make ~nvars ~objective ~lower constraints =
   if nvars < 0 then invalid_arg "Lp.make: negative nvars";
   if Array.length objective <> nvars then invalid_arg "Lp.make: objective length";
-  let lower =
-    match lower with
-    | None -> Array.make nvars 0.
-    | Some l ->
-      if Array.length l <> nvars then invalid_arg "Lp.make: lower length";
-      Array.iter (fun v -> if v < 0. then invalid_arg "Lp.make: negative lower bound") l;
-      l
-  in
+  if Array.length lower <> nvars then invalid_arg "Lp.make: lower length";
+  Array.iter (fun v -> if v < 0. then invalid_arg "Lp.make: negative lower bound") lower;
   List.iter
     (fun { coeffs; _ } ->
       List.iter
@@ -64,84 +111,199 @@ let make ~nvars ~objective ?lower constraints =
           if j < 0 || j >= nvars then invalid_arg "Lp.make: variable index out of range")
         coeffs)
     constraints;
-  { nvars; objective; constraints; lower }
+  let m = List.length constraints in
+  let nnz = List.fold_left (fun acc c -> acc + List.length c.coeffs) 0 constraints in
+  let row_start = Array.make (m + 1) nnz and col = Array.make nnz 0
+  and coef = Array.make nnz 0. and bound = Array.make m 0. in
+  let root = Array.init m Fun.id and anchor = Array.make nvars (-1) in
+  let pos = ref 0 in
+  List.iteri
+    (fun i (c : constr) ->
+      row_start.(i) <- !pos;
+      bound.(i) <- c.bound;
+      List.iter
+        (fun (j, a) ->
+          col.(!pos) <- j;
+          coef.(!pos) <- a;
+          incr pos;
+          if anchor.(j) < 0 then anchor.(j) <- i else union root anchor.(j) i)
+        c.coeffs)
+    constraints;
+  flatten root m;
+  { nvars;
+    nrows = m;
+    row_start;
+    col;
+    coef;
+    bound;
+    objective = Array.copy objective;
+    lower = Array.copy lower;
+    root;
+    anchor
+  }
 
-let objective_of p x =
-  let acc = ref 0. in
-  for j = 0 to p.nvars - 1 do
-    acc := !acc +. (p.objective.(j) *. x.(j))
+let create_state () =
+  let buffers () = make ~nvars:0 ~objective:[||] ~lower:[||] [] in
+  { ws = Simplex.create_workspace ();
+    build = buffers ();
+    spare = buffers ();
+    memo = None;
+    memo_basis = false;
+    y = [||];
+    basis = [||];
+    last_y = [||];
+    last_basis = [||];
+    key_count = [||];
+    key_row = [||];
+    number = [||];
+    block_of = [||];
+    local = [||];
+    vstart = [||];
+    bvars = [||];
+    rstart = [||];
+    brows = [||];
+    shifted = [||];
+    hint = [||];
+    bhint = [||];
+    bx = [||];
+    bbasis = [||]
+  }
+
+let packing st ~nkeys ~keys ~capacity ~lower vars =
+  st.key_count <- ints st.key_count nkeys;
+  st.key_row <- ints st.key_row nkeys;
+  let count = st.key_count and key_row = st.key_row in
+  (* Each key's entries. *)
+  let n = ref 0 and nnz = ref 0 in
+  List.iter
+    (fun v ->
+      let ks = keys v in
+      for q = 0 to Array.length ks - 1 do
+        let k = ks.(q) in
+        if k < 0 || k >= nkeys then begin
+          Array.fill count 0 nkeys 0;
+          invalid_arg "Lp.packing: key out of range"
+        end;
+        count.(k) <- count.(k) + 1
+      done;
+      nnz := !nnz + Array.length ks;
+      incr n)
+    vars;
+  let n = !n and nnz = !nnz in
+  let b = st.build in
+  let b =
+    { b with
+      row_start = ints b.row_start (nkeys + 1);
+      col = ints b.col nnz;
+      coef = floats b.coef nnz;
+      bound = floats b.bound nkeys;
+      objective = floats b.objective n;
+      lower = floats b.lower n;
+      root = ints b.root nkeys;
+      anchor = ints b.anchor n
+    }
+  in
+  st.build <- b;
+  (* Rows: the keys in use, ascending. *)
+  let m = ref 0 and pos = ref 0 in
+  for k = 0 to nkeys - 1 do
+    let c = count.(k) in
+    if c > 0 then begin
+      let r = !m in
+      key_row.(k) <- r;
+      b.row_start.(r) <- !pos;
+      b.bound.(r) <- capacity k;
+      b.root.(r) <- r;
+      pos := !pos + c;
+      incr m
+    end
   done;
-  !acc
+  let m = !m in
+  b.row_start.(m) <- nnz;
+  (* Entries. Each row fills from its end, so it lists its variables in
+     descending index and its count is back to zero once full. The rows
+     of one variable join one block. *)
+  List.iteri
+    (fun j v ->
+      let ks = keys v in
+      if Array.length ks = 0 then b.anchor.(j) <- -1
+      else begin
+        let r0 = key_row.(ks.(0)) in
+        b.anchor.(j) <- r0;
+        for q = 0 to Array.length ks - 1 do
+          let k = ks.(q) in
+          let r = key_row.(k) and c = count.(k) - 1 in
+          count.(k) <- c;
+          b.col.(b.row_start.(r) + c) <- j;
+          b.coef.(b.row_start.(r) + c) <- 1.;
+          union b.root r0 r
+        done
+      end;
+      b.objective.(j) <- 1.;
+      b.lower.(j) <- lower v)
+    vars;
+  flatten b.root m;
+  { b with nvars = n; nrows = m }
 
 let finish p y =
   let values = Array.init p.nvars (fun j -> p.lower.(j) +. y.(j)) in
-  { values; objective_value = objective_of p values }
+  let acc = ref 0. in
+  for j = 0 to p.nvars - 1 do
+    acc := !acc +. (p.objective.(j) *. values.(j))
+  done;
+  { values; objective_value = !acc }
 
-(* The sparse rhs after the lower-bound substitution x = lower + y:
-   each bound becomes b - row . lower. *)
-let shifted_rhs p cons =
-  Array.map
-    (fun { coeffs; bound } ->
-      let shift =
-        List.fold_left (fun acc (j, a) -> acc +. (a *. p.lower.(j))) 0. coeffs
-      in
-      bound -. shift)
-    cons
+(* Typed prefix equality for the memo and the warm-start check.
+   [Float.equal] is a total equality (NaN = NaN), so a pathological NaN
+   coefficient yields a stable memo hit instead of an unconditional
+   miss; for the finite values the solver produces it coincides with
+   (=). *)
+let ints_equal (a : int array) b len =
+  let rec go i = i >= len || (a.(i) = b.(i) && go (i + 1)) in
+  go 0
 
-(* Typed equality for the memo. [Float.equal] is a total equality
-   (NaN = NaN), so a pathological NaN coefficient yields a stable
-   memo hit instead of an unconditional miss; for the finite values
-   the solver produces it coincides with (=). *)
-let float_array_equal a b =
-  Array.length a = Array.length b
-  && (let ok = ref true in
-      Array.iteri (fun i x -> if !ok && not (Float.equal x b.(i)) then ok := false) a;
-      !ok)
+let floats_equal a b len =
+  let rec go i = i >= len || (Float.equal a.(i) b.(i) && go (i + 1)) in
+  go 0
 
-let same_coeffs a b =
-  List.equal (fun (ja, xa) (jb, xb) -> ja = jb && Float.equal xa xb) a.coeffs b.coeffs
+(* Rows [0, rows) of [q] and [p] hold the same entries. *)
+let same_rows q p rows =
+  let nnz = q.row_start.(rows) in
+  ints_equal q.row_start p.row_start (rows + 1)
+  && ints_equal q.col p.col nnz
+  && floats_equal q.coef p.coef nnz
 
 (* Memo hit: the whole problem is unchanged. *)
-let snapshot_matches pv p cons =
-  pv.p_nvars = p.nvars
-  && float_array_equal pv.p_obj p.objective
-  && float_array_equal pv.p_lower p.lower
-  && Array.length pv.p_cons = Array.length cons
-  && (let ok = ref true in
-      Array.iteri
-        (fun i c ->
-          if !ok && not (same_coeffs pv.p_cons.(i) c && Float.equal pv.p_cons.(i).bound c.bound)
-          then ok := false)
-        cons;
-      !ok)
+let same_problem q p =
+  q.nvars = p.nvars
+  && q.nrows = p.nrows
+  && same_rows q p p.nrows
+  && floats_equal q.bound p.bound p.nrows
+  && floats_equal q.objective p.objective p.nvars
+  && floats_equal q.lower p.lower p.nvars
 
-(* Warm-basis hit: the old constraint rows are a coefficient-wise
-   prefix of the new ones and variables were only appended, so the old
-   basis columns keep their meaning once slack indices are remapped to
-   the new variable count. Bounds, lower bounds and objective are free
-   to change — the installed basis is feasibility-checked by the
-   solver. *)
-let warm_hint st p cons =
-  match st.prev with
-  | Some { p_nvars; p_cons; p_basis = Some basis; _ }
-    when p.nvars >= p_nvars && Array.length cons >= Array.length p_cons ->
-    let pm = Array.length p_cons in
-    let ok = ref true in
-    for i = 0 to pm - 1 do
-      if !ok && not (same_coeffs p_cons.(i) cons.(i)) then ok := false
+(* Warm-basis hit: the memo's rows are a coefficient-wise prefix of
+   the new ones and variables were only appended, so the old basis
+   columns keep their meaning once slack indices are remapped to the
+   new variable count. Bounds, lower bounds and objective are free to
+   change — the installed basis is feasibility-checked by the solver.
+   Fills [st.hint] and says whether it applies. *)
+let warm_hint st p =
+  match st.memo with
+  | Some q when st.memo_basis && p.nvars >= q.nvars && p.nrows >= q.nrows && same_rows q p q.nrows
+    ->
+    let n = p.nvars and pn = q.nvars and pm = q.nrows in
+    st.hint <- ints st.hint p.nrows;
+    for i = 0 to p.nrows - 1 do
+      st.hint.(i) <-
+        (if i >= pm then n + i
+         else begin
+           let c = st.last_basis.(i) in
+           if c < pn then c else n + (c - pn)
+         end)
     done;
-    if not !ok then None
-    else begin
-      let n = p.nvars in
-      Some
-        (Array.init (Array.length cons) (fun i ->
-             if i >= pm then n + i
-             else begin
-               let c = basis.(i) in
-               if c < p_nvars then c else n + (c - p_nvars)
-             end))
-    end
-  | _ -> None
+    true
+  | _ -> false
 
 (* ---- block decomposition ----
 
@@ -154,163 +316,176 @@ let warm_hint st p cons =
    problem would, on tableaux a fraction of its size. The warm basis
    of {!warm_hint} is replayed block by block; if any block's replay
    bails, every block is re-solved cold — the all-or-nothing fallback
-   of {!Simplex.maximize_sparse} on the whole tableau. *)
-
-(* Union-find with path compression; smaller root wins so block
-   numbering is independent of union order. *)
-let uf_find uf x =
-  let rec root x = if uf.(x) = x then x else root uf.(x) in
-  let r = root x in
-  let rec compress x =
-    if uf.(x) <> r then begin
-      let nx = uf.(x) in
-      uf.(x) <- r;
-      compress nx
-    end
-  in
-  compress x;
-  r
-
-let uf_union uf a b =
-  let ra = uf_find uf a and rb = uf_find uf b in
-  if ra < rb then uf.(rb) <- ra else if rb < ra then uf.(ra) <- rb
-
-type block = {
-  vars : int array;  (* global variable indices, ascending *)
-  rows : int array;  (* global row indices, ascending *)
-  sub_rows : (int * float) list array;  (* coefficients on block-local columns *)
-  sub_rhs : float array;
-  sub_obj : float array;
-}
+   one whole-problem tableau would take. *)
 
 exception Bail_to_cold
 
-let solve_blocks st p cons =
-  let n = p.nvars and m = Array.length cons in
-  (* A variable in no constraint maximizes unboundedly exactly when the
-     entering rule (reduced cost > 1e-9) would select it — but phase 1
-     runs first, so infeasibility of the constrained part takes
-     precedence over that unboundedness. *)
-  let in_row = Array.make n false in
-  Array.iter (fun c -> List.iter (fun (j, _) -> in_row.(j) <- true) c.coeffs) cons;
+(* Number the blocks by the first variable that reaches them (then any
+   row no variable reaches) and list each block's variables and rows in
+   ascending order. Returns the block count and whether some variable
+   in no row would enter the basis: it maximizes unboundedly, but
+   phase 1 runs first, so infeasibility of the constrained part takes
+   precedence. *)
+let index_blocks st p =
+  let n = p.nvars and m = p.nrows in
+  st.number <- ints st.number m;
+  st.block_of <- ints st.block_of (n + m);
+  st.local <- ints st.local (n + m);
+  let number = st.number and block_of = st.block_of and local = st.local in
+  Array.fill number 0 m (-1);
+  let nb = ref 0 in
+  let block_of_row r =
+    let root = p.root.(r) in
+    if number.(root) < 0 then begin
+      number.(root) <- !nb;
+      incr nb
+    end;
+    number.(root)
+  in
   let free_unbounded = ref false in
   for j = 0 to n - 1 do
-    if (not in_row.(j)) && p.objective.(j) > 1e-9 then free_unbounded := true
+    let a = p.anchor.(j) in
+    if a >= 0 then block_of.(j) <- block_of_row a
+    else begin
+      block_of.(j) <- -1;
+      if p.objective.(j) > 1e-9 then free_unbounded := true
+    end
   done;
-  (* Connected components over variables [0, n) and rows [n, n + m),
-     numbered in order of first appearance. *)
-  let uf = Array.init (n + m) Fun.id in
-  Array.iteri (fun i c -> List.iter (fun (j, _) -> uf_union uf j (n + i)) c.coeffs) cons;
-  let number = Array.make (n + m) (-1) and nblocks = ref 0 in
-  let block_of x =
-    let r = uf_find uf x in
-    if number.(r) < 0 then begin
-      number.(r) <- !nblocks;
-      incr nblocks
-    end;
-    number.(r)
+  for i = 0 to m - 1 do
+    block_of.(n + i) <- block_of_row i
+  done;
+  let nb = !nb in
+  (* Counting sort by block; [local] is the member's rank within it. *)
+  let group start members ~first ~count =
+    Array.fill start 0 (nb + 1) 0;
+    for x = first to first + count - 1 do
+      let b = block_of.(x) in
+      if b >= 0 then begin
+        local.(x) <- start.(b + 1);
+        start.(b + 1) <- start.(b + 1) + 1
+      end
+    done;
+    for b = 1 to nb do
+      start.(b) <- start.(b) + start.(b - 1)
+    done;
+    for x = first to first + count - 1 do
+      let b = block_of.(x) in
+      if b >= 0 then members.(start.(b) + local.(x)) <- x - first
+    done
   in
-  let var_block = Array.init n (fun j -> if in_row.(j) then block_of j else -1) in
-  let row_block = Array.init m (fun i -> block_of (n + i)) in
-  let nb = !nblocks in
-  let bvars = Array.make nb [] and brows = Array.make nb [] in
-  for j = n - 1 downto 0 do
-    if var_block.(j) >= 0 then bvars.(var_block.(j)) <- j :: bvars.(var_block.(j))
-  done;
-  for i = m - 1 downto 0 do
-    brows.(row_block.(i)) <- i :: brows.(row_block.(i))
-  done;
-  (* [local.(j)] is variable j's column in its block, [local.(n + i)]
-     row i's position in its block. *)
-  let local = Array.make (n + m) 0 in
-  let shifted = shifted_rhs p cons in
-  let blocks =
-    Array.init nb (fun b ->
-        let vars = Array.of_list bvars.(b) and rows = Array.of_list brows.(b) in
-        Array.iteri (fun pos j -> local.(j) <- pos) vars;
-        Array.iteri (fun pos i -> local.(n + i) <- pos) rows;
-        { vars;
-          rows;
-          sub_rows =
-            Array.map (fun i -> List.map (fun (j, a) -> (local.(j), a)) cons.(i).coeffs) rows;
-          sub_rhs = Array.map (fun i -> shifted.(i)) rows;
-          sub_obj = Array.map (fun j -> p.objective.(j)) vars
-        })
+  st.vstart <- ints st.vstart (nb + 1);
+  st.rstart <- ints st.rstart (nb + 1);
+  st.bvars <- ints st.bvars n;
+  st.brows <- ints st.brows m;
+  group st.vstart st.bvars ~first:0 ~count:n;
+  group st.rstart st.brows ~first:n ~count:m;
+  (nb, !free_unbounded)
+
+(* Each row's bound after the substitution x = lower + y, the shift
+   summed in the row's entry order. *)
+let shift_rhs st p =
+  st.shifted <- floats st.shifted p.nrows;
+  for i = 0 to p.nrows - 1 do
+    let shift = ref 0. in
+    for k = p.row_start.(i) to p.row_start.(i + 1) - 1 do
+      shift := !shift +. (p.coef.(k) *. p.lower.(p.col.(k)))
+    done;
+    st.shifted.(i) <- p.bound.(i) -. !shift
+  done
+
+let solve_blocks st p =
+  let n = p.nvars and m = p.nrows in
+  let nb, free_unbounded = index_blocks st p in
+  shift_rhs st p;
+  st.y <- floats st.y n;
+  Array.fill st.y 0 n 0.;
+  st.basis <- ints st.basis m;
+  st.bx <- floats st.bx n;
+  st.bbasis <- ints st.bbasis m;
+  st.bhint <- ints st.bhint m;
+  let block b =
+    { Simplex.start = p.row_start;
+      col = p.col;
+      coef = p.coef;
+      rhs = st.shifted;
+      obj = p.objective;
+      vars = st.bvars;
+      var0 = st.vstart.(b);
+      n = st.vstart.(b + 1) - st.vstart.(b);
+      rows = st.brows;
+      row0 = st.rstart.(b);
+      m = st.rstart.(b + 1) - st.rstart.(b);
+      local = st.local
+    }
   in
   (* The global warm basis in block b's local columns. A basic column
      outside the block can only come from a stale hint, one the whole
      tableau's replay would reject too. *)
-  let local_warm g b blk =
-    Array.map
-      (fun i ->
-        let c = g.(i) in
-        if c < n then if var_block.(c) = b then local.(c) else raise Bail_to_cold
-        else if row_block.(c - n) = b then Array.length blk.vars + local.(c)
-        else raise Bail_to_cold)
-      blk.rows
+  let local_hint b (blk : Simplex.block) =
+    for li = 0 to blk.m - 1 do
+      let c = st.hint.(blk.rows.(blk.row0 + li)) in
+      if st.block_of.(c) <> b then raise Bail_to_cold;
+      st.bhint.(li) <- (if c < n then st.local.(c) else blk.n + st.local.(c))
+    done
   in
-  let solve_block warm blk =
-    match warm with
-    | None ->
-      Simplex.maximize_sparse ~ws:st.ws ~obj:blk.sub_obj ~rows:blk.sub_rows ~rhs:blk.sub_rhs ()
-    | Some warm -> (
-      match
-        Simplex.warm_solve st.ws ~obj:blk.sub_obj ~rows:blk.sub_rows ~rhs:blk.sub_rhs ~warm
-      with
-      | Some r -> r
-      | None -> raise Bail_to_cold)
+  let err = ref None and basis_ok = ref true in
+  (* Solve every block in order, scattering each solution into [y] and
+     stitching each basis into [basis] as it comes. *)
+  let run ~warm =
+    err := if free_unbounded then Some Unbounded else None;
+    basis_ok := true;
+    for b = 0 to nb - 1 do
+      let blk = block b in
+      let outcome =
+        if warm then begin
+          local_hint b blk;
+          Simplex.warm st.ws blk ~hint:st.bhint ~x:st.bx ~basis:st.bbasis
+        end
+        else Simplex.cold st.ws blk ~x:st.bx ~basis:st.bbasis
+      in
+      match outcome with
+      | Simplex.Bailed -> raise Bail_to_cold
+      | Simplex.Infeasible -> err := Some Infeasible
+      | Simplex.Unbounded -> if Option.is_none !err then err := Some Unbounded
+      | Simplex.Optimal { reusable } ->
+        for c = 0 to blk.n - 1 do
+          st.y.(st.bvars.(blk.var0 + c)) <- st.bx.(c)
+        done;
+        if not reusable then basis_ok := false
+        else
+          for li = 0 to blk.m - 1 do
+            let c = st.bbasis.(li) in
+            st.basis.(st.brows.(blk.row0 + li)) <-
+              (if c < blk.n then st.bvars.(blk.var0 + c) else n + st.brows.(blk.row0 + c - blk.n))
+          done
+    done
   in
-  let cold () = Array.map (solve_block None) blocks in
-  let results =
-    match warm_hint st p cons with
-    | None -> cold ()
-    | Some g -> (
-      try Array.mapi (fun b blk -> solve_block (Some (local_warm g b blk)) blk) blocks
-      with Bail_to_cold -> cold ())
-  in
-  (* Scatter the block solutions and stitch the global basis. *)
-  let err = ref (if !free_unbounded then Some Unbounded else None) in
-  let y = Array.make n 0. and basis = Array.make m 0 and basis_ok = ref true in
-  Array.iteri
-    (fun b r ->
-      let blk = blocks.(b) in
-      match r with
-      | Error `Infeasible -> err := Some Infeasible
-      | Error `Unbounded -> if Option.is_none !err then err := Some Unbounded
-      | Ok (by, bbasis) -> (
-        Array.iteri (fun pos j -> y.(j) <- by.(pos)) blk.vars;
-        match bbasis with
-        | None -> basis_ok := false
-        | Some bb ->
-          let nv = Array.length blk.vars in
-          Array.iteri
-            (fun li i ->
-              let c = bb.(li) in
-              basis.(i) <- (if c < nv then blk.vars.(c) else n + blk.rows.(c - nv)))
-            blk.rows))
-    results;
+  (if warm_hint st p then try run ~warm:true with Bail_to_cold -> run ~warm:false
+   else run ~warm:false);
   match !err with
   | Some e ->
-    st.prev <- None;
+    st.memo <- None;
     Error e
   | None ->
-    let s = finish p y in
-    st.prev <-
-      Some
-        { p_nvars = n;
-          p_cons = cons;
-          p_obj = Array.copy p.objective;
-          p_lower = Array.copy p.lower;
-          p_basis = (if !basis_ok then Some basis else None);
-          p_values = Array.copy s.values;
-          p_objective_value = s.objective_value
-        };
+    let s = finish p st.y in
+    (* A problem [packing] built into [build] becomes the memo: move
+       its arrays to [spare], out of the next build's way. *)
+    if p.row_start == st.build.row_start then begin
+      let b = st.build in
+      st.build <- st.spare;
+      st.spare <- b
+    end;
+    let y = st.y and basis = st.basis in
+    st.y <- st.last_y;
+    st.basis <- st.last_basis;
+    st.last_y <- y;
+    st.last_basis <- basis;
+    st.memo <- Some p;
+    st.memo_basis <- !basis_ok;
     Ok s
 
 let solve ?state p =
   let st = match state with Some st -> st | None -> create_state () in
-  let cons = Array.of_list p.constraints in
-  match st.prev with
-  | Some pv when snapshot_matches pv p cons ->
-    Ok { values = Array.copy pv.p_values; objective_value = pv.p_objective_value }
-  | _ -> solve_blocks st p cons
+  match st.memo with
+  | Some q when same_problem q p -> Ok (finish q st.last_y)
+  | _ -> solve_blocks st p

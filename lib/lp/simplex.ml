@@ -1,6 +1,6 @@
-(* Two-phase primal simplex over a dense working tableau, with a
-   sparse-aware build, a reusable solver workspace, and an optional
-   warm start.
+(* Two-phase primal simplex over a dense working tableau, built from
+   compressed sparse rows, with a reusable solver workspace and an
+   optional warm start.
 
    Layout of the working tableau for m constraints and n structural
    variables: columns are [structural (n) | slack (m) | artificial (a)],
@@ -12,12 +12,13 @@
    coefficient -1 and cannot serve as the initial basic variable).
 
    The scheduler's packing LPs are extremely sparse (each flow touches
-   the handful of entities on its route), so constraint rows come in as
-   (column, coefficient) lists and are scattered straight into the
-   tableau — the caller never materializes an m x n matrix. The
+   the handful of entities on its route), so a block's rows are read
+   from the caller's compressed sparse rows through its global->local
+   column map and scattered straight into the tableau — nobody
+   materializes an m x n matrix or a per-block copy of the rows. The
    workspace keeps the tableau row arena and basis buffer alive across
-   solves so consecutive recomputations of similar problems allocate
-   nothing beyond the result vector. *)
+   solves, and results go to caller buffers, so consecutive
+   recomputations of similar problems allocate nothing. *)
 
 let eps = 1e-9
 
@@ -145,24 +146,54 @@ let acquire ws ~nrows ~width =
   if Array.length ws.basis_buf < nrows then
     ws.basis_buf <- Array.make (round_up (Array.length ws.basis_buf) nrows) 0
 
-let fill_row t i coeffs sign =
-  List.iter (fun (j, a) -> t.(i).(j) <- t.(i).(j) +. (sign *. a)) coeffs
+type block = {
+  start : int array;
+  col : int array;
+  coef : float array;
+  rhs : float array;
+  obj : float array;
+  vars : int array;
+  var0 : int;
+  n : int;
+  rows : int array;
+  row0 : int;
+  m : int;
+  local : int array;
+}
+
+type outcome =
+  | Optimal of { reusable : bool }
+  | Infeasible
+  | Unbounded
+  | Bailed
+
+let rhs_of (b : block) i = b.rhs.(b.rows.(b.row0 + i))
+
+(* Local row [i] of the block into tableau row [i], entries in stored
+   order, so a repeated column accumulates as it always has. *)
+let fill_row t i (b : block) sign =
+  let r = b.rows.(b.row0 + i) in
+  let ti = t.(i) in
+  for k = b.start.(r) to b.start.(r + 1) - 1 do
+    let c = b.local.(b.col.(k)) in
+    ti.(c) <- ti.(c) +. (sign *. b.coef.(k))
+  done
 
 (* Phase 2 objective: the real objective expressed in reduced costs
    w.r.t. the current basis. Slack and artificial columns carry zero
    cost, so only rows whose basic variable is structural contribute. *)
-let install_objective tb ~obj ~n =
-  let t = tb.t in
+let install_objective (tb : tableau) (b : block) =
+  let t = tb.t and n = b.n in
   for j = 0 to tb.ncols do
     t.(tb.m).(j) <- 0.
   done;
   for j = 0 to n - 1 do
-    t.(tb.m).(j) <- obj.(j)
+    t.(tb.m).(j) <- b.obj.(b.vars.(b.var0 + j))
   done;
   for i = 0 to tb.m - 1 do
-    let b = tb.basis.(i) in
-    if b < n then begin
-      let c = t.(tb.m).(b) in
+    let bc = tb.basis.(i) in
+    if bc < n then begin
+      let c = t.(tb.m).(bc) in
       if Float.abs c > 0. then
         for j = 0 to tb.ncols do
           t.(tb.m).(j) <- t.(tb.m).(j) -. (c *. t.(i).(j))
@@ -170,46 +201,54 @@ let install_objective tb ~obj ~n =
     end
   done
 
-let extract tb ~n =
-  let x = Array.make n 0. in
+(* The optimal vertex into [x] and the final basis into [basis]. The
+   basis is reusable as a warm hint only if it is free of artificial
+   columns (an artificial index would alias a slack of a later, larger
+   problem). *)
+let extract (tb : tableau) ~n ~x ~basis =
+  Array.fill x 0 n 0.;
   for i = 0 to tb.m - 1 do
     if tb.basis.(i) < n then x.(tb.basis.(i)) <- tb.t.(i).(tb.ncols)
   done;
   (* Clamp the tiny negatives produced by floating-point pivoting. *)
-  Array.iteri (fun i v -> if v < 0. && v > -1e-7 then x.(i) <- 0.) x;
-  x
-
-(* A basis is reusable as a warm hint only if it is free of artificial
-   columns (an artificial index would alias a slack of a later, larger
-   problem). *)
-let basis_hint tb ~n =
-  let b = Array.sub tb.basis 0 tb.m in
-  if Array.exists (fun c -> c >= n + tb.m) b then None else Some b
+  for j = 0 to n - 1 do
+    let v = x.(j) in
+    if v < 0. && v > -1e-7 then x.(j) <- 0.
+  done;
+  Array.blit tb.basis 0 basis 0 tb.m;
+  let reusable = ref true in
+  for i = 0 to tb.m - 1 do
+    if basis.(i) >= n + tb.m then reusable := false
+  done;
+  Optimal { reusable = !reusable }
 
 (* Warm start: rebuild the tableau from the slack basis, replay the
    previous optimal basis with explicit pivots, and — if the resulting
-   basic solution is primal feasible — skip phase 1 entirely. Returns
-   [None] when the basis cannot be installed (zero pivot element, out of
-   range column, or an infeasible right-hand side), in which case the
-   caller falls back to a cold two-phase solve. *)
-let warm_solve ws ~obj ~rows ~rhs ~warm =
-  let n = Array.length obj and m = Array.length rows in
+   basic solution is primal feasible — skip phase 1 entirely. Bails
+   when the basis cannot be installed (zero pivot element, out of range
+   column, or an infeasible right-hand side). *)
+let warm ws (b : block) ~hint ~x ~basis:out =
+  let n = b.n and m = b.m in
   let ncols = n + m in
-  if Array.length warm <> m || Array.exists (fun c -> c < 0 || c >= ncols) warm then None
+  let in_range = ref true in
+  for i = 0 to m - 1 do
+    if hint.(i) < 0 || hint.(i) >= ncols then in_range := false
+  done;
+  if not !in_range then Bailed
   else begin
     acquire ws ~nrows:(m + 1) ~width:(ncols + 1);
     let t = ws.buf and basis = ws.basis_buf in
     for i = 0 to m - 1 do
-      fill_row t i rows.(i) 1.;
+      fill_row t i b 1.;
       t.(i).(n + i) <- 1.;
-      t.(i).(ncols) <- rhs.(i);
+      t.(i).(ncols) <- rhs_of b i;
       basis.(i) <- n + i
     done;
     let tb = { t; basis; m; ncols } in
     let ok = ref true in
     (try
        for i = 0 to m - 1 do
-         let c = warm.(i) in
+         let c = hint.(i) in
          if c <> n + i then begin
            if Float.abs t.(i).(c) > 1e-7 then pivot tb ~row:i ~col:c
            else begin
@@ -219,38 +258,42 @@ let warm_solve ws ~obj ~rows ~rhs ~warm =
          end
        done;
        for i = 0 to m - 1 do
-         let b = t.(i).(ncols) in
-         if b < -1e-7 then begin
+         let r = t.(i).(ncols) in
+         if r < -1e-7 then begin
            ok := false;
            raise Exit
          end
-         else if b < 0. then t.(i).(ncols) <- 0.
+         else if r < 0. then t.(i).(ncols) <- 0.
        done
      with Exit -> ());
-    if not !ok then None
+    if not !ok then Bailed
     else begin
-      install_objective tb ~obj ~n;
+      install_objective tb b;
       match run_phase tb with
-      | `Unbounded -> Some (Error `Unbounded)
-      | `Optimal -> Some (Ok (extract tb ~n, basis_hint tb ~n))
+      | `Unbounded -> Unbounded
+      | `Optimal -> extract tb ~n ~x ~basis:out
     end
   end
 
-let cold_solve ws ~obj ~rows ~rhs =
-  let n = Array.length obj and m = Array.length rows in
-  (* Normalize to non-negative rhs, noting which rows need artificials. *)
-  let need_art = Array.map (fun b -> b < 0.) rhs in
-  let nart = Array.fold_left (fun acc f -> if f then acc + 1 else acc) 0 need_art in
-  let ncols = n + m + nart in
+let cold ws (b : block) ~x ~basis:out =
+  let n = b.n and m = b.m in
+  (* Normalize to non-negative rhs; a negated row needs an artificial. *)
+  let nart = ref 0 in
+  for i = 0 to m - 1 do
+    if rhs_of b i < 0. then incr nart
+  done;
+  let ncols = n + m + !nart in
   acquire ws ~nrows:(m + 1) ~width:(ncols + 1);
   let t = ws.buf and basis = ws.basis_buf in
   let art_idx = ref (n + m) in
   for i = 0 to m - 1 do
-    let sign = if need_art.(i) then -1. else 1. in
-    fill_row t i rows.(i) sign;
+    let rhs = rhs_of b i in
+    let need_art = rhs < 0. in
+    let sign = if need_art then -1. else 1. in
+    fill_row t i b sign;
     t.(i).(n + i) <- sign;
-    t.(i).(ncols) <- sign *. rhs.(i);
-    if need_art.(i) then begin
+    t.(i).(ncols) <- sign *. rhs;
+    if need_art then begin
       t.(i).(!art_idx) <- 1.;
       basis.(i) <- !art_idx;
       incr art_idx
@@ -259,7 +302,7 @@ let cold_solve ws ~obj ~rows ~rhs =
   done;
   let tb = { t; basis; m; ncols } in
   let infeasible = ref false in
-  if nart > 0 then begin
+  if !nart > 0 then begin
     (* Phase 1: maximize -(sum of artificials). Objective row must hold
        reduced costs w.r.t. the current (artificial) basis: start with
        -1 in each artificial column, then add each artificial row to
@@ -298,28 +341,13 @@ let cold_solve ws ~obj ~rows ~rhs =
       done
     end
   end;
-  if !infeasible then Error `Infeasible
+  if !infeasible then Infeasible
   else begin
-    install_objective tb ~obj ~n;
+    install_objective tb b;
     for j = n + m to ncols - 1 do
       t.(m).(j) <- -.infinity (* never re-enter an artificial column *)
     done;
     match run_phase tb with
-    | `Unbounded -> Error `Unbounded
-    | `Optimal -> Ok (extract tb ~n, basis_hint tb ~n)
+    | `Unbounded -> Unbounded
+    | `Optimal -> extract tb ~n ~x ~basis:out
   end
-
-let maximize_sparse ?ws ?warm ~obj ~rows ~rhs () =
-  let n = Array.length obj and m = Array.length rows in
-  if Array.length rhs <> m then invalid_arg "Simplex.maximize_sparse: rhs length";
-  Array.iter
-    (List.iter (fun (j, _) ->
-         if j < 0 || j >= n then invalid_arg "Simplex.maximize_sparse: column index"))
-    rows;
-  let ws = match ws with Some w -> w | None -> create_workspace () in
-  match warm with
-  | Some w -> (
-    match warm_solve ws ~obj ~rows ~rhs ~warm:w with
-    | Some result -> result
-    | None -> cold_solve ws ~obj ~rows ~rhs)
-  | None -> cold_solve ws ~obj ~rows ~rhs

@@ -1,6 +1,5 @@
-(** Two-phase primal simplex on a dense working tableau, with a
-    sparse-aware build, a reusable workspace, and an optional warm
-    start.
+(** Two-phase primal simplex on a dense working tableau, built from
+    compressed sparse rows, with a reusable workspace and a warm start.
 
     Solves [maximize obj . x  subject to  A x <= rhs, x >= 0] where
     entries of [rhs] may be negative (phase 1 with artificial variables
@@ -20,38 +19,44 @@ type workspace
 
 val create_workspace : unit -> workspace
 
-val warm_solve :
-  workspace ->
-  obj:float array ->
-  rows:(int * float) list array ->
-  rhs:float array ->
-  warm:int array ->
-  (float array * int array option, [ `Infeasible | `Unbounded ]) result option
-(** Low-level warm start: replay [warm] (same column convention as
-    {!maximize_sparse}) and re-optimize. Returns [None] when the basis
-    cannot be installed or is primal infeasible —
-    unlike {!maximize_sparse} there is no silent cold fallback, so a
-    caller orchestrating several related solves can observe the bail
-    and fall back for all of them coherently. *)
+type block = {
+  start : int array;
+      (** compressed sparse rows: row [r] holds entries [start.(r)] to
+          [start.(r + 1) - 1] *)
+  col : int array;  (** each entry's global column *)
+  coef : float array;  (** each entry's coefficient; a column repeated in a row accumulates *)
+  rhs : float array;  (** right-hand side per row [r] *)
+  obj : float array;  (** objective coefficient per global column *)
+  vars : int array;
+  var0 : int;
+  n : int;  (** local column [c < n] is global column [vars.(var0 + c)] *)
+  rows : int array;
+  row0 : int;
+  m : int;  (** local row [i < m] is row [rows.(row0 + i)] *)
+  local : int array;  (** global column -> local column, on the block's columns *)
+}
+(** One LP read straight from a larger problem's arrays: [m] of its
+    rows and the [n] columns they touch, renumbered through [local].
+    Every column a listed row holds must be one of the block's. *)
 
-val maximize_sparse :
-  ?ws:workspace ->
-  ?warm:int array ->
-  obj:float array ->
-  rows:(int * float) list array ->
-  rhs:float array ->
-  unit ->
-  (float array * int array option, [ `Infeasible | `Unbounded ]) result
-(** [maximize_sparse ~obj ~rows ~rhs ()] solves the LP given as sparse
-    constraint rows of [(column, coefficient)] pairs (duplicate columns
-    accumulate). Returns the optimal vertex together with the final
-    basis ([basis.(i)] = column basic in row [i]; [None] when the basis
-    retains an artificial column and is therefore not reusable).
+type outcome =
+  | Optimal of { reusable : bool }
+      (** [x] holds the optimal vertex and [basis] the final basis;
+          [reusable] is [false] when the basis retains an artificial
+          column, which a warm start cannot replay *)
+  | Infeasible
+  | Unbounded
+  | Bailed  (** warm start only: the hint could not be installed *)
 
-    [ws] supplies a reusable workspace (a private one is created
-    otherwise). [warm] seeds phase 2 from a previous solve's basis:
-    columns [< n] are structural, columns [n + i] the slack of row [i].
-    The basis is installed by explicit pivots and used only if the
-    resulting basic solution is primal feasible; on any mismatch the
-    solver silently falls back to a cold two-phase solve, so a stale or
-    wrong hint can cost time but never correctness. *)
+val cold : workspace -> block -> x:float array -> basis:int array -> outcome
+(** Two-phase solve. On [Optimal], [x.(c)] for [c < n] is the value of
+    local column [c] and [basis.(i)] for [i < m] the column basic in
+    local row [i]: columns [< n] are structural, column [n + i] is the
+    slack of local row [i]. Never [Bailed]. *)
+
+val warm : workspace -> block -> hint:int array -> x:float array -> basis:int array -> outcome
+(** Replay the basis [hint.(0 .. m - 1)] (same column convention as
+    {!cold}) and re-optimize, skipping phase 1. [Bailed] when the basis
+    cannot be installed or is primal infeasible: there is no silent
+    cold fallback, so a caller orchestrating several related solves can
+    observe the bail and fall back for all of them coherently. *)

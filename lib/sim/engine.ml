@@ -113,6 +113,8 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
   let active = ref [] in  (* reverse arrival order *)
   let next_pending = ref 0 in
   let next_flow_id = ref 0 in
+  (* [recompute]'s rate hand-off, indexed by flow id; see there. *)
+  let rate_buf = ref [||] and stamp_buf = ref [||] and rate_gen = ref 0 in
   let next_seq = ref 0 in
   let now = ref 0. in
   let outcomes = Hashtbl.create (Array.length pending * 2) in
@@ -347,8 +349,24 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
     (* lint: allow nondet-source — same diagnostic as [t0] above *)
     plan_time := !plan_time +. (Sys.time () -. t0);
     incr plan_calls;
-    let tbl = Hashtbl.create 64 in
-    List.iter (fun (fid, r) -> Hashtbl.replace tbl fid (max 0. r)) rates;
+    (* The rates by flow id, stamped with this event's generation: a
+       later pair for the same id wins, and a flow the algorithm left
+       out reads 0. Ids outside [0, next_flow_id) name no flow. *)
+    incr rate_gen;
+    let gen = !rate_gen in
+    if Array.length !rate_buf < !next_flow_id then begin
+      let size = max !next_flow_id (2 * Array.length !rate_buf) in
+      rate_buf := Array.make size 0.;
+      stamp_buf := Array.make size 0
+    end;
+    let rate_of = !rate_buf and rate_stamp = !stamp_buf in
+    List.iter
+      (fun (fid, r) ->
+        if fid >= 0 && fid < !next_flow_id then begin
+          rate_of.(fid) <- max 0. r;
+          rate_stamp.(fid) <- gen
+        end)
+      rates;
     (* Every rate change flows through [set_flow_rate], so the usage
        table and the dirty set stay exact. Dead flows (resolved task or
        no volume left) already hold rate 0 and are skipped. *)
@@ -358,7 +376,7 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
           Array.iter
             (fun f ->
               if f.remaining > 0. then
-                set_flow_rate f (Option.value ~default:0. (Hashtbl.find_opt tbl f.flow_id)))
+                set_flow_rate f (if rate_stamp.(f.flow_id) = gen then rate_of.(f.flow_id) else 0.))
             lt.lflows)
       !active;
     clamp_rates ();

@@ -32,7 +32,9 @@ let render ?align ~header rows =
   let rule = String.concat "  " (Array.to_list (Array.map (fun w -> String.make w '-') widths)) in
   String.concat "\n" (line header :: rule :: List.map line rows)
 
-let fmt_float ?(decimals = 2) x = Printf.sprintf "%.*f" decimals x
+let fmt_float ?(decimals = 2) x =
+  if Float.abs x >= 1e15 then Printf.sprintf "%.*e" decimals x
+  else Printf.sprintf "%.*f" decimals x
 
 (* Shortest decimal form that parses back to the same float: %g keeps
    only 6 significant digits and loses precision on round-trip, so specs

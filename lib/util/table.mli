@@ -15,7 +15,10 @@ val render : ?align:align list -> header:string list -> string list list -> stri
 
 val fmt_float : ?decimals:int -> float -> string
 (** Fixed-point rendering used throughout the harness (default 2
-    decimals). *)
+    decimals). A magnitude of [1e15] or more, where fixed point would
+    print every integer digit, is rendered in exponent form with the
+    same number of decimals instead: [fmt_float ~decimals:1 3.5e305 =
+    "3.5e+305"]. *)
 
 val fmt_exact : float -> string
 (** [fmt_exact x] is the shortest of [%.15g] and [%.17g] that parses

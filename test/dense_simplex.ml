@@ -1,5 +1,5 @@
 (* The dense-matrix entry point to the simplex, for tests that state an
-   LP as a full constraint matrix: a cold {!S3_lp.Simplex.maximize_sparse}
+   LP as a full constraint matrix: a cold {!Sparse_simplex.maximize_sparse}
    on the nonzero entries. *)
 
 let maximize ~obj ~rows ~rhs =
@@ -22,6 +22,6 @@ let maximize ~obj ~rows ~rhs =
         !acc)
       rows
   in
-  match S3_lp.Simplex.maximize_sparse ~obj ~rows:sparse ~rhs () with
+  match Sparse_simplex.maximize_sparse ~obj ~rows:sparse ~rhs () with
   | Ok (x, _) -> Ok x
   | Error _ as e -> e

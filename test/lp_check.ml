@@ -1,7 +1,18 @@
 (* Checks on {!S3_lp.Lp} results that only the tests use: a
-   feasibility oracle, the objective at a point, and an error printer. *)
+   feasibility oracle, the objective at a point, the rows of a problem
+   as lists, and an error printer. *)
 
 module Lp = S3_lp.Lp
+
+(* The rows of [p] as {!Lp.make} takes them, entries in stored order. *)
+let constraints (p : Lp.problem) =
+  List.init p.Lp.nrows (fun i ->
+      { Lp.coeffs =
+          List.init
+            (p.Lp.row_start.(i + 1) - p.Lp.row_start.(i))
+            (fun k -> (p.Lp.col.(p.Lp.row_start.(i) + k), p.Lp.coef.(p.Lp.row_start.(i) + k)));
+        bound = p.Lp.bound.(i)
+      })
 
 (* [feasible p x]: [x] meets every constraint and lower bound of [p]
    within [tol]. *)
@@ -15,7 +26,7 @@ let feasible ?(tol = 1e-6) (p : Lp.problem) x =
         (fun { Lp.coeffs; bound } ->
           let lhs = List.fold_left (fun acc (j, a) -> acc +. (a *. x.(j))) 0. coeffs in
           if lhs > bound +. tol then ok := false)
-        p.Lp.constraints;
+        (constraints p);
       !ok)
 
 (* The objective at [x], summed in variable order: the same float

@@ -445,25 +445,27 @@ let drift g (p : Lp.problem) =
   if Prng.int g 4 = 0 then begin
     (* structure change: append one variable to the last block's rows *)
     let n = p.Lp.nvars in
-    let last = List.length p.Lp.constraints - 1 in
+    let last = p.Lp.nrows - 1 in
     Lp.make ~nvars:(n + 1)
       ~objective:(Array.make (n + 1) 1.)
       ~lower:(Array.append p.Lp.lower [| 0. |])
       (List.mapi
-         (fun i c -> if i = last then { c with Lp.coeffs = (n, 1.) :: c.Lp.coeffs } else c)
-         p.Lp.constraints)
+         (fun i (c : Lp.constr) ->
+           if i = last then { c with Lp.coeffs = (n, 1.) :: c.Lp.coeffs } else c)
+         (Lp_check.constraints p))
   end
   else
     Lp.make ~nvars:p.Lp.nvars ~objective:p.Lp.objective
       ~lower:(Array.map (fun l -> max 0. (l +. Prng.float g 0.5 -. 0.25)) p.Lp.lower)
       (List.map
-         (fun c -> { c with Lp.bound = max 0.5 (c.Lp.bound +. Prng.float g 10. -. 5.) })
-         p.Lp.constraints)
+         (fun (c : Lp.constr) ->
+           { c with Lp.bound = max 0.5 (c.Lp.bound +. Prng.float g 10. -. 5.) })
+         (Lp_check.constraints p))
 
 (* The reference: the whole LP on one tableau, under the exact-repeat
    memo and the positional-prefix warm start of [Lp.solve ~state]. It
    is the solve path before the block split. A warm basis that does
-   not replay makes [Simplex.maximize_sparse] solve the whole tableau
+   not replay makes [Sparse_simplex.maximize_sparse] solve the whole tableau
    cold, which is what the block split's all-or-nothing bail must
    reproduce. *)
 type reference = {
@@ -477,7 +479,7 @@ let same_row (a : Lp.constr) (b : Lp.constr) =
 let floats_equal a b = Array.length a = Array.length b && Array.for_all2 Float.equal a b
 
 let reference_solve r (p : Lp.problem) =
-  let cons = Array.of_list p.Lp.constraints in
+  let cons = Array.of_list (Lp_check.constraints p) in
   match r.last with
   | Some (q, _, s)
     when q.Lp.nvars = p.Lp.nvars
@@ -485,14 +487,14 @@ let reference_solve r (p : Lp.problem) =
          && floats_equal q.Lp.lower p.Lp.lower
          && List.equal
               (fun a b -> same_row a b && Float.equal a.Lp.bound b.Lp.bound)
-              q.Lp.constraints p.Lp.constraints ->
+              (Lp_check.constraints q) (Lp_check.constraints p) ->
     Ok { s with Lp.values = Array.copy s.Lp.values }
   | last -> (
     let n = p.Lp.nvars in
     let warm =
       match last with
       | Some (q, Some basis, _) ->
-        let old = Array.of_list q.Lp.constraints and pn = q.Lp.nvars in
+        let old = Array.of_list (Lp_check.constraints q) and pn = q.Lp.nvars in
         let pm = Array.length old in
         if n >= pn && Array.length cons >= pm
            && Array.for_all2 same_row old (Array.sub cons 0 pm)
@@ -513,7 +515,7 @@ let reference_solve r (p : Lp.problem) =
         cons
     in
     let rows = Array.map (fun (c : Lp.constr) -> c.Lp.coeffs) cons in
-    match Simplex.maximize_sparse ~ws:r.ws ?warm ~obj:p.Lp.objective ~rows ~rhs () with
+    match Sparse_simplex.maximize_sparse ~ws:r.ws ?warm ~obj:p.Lp.objective ~rows ~rhs () with
     | Ok (y, basis) ->
       let values = Array.mapi (fun j l -> l +. y.(j)) p.Lp.lower in
       let s = { Lp.values; objective_value = Lp_check.objective_of p values } in

@@ -11,7 +11,7 @@ let solve_exn p =
 let test_simple_max () =
   (* max 3x + 2y st x + y <= 4, x + 3y <= 6 -> (4, 0), obj 12 *)
   let p =
-    Lp.make ~nvars:2 ~objective:[| 3.; 2. |]
+    Lp.make ~nvars:2 ~objective:[| 3.; 2. |] ~lower:[| 0.; 0. |]
       [ { Lp.coeffs = [ (0, 1.); (1, 1.) ]; bound = 4. };
         { Lp.coeffs = [ (0, 1.); (1, 3.) ]; bound = 6. }
       ]
@@ -23,7 +23,7 @@ let test_simple_max () =
 let test_interior_optimum () =
   (* max x + y st 2x + y <= 4, x + 2y <= 4 -> (4/3, 4/3), obj 8/3 *)
   let p =
-    Lp.make ~nvars:2 ~objective:[| 1.; 1. |]
+    Lp.make ~nvars:2 ~objective:[| 1.; 1. |] ~lower:[| 0.; 0. |]
       [ { Lp.coeffs = [ (0, 2.); (1, 1.) ]; bound = 4. };
         { Lp.coeffs = [ (0, 1.); (1, 2.) ]; bound = 4. }
       ]
@@ -52,7 +52,8 @@ let test_infeasible_lower_bounds () =
 
 let test_unbounded () =
   let p =
-    Lp.make ~nvars:2 ~objective:[| 1.; 0. |] [ { Lp.coeffs = [ (1, 1.) ]; bound = 1. } ]
+    Lp.make ~nvars:2 ~objective:[| 1.; 0. |] ~lower:[| 0.; 0. |]
+      [ { Lp.coeffs = [ (1, 1.) ]; bound = 1. } ]
   in
   match Lp.solve p with
   | Error Lp.Unbounded -> ()
@@ -61,7 +62,7 @@ let test_unbounded () =
 let test_negative_rhs_feasible () =
   (* x >= 2 expressed as -x <= -2, maximize -x -> x = 2 *)
   let p =
-    Lp.make ~nvars:1 ~objective:[| -1. |]
+    Lp.make ~nvars:1 ~objective:[| -1. |] ~lower:[| 0. |]
       [ { Lp.coeffs = [ (0, -1.) ]; bound = -2. }; { Lp.coeffs = [ (0, 1.) ]; bound = 10. } ]
   in
   let s = solve_exn p in
@@ -70,7 +71,7 @@ let test_negative_rhs_feasible () =
 let test_degenerate () =
   (* Klee-Minty-flavoured degeneracy: redundant constraints at a vertex. *)
   let p =
-    Lp.make ~nvars:2 ~objective:[| 1.; 1. |]
+    Lp.make ~nvars:2 ~objective:[| 1.; 1. |] ~lower:[| 0.; 0. |]
       [ { Lp.coeffs = [ (0, 1.) ]; bound = 1. };
         { Lp.coeffs = [ (1, 1.) ]; bound = 1. };
         { Lp.coeffs = [ (0, 1.); (1, 1.) ]; bound = 2. };
@@ -81,16 +82,20 @@ let test_degenerate () =
   checkf "objective" 2. (solve_exn p).Lp.objective_value
 
 let test_zero_vars_constraints () =
-  let p = Lp.make ~nvars:1 ~objective:[| 5. |] [ { Lp.coeffs = []; bound = 1. };
-                                                 { Lp.coeffs = [ (0, 1.) ]; bound = 2. } ] in
+  let p =
+    Lp.make ~nvars:1 ~objective:[| 5. |] ~lower:[| 0. |]
+      [ { Lp.coeffs = []; bound = 1. }; { Lp.coeffs = [ (0, 1.) ]; bound = 2. } ]
+  in
   checkf "objective" 10. (solve_exn p).Lp.objective_value
 
 let test_make_validation () =
   Alcotest.check_raises "objective length" (Invalid_argument "Lp.make: objective length")
-    (fun () -> ignore (Lp.make ~nvars:2 ~objective:[| 1. |] []));
+    (fun () -> ignore (Lp.make ~nvars:2 ~objective:[| 1. |] ~lower:[| 0.; 0. |] []));
   Alcotest.check_raises "bad index"
     (Invalid_argument "Lp.make: variable index out of range") (fun () ->
-      ignore (Lp.make ~nvars:1 ~objective:[| 1. |] [ { Lp.coeffs = [ (3, 1.) ]; bound = 1. } ]));
+      ignore
+        (Lp.make ~nvars:1 ~objective:[| 1. |] ~lower:[| 0. |]
+           [ { Lp.coeffs = [ (3, 1.) ]; bound = 1. } ]));
   Alcotest.check_raises "negative lower"
     (Invalid_argument "Lp.make: negative lower bound") (fun () ->
       ignore (Lp.make ~nvars:1 ~objective:[| 1. |] ~lower:[| -1. |] []))

@@ -20,6 +20,7 @@ let () =
       Test_core.tests;
       Test_algorithms.tests;
       Test_phase2.tests;
+      Test_phase3.tests;
       Test_sim.tests;
       Test_fault.tests;
       Test_detector.tests;

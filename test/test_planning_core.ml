@@ -78,7 +78,7 @@ let state_matches_stateless seed =
   check p;
   (* Perturb bounds only: identical structure, warm-basis path. *)
   let cons2 =
-    List.map (fun c -> { c with Lp.bound = c.Lp.bound +. Prng.float g 2. -. 0.5 }) cons
+    List.map (fun (c : Lp.constr) -> { c with Lp.bound = c.Lp.bound +. Prng.float g 2. -. 0.5 }) cons
   in
   check (Lp.make ~nvars ~objective ~lower cons2);
   (* Grow: append a variable and a constraint; old rows are a prefix,
@@ -106,9 +106,9 @@ let dense_matches_sparse seed =
            r)
          cons)
   in
-  let rhs = Array.of_list (List.map (fun c -> c.Lp.bound) cons) in
+  let rhs = Array.of_list (List.map (fun (c : Lp.constr) -> c.Lp.bound) cons) in
   let dense = Dense_simplex.maximize ~obj:objective ~rows ~rhs in
-  let p = Lp.make ~nvars ~objective cons in
+  let p = Lp.make ~nvars ~objective ~lower:(Array.make nvars 0.) cons in
   let via_lp = Lp.solve p in
   match (dense, via_lp) with
   | Ok x, Ok s ->

@@ -26,7 +26,12 @@ let test_arity_mismatch () =
 let test_formats () =
   Alcotest.(check string) "float" "3.14" (Table.fmt_float 3.14159);
   Alcotest.(check string) "float decimals" "3.1416" (Table.fmt_float ~decimals:4 3.14159);
-  Alcotest.(check string) "pct" "12.8%" (Table.fmt_pct 0.128)
+  Alcotest.(check string) "pct" "12.8%" (Table.fmt_pct 0.128);
+  (* A huge value prints in exponent form, not as hundreds of digits. *)
+  Alcotest.(check string) "float huge" "3.5e+305" (Table.fmt_float ~decimals:1 3.54e305);
+  Alcotest.(check string) "float huge negative" "-1.00e+15" (Table.fmt_float (-1e15));
+  Alcotest.(check string) "float below the cut" "999999999999999.00"
+    (Table.fmt_float 999999999999999.)
 
 let tests =
   ( "table",

@@ -21,6 +21,7 @@
 
 module Topology = S3_net.Topology
 module Prng = S3_util.Prng
+module Spec = S3_util.Spec
 module Table = S3_util.Table
 
 type config = {
@@ -60,55 +61,20 @@ let to_string c =
       (Table.fmt_exact c.fp_horizon)
 
 let of_string s =
-  let err fmt = Printf.ksprintf (fun m -> Error ("detect " ^ m)) fmt in
-  let items =
-    String.split_on_char ',' s |> List.map String.trim
-    |> List.filter (fun item -> item <> "")
-  in
-  let rec go c = function
-    | [] -> (
-      match
-        v ~suspect:c.suspect ~confirm:c.confirm ~fp:c.fp ~fp_seed:c.fp_seed
-          ~fp_horizon:c.fp_horizon ()
-      with
-      | c -> Ok c
-      | exception Invalid_argument m -> Error m)
-    | "default" :: rest -> go default rest
-    | item :: rest -> (
-      match String.index_opt item '=' with
-      | None ->
-        err "%S: expected KEY=VALUE with KEY one of latency, suspect, confirm, fp, fp-seed, fp-horizon"
-          item
-      | Some eq -> (
-        let key = String.lowercase_ascii (String.trim (String.sub item 0 eq)) in
-        let value = String.trim (String.sub item (eq + 1) (String.length item - eq - 1)) in
-        let float_key k set =
-          match float_of_string_opt value with
-          | Some f -> go (set f) rest
-          | None -> err "%s: %S is not a number" k value
-        in
-        match key with
-        | "latency" ->
-          (* Shorthand: all of the latency as silence, no confirmation
-             window — detection fires [latency] seconds after the crash. *)
-          float_key "latency" (fun f -> { c with suspect = f; confirm = 0. })
-        | "suspect" -> float_key "suspect" (fun f -> { c with suspect = f })
-        | "confirm" -> float_key "confirm" (fun f -> { c with confirm = f })
-        | "fp" -> (
-          match int_of_string_opt value with
-          | Some n -> go { c with fp = n } rest
-          | None -> err "fp: %S is not an integer" value)
-        | "fp-seed" | "fp_seed" -> (
-          match int_of_string_opt value with
-          | Some n -> go { c with fp_seed = n } rest
-          | None -> err "fp-seed: %S is not an integer" value)
-        | "fp-horizon" | "fp_horizon" ->
-          float_key "fp-horizon" (fun f -> { c with fp_horizon = f })
-        | _ ->
-          err "%S: unknown key %S (expected latency, suspect, confirm, fp, fp-seed or fp-horizon)"
-            item key))
-  in
-  go default items
+  Spec.parse ~what:"detect" ~default
+    ~finish:(fun c ->
+      v ~suspect:c.suspect ~confirm:c.confirm ~fp:c.fp ~fp_seed:c.fp_seed
+        ~fp_horizon:c.fp_horizon ())
+    [ (* Shorthand: all of the latency as silence, no confirmation
+         window — detection fires [latency] seconds after the crash. *)
+      Spec.float "latency" (fun c suspect -> { c with suspect; confirm = 0. });
+      Spec.float "suspect" (fun c suspect -> { c with suspect });
+      Spec.float "confirm" (fun c confirm -> { c with confirm });
+      Spec.int "fp" (fun c fp -> { c with fp });
+      Spec.int "fp-seed" ~aliases:[ "fp_seed" ] (fun c fp_seed -> { c with fp_seed });
+      Spec.float "fp-horizon" ~aliases:[ "fp_horizon" ] (fun c fp_horizon -> { c with fp_horizon })
+    ]
+    s
 
 (* ---- detection schedule ---- *)
 

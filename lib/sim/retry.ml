@@ -8,6 +8,7 @@
    link degradation, swaps are per-task and react to projected deadline
    misses. *)
 
+module Spec = S3_util.Spec
 module Table = S3_util.Table
 
 type config = {
@@ -33,54 +34,15 @@ let to_string c =
     (Table.fmt_exact c.timeout) (Table.fmt_exact c.backoff) c.resume
 
 let of_string s =
-  let err fmt = Printf.ksprintf (fun m -> Error ("retry " ^ m)) fmt in
-  let items =
-    String.split_on_char ',' s |> List.map String.trim
-    |> List.filter (fun item -> item <> "")
-  in
-  let rec go c = function
-    | [] -> (
-      match
-        v ~retries:c.retries ~timeout:c.timeout ~backoff:c.backoff
-          ~resume:c.resume ()
-      with
-      | c -> Ok c
-      | exception Invalid_argument m -> Error m)
-    | "default" :: rest -> go default rest
-    | item :: rest -> (
-      match String.index_opt item '=' with
-      | None ->
-        err "%S: expected KEY=VALUE with KEY one of retries, timeout, backoff, resume"
-          item
-      | Some eq -> (
-        let key =
-          String.lowercase_ascii (String.trim (String.sub item 0 eq))
-        in
-        let value =
-          String.trim (String.sub item (eq + 1) (String.length item - eq - 1))
-        in
-        match key with
-        | "retries" -> (
-          match int_of_string_opt value with
-          | Some n -> go { c with retries = n } rest
-          | None -> err "retries: %S is not an integer" value)
-        | "timeout" -> (
-          match float_of_string_opt value with
-          | Some f -> go { c with timeout = f } rest
-          | None -> err "timeout: %S is not a number" value)
-        | "backoff" -> (
-          match float_of_string_opt value with
-          | Some f -> go { c with backoff = f } rest
-          | None -> err "backoff: %S is not a number" value)
-        | "resume" -> (
-          match bool_of_string_opt (String.lowercase_ascii value) with
-          | Some b -> go { c with resume = b } rest
-          | None -> err "resume: %S is not a boolean" value)
-        | _ ->
-          err "%S: unknown key %S (expected retries, timeout, backoff or resume)"
-            item key))
-  in
-  go default items
+  Spec.parse ~what:"retry" ~default
+    ~finish:(fun c ->
+      v ~retries:c.retries ~timeout:c.timeout ~backoff:c.backoff ~resume:c.resume ())
+    [ Spec.int "retries" (fun c retries -> { c with retries });
+      Spec.float "timeout" (fun c timeout -> { c with timeout });
+      Spec.float "backoff" (fun c backoff -> { c with backoff });
+      Spec.bool "resume" (fun c resume -> { c with resume })
+    ]
+    s
 
 (* ---- per-flow stall state ---- *)
 

@@ -5,6 +5,7 @@
    reach the live flow state; everything here is the policy surface the
    CLI parses and the budget/backoff arithmetic the engine consults. *)
 
+module Spec = S3_util.Spec
 module Table = S3_util.Table
 
 type config = {
@@ -29,47 +30,13 @@ let to_string c =
     c.max_swaps (Table.fmt_exact c.backoff)
 
 let of_string s =
-  let err fmt = Printf.ksprintf (fun m -> Error ("watchdog " ^ m)) fmt in
-  let items =
-    String.split_on_char ',' s |> List.map String.trim
-    |> List.filter (fun item -> item <> "")
-  in
-  let rec go c = function
-    | [] -> (
-      match v ~slack:c.slack ~max_swaps:c.max_swaps ~backoff:c.backoff () with
-      | c -> Ok c
-      | exception Invalid_argument m -> Error m)
-    | "default" :: rest -> go default rest
-    | item :: rest -> (
-      match String.index_opt item '=' with
-      | None ->
-        err "%S: expected KEY=VALUE with KEY one of slack, max-swaps, backoff"
-          item
-      | Some eq -> (
-        let key =
-          String.lowercase_ascii (String.trim (String.sub item 0 eq))
-        in
-        let value =
-          String.trim (String.sub item (eq + 1) (String.length item - eq - 1))
-        in
-        match key with
-        | "slack" -> (
-          match float_of_string_opt value with
-          | Some f -> go { c with slack = f } rest
-          | None -> err "slack: %S is not a number" value)
-        | "max-swaps" | "max_swaps" -> (
-          match int_of_string_opt value with
-          | Some n -> go { c with max_swaps = n } rest
-          | None -> err "max-swaps: %S is not an integer" value)
-        | "backoff" -> (
-          match float_of_string_opt value with
-          | Some f -> go { c with backoff = f } rest
-          | None -> err "backoff: %S is not a number" value)
-        | _ ->
-          err "%S: unknown key %S (expected slack, max-swaps or backoff)" item
-            key))
-  in
-  go default items
+  Spec.parse ~what:"watchdog" ~default
+    ~finish:(fun c -> v ~slack:c.slack ~max_swaps:c.max_swaps ~backoff:c.backoff ())
+    [ Spec.float "slack" (fun c slack -> { c with slack });
+      Spec.int "max-swaps" ~aliases:[ "max_swaps" ] (fun c max_swaps -> { c with max_swaps });
+      Spec.float "backoff" (fun c backoff -> { c with backoff })
+    ]
+    s
 
 (* ---- per-task intervention state ---- *)
 

@@ -166,8 +166,10 @@ let foreground_of fg =
   | FP_zero -> Foreground.none
   | FP_normal | FP_subnormal | FP_infinite | FP_nan -> Foreground.uniform ~max_frac:fg
 
-let report ~cloud ~foreground ~seed ?(faults = Fault.empty) ?detector ?retry ?watchdog ?csv
-    ?(fingerprint = false) topo names tasks =
+(* Runs every algorithm, then prints [header], a blank line and the
+   results: a run that fails writes nothing to stdout. *)
+let report ~header ~cloud ~foreground ~seed ?(faults = Fault.empty) ?detector ?retry ?watchdog
+    ?csv ?(fingerprint = false) topo names tasks =
   let config = { Engine.foreground; seed = seed + 1 } in
   let with_faults = not (Fault.is_empty faults) in
   let with_detect = Option.is_some detector in
@@ -231,6 +233,7 @@ let report ~cloud ~foreground ~seed ?(faults = Fault.empty) ?detector ?retry ?wa
     if with_watchdog then [ "attempts"; "swaps"; "rescued"; "shed" ] else []
   in
   let extra_cols = fault_cols @ detect_cols @ retry_cols @ watchdog_cols in
+  print_string (header ^ "\n\n");
   print_endline
     (Table.render
        ~align:
@@ -334,7 +337,8 @@ let run_cmd =
               | Some s when fg <= 0. -> s.Profile.profile.Profile.fg_frac
               | _ -> fg)
          in
-         Printf.printf "%s | %s%s%s%s%s%s\n\n" (Topology.name topo) header
+         let header =
+           Printf.sprintf "%s | %s%s%s%s%s%s" (Topology.name topo) header
            (if cloud then " | emulated cloud" else "")
            (if Fault.is_empty faults then ""
             else Printf.sprintf " | faults: %s" (Fault.to_string faults))
@@ -346,9 +350,10 @@ let run_cmd =
             | Some r -> Printf.sprintf " | retry: %s" (S3_sim.Retry.to_string r))
            (match watchdog with
             | None -> ""
-            | Some w -> Printf.sprintf " | watchdog: %s" (S3_sim.Watchdog.to_string w));
-         report ~cloud ~foreground ~seed ~faults ?detector ?retry ?watchdog ?csv ~fingerprint
-           topo names workload;
+            | Some w -> Printf.sprintf " | watchdog: %s" (S3_sim.Watchdog.to_string w))
+         in
+         report ~header ~cloud ~foreground ~seed ~faults ?detector ?retry ?watchdog ?csv
+           ~fingerprint topo names workload;
          `Ok ()
        with Invalid_argument m -> `Error (false, m))
   in
@@ -405,9 +410,11 @@ let trace_cmd =
            Trace.to_tasks g topo records ~chunk_size_mb:chunk ~deadline_factor:factor
          in
          let foreground = foreground_of fg in
-         Printf.printf "%s | %d trace records\n\n" (Topology.name topo) (List.length records);
-         report ~cloud ~foreground ~seed ~faults ?detector ?retry ?watchdog ?csv ~fingerprint
-           topo names workload;
+         let header =
+           Printf.sprintf "%s | %d trace records" (Topology.name topo) (List.length records)
+         in
+         report ~header ~cloud ~foreground ~seed ~faults ?detector ?retry ?watchdog ?csv
+           ~fingerprint topo names workload;
          `Ok ()
        with
        | Invalid_argument m -> `Error (false, m)
@@ -582,9 +589,9 @@ let matrix_cmd =
 let example_cmd =
   let run () =
     let topo, tasks = S3_workload.Scenarios.fig1 () in
-    Printf.printf "Fig. 1 example on %s\n\n" (Topology.name topo);
-    report ~cloud:false ~foreground:Foreground.none ~seed:0 topo [ "sp-ff"; "edf-cong"; "lpst" ]
-      tasks;
+    report
+      ~header:(Printf.sprintf "Fig. 1 example on %s" (Topology.name topo))
+      ~cloud:false ~foreground:Foreground.none ~seed:0 topo [ "sp-ff"; "edf-cong"; "lpst" ] tasks;
     `Ok ()
   in
   Cmd.v

@@ -97,13 +97,14 @@ val run :
     touches only the entities and tasks it affects (dirty-set capacity
     clamping, indexed crash candidates, a per-entity congestion load,
     cached within an instant, handed to Phase I through
-    {!S3_core.Problem.view}[.load], and
-    an O(1) per-task straggler prefilter in the watchdog). Every view
+    {!S3_core.Problem.view}[.load]). Every view
     carries that [load] accessor, and it reads live engine state:
     consult it during the [on_event] callback, not after. A golden
     corpus in the test suite pins {!Report.fingerprint} and the
     per-event rates of 340 scenarios to the values of the full-rescan
-    engine this design replaced.
+    engine this design replaced, and of 120 detector, retry and resume
+    scenarios to the values this engine gave before its repeated code
+    paths were folded into one each.
 
     [faults] (default {!S3_fault.Fault.empty}) is played into the run
     as described above. [on_failure] is consulted once per server

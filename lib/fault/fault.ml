@@ -150,11 +150,13 @@ type state = {
   ever : bool array;  (* per server; never cleared *)
   nic_owner : int array;  (* entity -> owning server, -1 for switches *)
   mutable active : degradation list;  (* unexpired degradations, newest first *)
-  by_entity : (int, degradation list) Hashtbl.t;
+  by_entity : degradation list array;
   (* Per-entity slice of [active], same newest-first order, so the
      multiplier fold over one entity's degradations runs the exact
-     multiplication sequence the global scan would — O(degradations on
-     this entity) instead of O(all active degradations). *)
+     multiplication sequence the global scan would — one array read and
+     O(degradations on this entity) instead of O(all active
+     degradations). Empty when the plan scripts no degradation, so that
+     such runs allocate nothing for it. *)
   mutable clock : float;
 }
 
@@ -185,18 +187,23 @@ let start topo (t : t) =
     ever = Array.make nserv false;
     nic_owner;
     active = [];
-    by_entity = Hashtbl.create 16;
+    by_entity =
+      (if Array.exists (fun ev -> match ev.kind with Link_degrade _ -> true | _ -> false) t.script
+       then Array.make nent []
+       else [||]);
     clock = 0.
   }
 
-let entity_degradations st e =
-  Option.value ~default:[] (Hashtbl.find_opt st.by_entity e)
+let degradations st e = if e < Array.length st.by_entity then st.by_entity.(e) else []
 
 let next_change st =
   let t_event =
     if st.cursor < Array.length st.script then st.script.(st.cursor).time else infinity
   in
-  List.fold_left (fun acc d -> min acc d.d_until) t_event st.active
+  (* [min] at float spelled out as Stdlib defines it: a float comparison,
+     not a [caml_compare] call, and not [Float.min], which orders NaN and
+     -0. differently. *)
+  List.fold_left (fun acc d -> if acc <= d.d_until then acc else d.d_until) t_event st.active
 
 let dead st s = st.dead_now.(s)
 let ever_crashed st s = st.ever.(s)
@@ -206,38 +213,42 @@ let multiplier st e =
   let owner = st.nic_owner.(e) in
   if owner >= 0 && st.dead_now.(owner) then 0.
   else
-    List.fold_left (fun acc d -> acc *. d.d_factor) 1. (entity_degradations st e)
+    List.fold_left (fun acc d -> acc *. d.d_factor) 1. (degradations st e)
 
-let degraded st e = entity_degradations st e <> []
+let degraded st e = match degradations st e with [] -> false | _ :: _ -> true
 
 let deliverable st e ~from ~until =
-  let from = max from st.clock in
+  let from = if from >= st.clock then from else st.clock (* Stdlib's [max] *) in
   if until <= from then 0.
   else begin
     let owner = st.nic_owner.(e) in
     if owner >= 0 && st.dead_now.(owner) then 0.
-    else begin
-      let ds = entity_degradations st e in
-      (* Piecewise-constant multiplier: breakpoints are the expiries of
-         the entity's active degradations inside (from, until). *)
-      let cuts =
-        List.filter_map
-          (fun d -> if d.d_until > from && d.d_until < until then Some d.d_until else None)
-          ds
-        |> List.sort_uniq Float.compare
-      in
-      let rec go a cuts acc =
-        let b = match cuts with [] -> until | c :: _ -> c in
-        let m =
-          List.fold_left
-            (fun m d -> if d.d_until > a +. time_epsilon then m *. d.d_factor else m)
-            1. ds
+    else
+      match degradations st e with
+      | [] ->
+        (* The general case below with no cut and a multiplier of 1:
+           [0. +. ((until -. from) *. 1.)], which is [until -. from]. *)
+        until -. from
+      | ds ->
+        (* Piecewise-constant multiplier: breakpoints are the expiries of
+           the entity's active degradations inside (from, until). *)
+        let cuts =
+          List.filter_map
+            (fun d -> if d.d_until > from && d.d_until < until then Some d.d_until else None)
+            ds
+          |> List.sort_uniq Float.compare
         in
-        let acc = acc +. ((b -. a) *. m) in
-        match cuts with [] -> acc | _ :: rest -> go b rest acc
-      in
-      go from cuts 0.
-    end
+        let rec go a cuts acc =
+          let b = match cuts with [] -> until | c :: _ -> c in
+          let m =
+            List.fold_left
+              (fun m d -> if d.d_until > a +. time_epsilon then m *. d.d_factor else m)
+              1. ds
+          in
+          let acc = acc +. ((b -. a) *. m) in
+          match cuts with [] -> acc | _ :: rest -> go b rest acc
+        in
+        go from cuts 0.
   end
 
 let crash_server st s acc = if st.dead_now.(s) then acc
@@ -259,11 +270,8 @@ let advance st t =
     (fun d ->
       (* List.filter keeps order, so the bucket stays the newest-first
          slice of [active] for this entity. *)
-      (match
-         List.filter (fun x -> x.d_until > t +. time_epsilon) (entity_degradations st d.d_entity)
-       with
-       | [] -> Hashtbl.remove st.by_entity d.d_entity
-       | l -> Hashtbl.replace st.by_entity d.d_entity l);
+      st.by_entity.(d.d_entity) <-
+        List.filter (fun x -> x.d_until > t +. time_epsilon) st.by_entity.(d.d_entity);
       changes := Restored d.d_entity :: !changes)
     expired;
   while
@@ -285,7 +293,7 @@ let advance st t =
      | Link_degrade { entity; factor; duration } ->
        let d = { d_entity = entity; d_factor = factor; d_until = ev.time +. duration } in
        st.active <- d :: st.active;
-       Hashtbl.replace st.by_entity entity (d :: entity_degradations st entity);
+       st.by_entity.(entity) <- d :: st.by_entity.(entity);
        changes := Degraded entity :: !changes)
   done;
   List.rev !changes

@@ -144,13 +144,16 @@ val exhausted : state -> bool
 val multiplier : state -> int -> float
 (** Current capacity multiplier of an entity: 0 for the NIC of a dead
     server, the product of active degradation factors otherwise (1 when
-    unaffected). *)
+    unaffected), multiplied newest first. The entity's degradations are
+    found by one array read, so the cost is O(1) plus one
+    multiplication per degradation active on that entity. *)
 
 val degraded : state -> int -> bool
-(** Is at least one degradation currently active on this entity? The
-    watchdog uses this to triage stragglers: a straggler whose route
-    crosses a degraded entity is swapped before one that is merely
-    slow from contention. *)
+(** Is at least one degradation currently active on this entity? O(1):
+    one array read. The watchdog uses this to triage stragglers: a
+    straggler whose route crosses a degraded entity is swapped before
+    one that is merely slow from contention, and the retry policy to
+    tell a stalled flow from one starved by contention. *)
 
 val deliverable : state -> int -> from:float -> until:float -> float
 (** Integral of {!multiplier} for one entity over [\[from, until)],
@@ -162,7 +165,8 @@ val deliverable : state -> int -> from:float -> until:float -> float
     watchdog's shed criterion needs (an instantaneous multiplier would
     mis-shed tasks whose degradations expire before the deadline).
     Returns 0 when [until <= max from clock]; [from] is clamped to the
-    cursor's clock. *)
+    cursor's clock. O(1) for an entity with no active degradation:
+    then it is [until -. from] after the clamp, or 0 for a dead NIC. *)
 
 (** {2 Closed-loop repair} *)
 

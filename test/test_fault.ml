@@ -181,6 +181,257 @@ let test_random_plan_deterministic () =
   Alcotest.(check string) "equal seeds, equal plans" (mk 42) (mk 42);
   Alcotest.(check bool) "different seeds differ" true (mk 42 <> mk 43)
 
+(* ---- the cursor's accessors against a list model ----
+
+   [Model] replays a plan's events ([Fault.events]) with the list
+   arithmetic of a global scan: every unexpired degradation sits in one
+   newest-first list, which each query filters down to one entity.
+   [accessor_mismatch] steps the cursor and the model through a random
+   plan and compares [multiplier], [degraded], [deliverable] and
+   [next_change] bit for bit. *)
+
+module Model = struct
+  type degradation = { entity : int; factor : float; until : float }
+
+  type t = {
+    script : Fault.event array;
+    mutable next : int;
+    mutable active : degradation list;  (* newest first *)
+    dead : bool array;
+    ever : bool array;
+    owner : int array;  (* entity -> the server whose NIC it is, or -1 *)
+    mutable clock : float;
+  }
+
+  let eps = 1e-9
+
+  let start plan =
+    let owner = Array.make (Array.length (T.entities topo)) (-1) in
+    for s = 0 to T.servers topo - 1 do
+      owner.(T.server_entity topo s) <- s
+    done;
+    { script = Array.of_list (Fault.events plan);
+      next = 0;
+      active = [];
+      dead = Array.make (T.servers topo) false;
+      ever = Array.make (T.servers topo) false;
+      owner;
+      clock = 0.
+    }
+
+  let crash m s =
+    m.dead.(s) <- true;
+    m.ever.(s) <- true
+
+  let advance m t =
+    let t = max t m.clock in
+    m.clock <- t;
+    m.active <- List.filter (fun d -> d.until > t +. eps) m.active;
+    while m.next < Array.length m.script && m.script.(m.next).Fault.time <= t +. eps do
+      let ev = m.script.(m.next) in
+      m.next <- m.next + 1;
+      match ev.Fault.kind with
+      | Fault.Server_crash s -> crash m s
+      | Fault.Server_recover s -> m.dead.(s) <- false
+      | Fault.Rack_outage r -> List.iter (crash m) (T.servers_in_rack topo r)
+      | Fault.Link_degrade { entity; factor; duration } ->
+        m.active <- { entity; factor; until = ev.Fault.time +. duration } :: m.active
+    done
+
+  let on m e = List.filter (fun d -> d.entity = e) m.active
+  let owner_dead m e = m.owner.(e) >= 0 && m.dead.(m.owner.(e))
+
+  let next_change m =
+    List.fold_left
+      (fun acc d -> min acc d.until)
+      (if m.next < Array.length m.script then m.script.(m.next).Fault.time else infinity)
+      m.active
+
+  let multiplier m e =
+    if owner_dead m e then 0. else List.fold_left (fun acc d -> acc *. d.factor) 1. (on m e)
+
+  let degraded m e = on m e <> []
+
+  let deliverable m e ~from ~until =
+    let from = max from m.clock in
+    if until <= from || owner_dead m e then 0.
+    else begin
+      let ds = on m e in
+      let cuts =
+        List.filter_map
+          (fun d -> if d.until > from && d.until < until then Some d.until else None)
+          ds
+        |> List.sort_uniq Float.compare
+      in
+      let rec go a cuts acc =
+        let b = match cuts with [] -> until | c :: _ -> c in
+        let mult =
+          List.fold_left (fun mult d -> if d.until > a +. eps then mult *. d.factor else mult) 1. ds
+        in
+        let acc = acc +. ((b -. a) *. mult) in
+        match cuts with [] -> acc | _ :: rest -> go b rest acc
+      in
+      go from cuts 0.
+    end
+end
+
+(* The entities the random plans aim at: the NICs of servers 1 and 4
+   (whose crashes and recoveries the plans script), rack 1's ToR, and
+   the NIC of server 7, which no crash reaches. *)
+let model_entities =
+  [| T.server_entity topo 1;
+     T.server_entity topo 4;
+     (T.route_array topo ~src:4 ~dst:0).(1);
+     T.server_entity topo 7
+  |]
+
+(* Event times and durations sit on a quarter-second grid, so expiries
+   coincide with other expiries, with event times and with the query
+   times below. About five plans in six open with three overlapping
+   degradations on one entity; the rest script no degradation at all.
+   Factors 0, 1e-12 and 1 are drawn often, and the inexact ones tell a
+   product from the same product in another order. *)
+let model_plan g =
+  let pick a = a.(Prng.int g (Array.length a)) in
+  let grid n = 0.25 *. float_of_int (Prng.int g n) in
+  let factor () =
+    match Prng.int g 6 with
+    | 0 -> 0.
+    | 1 -> 1e-12
+    | 2 -> 1.
+    | _ -> Prng.uniform g 0.05 0.95
+  in
+  let degrade time entity ~duration =
+    { Fault.time; kind = Fault.Link_degrade { entity; factor = factor (); duration } }
+  in
+  let degrading = Prng.int g 6 > 0 in
+  let e = pick model_entities in
+  let t0 = grid 16 in
+  let opening =
+    if not degrading then []
+    else
+      degrade t0 e ~duration:(1. +. grid 12)
+      :: List.init 2 (fun _ -> degrade (t0 +. grid 4) e ~duration:(0.25 +. grid 16))
+  in
+  let extra =
+    List.init (Prng.int g 10) (fun _ ->
+        let time = grid 33 in
+        match Prng.int g 8 with
+        | 0 | 1 | 2 | 3 when degrading ->
+          degrade time (pick model_entities) ~duration:(0.25 +. grid 16)
+        | 0 | 1 | 2 | 3 | 4 | 5 -> { Fault.time; kind = Fault.Server_crash (pick [| 1; 4 |]) }
+        | 6 -> { Fault.time; kind = Fault.Server_recover (pick [| 1; 4 |]) }
+        | _ -> { Fault.time; kind = Fault.Rack_outage 1 })
+  in
+  Fault.plan (opening @ extra)
+
+(* Step the cursor and the model through one random plan: 45 steps on
+   the grid, some nudged off it and some behind the clock. At every
+   step compare [next_change], then [multiplier] and [degraded] on every
+   entity, then [deliverable] on the aimed-at entities over windows
+   whose ends are the clock, points before it, grid points, every
+   active expiry and points just inside the engine's 1e-9 tolerance
+   before one. [note] counts the situations a query crossed. *)
+let accessor_mismatch ?(note = fun _ -> ()) seed =
+  let g = Prng.create seed in
+  let plan = model_plan g in
+  let st = Fault.start topo plan and m = Model.start plan in
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  let nent = Array.length (T.entities topo) in
+  let mismatch = ref None in
+  let fail fmt = Printf.ksprintf (fun s -> if !mismatch = None then mismatch := Some s) fmt in
+  if
+    not
+      (List.exists
+         (fun ev -> match ev.Fault.kind with Fault.Link_degrade _ -> true | _ -> false)
+         (Fault.events plan))
+  then note "plan without degradations";
+  let step i =
+    let t =
+      let base = 0.25 *. float_of_int i in
+      match Prng.int g 6 with
+      | 0 -> base +. Prng.float g 0.25
+      | 1 -> base -. 1.
+      | _ -> base
+    in
+    ignore (Fault.advance st t);
+    Model.advance m t;
+    let clock = m.Model.clock in
+    if not (same (Fault.next_change st) (Model.next_change m)) then
+      fail "t=%h: next_change %h, model %h" t (Fault.next_change st) (Model.next_change m);
+    for e = 0 to nent - 1 do
+      if not (same (Fault.multiplier st e) (Model.multiplier m e)) then
+        fail "t=%h e=%d: multiplier %h, model %h" t e (Fault.multiplier st e)
+          (Model.multiplier m e);
+      if Fault.degraded st e <> Model.degraded m e then fail "t=%h e=%d: degraded differs" t e
+    done;
+    let expiries = List.map (fun d -> d.Model.until) m.Model.active in
+    Array.iter
+      (fun e ->
+        let ds = Model.on m e in
+        let owner = m.Model.owner.(e) in
+        List.iter
+          (fun from ->
+            List.iter
+              (fun until ->
+                let got = Fault.deliverable st e ~from ~until in
+                let want = Model.deliverable m e ~from ~until in
+                if not (same got want) then
+                  fail "t=%h e=%d [%h, %h): deliverable %h, model %h" t e from until got want;
+                let lo = max from clock in
+                if until > lo then begin
+                  if from < clock then note "window before the clock";
+                  if List.length ds >= 2 then note "overlapping degradations";
+                  List.iter
+                    (fun d ->
+                      List.iter
+                        (fun (x, name) ->
+                          (* lint: allow float-eq — the plans draw these exact factors *)
+                          if Float.equal d.Model.factor x then note name)
+                        [ (0., "factor 0"); (1e-12, "factor 1e-12"); (1., "factor 1") ];
+                      if d.Model.until > lo && d.Model.until < until then
+                        note "expiry inside the window";
+                      if d.Model.until = lo then note "expiry at from";
+                      if d.Model.until = until then note "expiry at until")
+                    ds;
+                  if owner >= 0 && m.Model.dead.(owner) then note "crashed owner";
+                  if owner >= 0 && m.Model.ever.(owner) && not m.Model.dead.(owner) then
+                    note "recovered owner"
+                end)
+              ((from -. 0.25) :: from :: (from +. 0.25)
+              :: (clock +. (0.25 *. float_of_int (Prng.int g 24)))
+              :: 12. :: expiries))
+          ((clock -. 0.5) :: 0. :: clock
+          :: (clock +. (0.25 *. float_of_int (Prng.int g 8)))
+          :: (expiries @ List.map (fun x -> x -. 5e-10) expiries)))
+      model_entities
+  in
+  for i = 0 to 44 do
+    if !mismatch = None then step i
+  done;
+  !mismatch
+
+let model_situations =
+  [ "overlapping degradations"; "factor 0"; "factor 1e-12"; "factor 1"; "expiry inside the window";
+    "expiry at from"; "expiry at until"; "crashed owner"; "recovered owner";
+    "window before the clock"; "plan without degradations"
+  ]
+
+(* The fixed batch the property's random seeds add to: it must agree
+   with the model and cross every situation the accessors branch on. *)
+let test_accessors_match_model () =
+  let counts = Hashtbl.create 16 in
+  let note s = Hashtbl.replace counts s (1 + Option.value ~default:0 (Hashtbl.find_opt counts s)) in
+  for seed = 0 to 39 do
+    match accessor_mismatch ~note seed with
+    | None -> ()
+    | Some m -> Alcotest.failf "seed %d: %s" seed m
+  done;
+  List.iter
+    (fun s ->
+      if not (Hashtbl.mem counts s) then Alcotest.failf "no query crossed %S" s)
+    model_situations
+
 (* ---- golden fault scenarios (pinned numbers) ----
 
    Helpers.topo routes server 1 -> server 0 inside one rack over two
@@ -755,7 +1006,12 @@ let qcheck =
   let open QCheck in
   let seed = int_range 0 1_000_000 in
   let alg_and_seed = pair (oneofl chaos_algorithms) seed in
-  [ Test.make ~name:"chaos: all invariants hold for every algorithm" ~count:240 alg_and_seed
+  [ Test.make ~name:"cursor: accessors match the list model bit for bit" ~count:100 seed
+      (fun seed ->
+        match accessor_mismatch seed with
+        | None -> true
+        | Some m -> Test.fail_reportf "seed %d: %s" seed m);
+    Test.make ~name:"chaos: all invariants hold for every algorithm" ~count:240 alg_and_seed
       (fun (name, seed) ->
         match chaos_violation name seed with
         | None -> true
@@ -840,6 +1096,7 @@ let tests =
       tc "simultaneous crash/recover" `Quick test_simultaneous_crash_recover_plan_order;
       tc "degradations compound" `Quick test_degradations_compound;
       tc "random plan deterministic" `Quick test_random_plan_deterministic;
+      tc "accessors match the list model" `Quick test_accessors_match_model;
       tc "golden: re-home" `Quick test_golden_rehome;
       tc "golden: unrecoverable" `Quick test_golden_unrecoverable;
       tc "golden: destination crash" `Quick test_destination_crash_loses_task;

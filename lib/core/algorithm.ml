@@ -1,3 +1,5 @@
+module Task = S3_workload.Task
+
 type source_policy =
   | Random_sources of int
   | Least_congested
@@ -19,27 +21,26 @@ type t = {
   reselect : reselect option;
 }
 
+(* The [n] candidates with the fewest hops to the task's destination,
+   ties toward lower server ids. *)
+let shortest_sources (view : Problem.view) (task : Task.t) candidates n =
+  let hops s =
+    List.length (S3_net.Topology.route view.Problem.topo ~src:s ~dst:task.Task.destination)
+  in
+  Array.to_list candidates
+  |> List.stable_sort (fun a b ->
+         match compare (hops a) (hops b) with 0 -> compare a b | c -> c)
+  |> List.filteri (fun i _ -> i < n)
+  |> Array.of_list
+
 let source_selector = function
   | Least_congested -> Congestion.select_least_congested
   | Random_sources seed ->
     let g = S3_util.Prng.create seed in
     fun _view task -> Congestion.select_random g task
-  | Shortest_path ->
-    fun (view : Problem.view) task ->
-      let module Task = S3_workload.Task in
-      let hops s =
-        List.length
-          (S3_net.Topology.route view.Problem.topo ~src:s ~dst:task.Task.destination)
-      in
-      Array.to_list task.Task.sources
-      |> List.stable_sort (fun a b ->
-             match compare (hops a) (hops b) with 0 -> compare a b | c -> c)
-      |> List.filteri (fun i _ -> i < task.Task.k)
-      |> Array.of_list
+  | Shortest_path -> fun view task -> shortest_sources view task task.Task.sources task.Task.k
 
-let reselect_of_policy policy =
-  let module Task = S3_workload.Task in
-  match policy with
+let reselect_of_policy = function
   | Least_congested ->
     fun (view : Problem.view) (task : Task.t) ~eligible ~need ~remaining ->
       (* Phase I re-run on the shrunken candidate set: score the current
@@ -60,12 +61,4 @@ let reselect_of_policy policy =
     fun _view _task ~eligible ~need ~remaining:_ ->
       Array.of_list (S3_util.Prng.sample g need (Array.to_list eligible))
   | Shortest_path ->
-    fun (view : Problem.view) (task : Task.t) ~eligible ~need ~remaining:_ ->
-      let hops s =
-        List.length (S3_net.Topology.route view.Problem.topo ~src:s ~dst:task.Task.destination)
-      in
-      Array.to_list eligible
-      |> List.stable_sort (fun a b ->
-             match compare (hops a) (hops b) with 0 -> compare a b | c -> c)
-      |> List.filteri (fun i _ -> i < need)
-      |> Array.of_list
+    fun view task ~eligible ~need ~remaining:_ -> shortest_sources view task eligible need

@@ -6,20 +6,28 @@ type rates = (int * float) list
    capacity; give it a rate that finishes it promptly. *)
 let unbounded_rate (f : Problem.flow) = max 1. (f.Problem.remaining *. 1000.)
 
-let water_fill (v : Problem.view) flows =
-  let routes = List.map (fun f -> (f, Problem.route v f)) flows in
-  let local, networked = List.partition (fun (_, r) -> r = []) routes in
+(* One flow being water-filled: its route, and its rate once frozen. *)
+type fill = {
+  flow : Problem.flow;
+  route : int array;
+  mutable rate : float;
+}
+
+(* Water-fill [flows] over [available]; returns every flow with its
+   route and rate, the empty-route ones first. *)
+let water_fill (v : Problem.view) available flows =
+  let fills = List.map (fun f -> { flow = f; route = Problem.route_arr v f; rate = 0. }) flows in
+  let local, networked = List.partition (fun x -> Array.length x.route = 0) fills in
+  List.iter (fun x -> x.rate <- unbounded_rate x.flow) local;
   let remaining = Hashtbl.create 32 in
-  let touch e =
-    if not (Hashtbl.mem remaining e) then Hashtbl.replace remaining e (v.Problem.available e)
-  in
-  List.iter (fun (_, r) -> List.iter touch r) networked;
+  let touch e = if not (Hashtbl.mem remaining e) then Hashtbl.replace remaining e (available e) in
+  List.iter (fun x -> Array.iter touch x.route) networked;
   let level = ref 0. in
-  let frozen = Hashtbl.create 16 in  (* flow_id -> rate *)
   let unfrozen = ref networked in
   let users e =
-    List.fold_left (fun n (_, r) -> if List.mem e r then n + 1 else n) 0 !unfrozen
+    List.fold_left (fun n x -> if Array.mem e x.route then n + 1 else n) 0 !unfrozen
   in
+  let freeze_at rate = List.iter (fun x -> x.rate <- rate) in
   while !unfrozen <> [] do
     (* Tightest entity bounds the common increment. *)
     let delta = ref infinity in
@@ -31,9 +39,7 @@ let water_fill (v : Problem.view) flows =
     if not (Float.is_finite !delta) then begin
       (* No capacity entity constrains the remaining flows (cannot
          happen for non-empty routes, but keep the loop total). *)
-      List.iter
-        (fun ((f : Problem.flow), _) -> Hashtbl.replace frozen f.Problem.flow_id (unbounded_rate f))
-        !unfrozen;
+      List.iter (fun x -> x.rate <- unbounded_rate x.flow) !unfrozen;
       unfrozen := []
     end
     else begin
@@ -49,28 +55,18 @@ let water_fill (v : Problem.view) flows =
          entity on any flow's route before the loop; [saturated] is only
          applied to entities drawn from those same routes *)
       let saturated e = Hashtbl.find remaining e <= 1e-9 in
-      let now_frozen, still =
-        List.partition (fun (_, r) -> List.exists saturated r) !unfrozen
-      in
-      List.iter
-        (fun ((f : Problem.flow), _) -> Hashtbl.replace frozen f.Problem.flow_id !level)
-        now_frozen;
+      let now_frozen, still = List.partition (fun x -> Array.exists saturated x.route) !unfrozen in
+      freeze_at !level now_frozen;
       (* Degenerate guard: if nothing froze despite a finite delta,
          freeze everything at the current level to terminate. *)
       if now_frozen = [] && !delta <= 1e-12 then begin
-        List.iter
-          (fun ((f : Problem.flow), _) -> Hashtbl.replace frozen f.Problem.flow_id !level)
-          still;
+        freeze_at !level still;
         unfrozen := []
       end
       else unfrozen := still
     end
   done;
-  List.map (fun ((f : Problem.flow), _) -> (f.Problem.flow_id, unbounded_rate f)) local
-  (* lint: allow partial-stdlib — the water-filling loop above only ends
-     once [unfrozen] is empty, and every networked flow leaves [unfrozen]
-     by being written into [frozen] first *)
-  @ List.map (fun ((f : Problem.flow), _) -> (f.Problem.flow_id, Hashtbl.find frozen f.Problem.flow_id)) networked
+  local @ networked
 
 let priority_fill (v : Problem.view) groups =
   (* Serve groups in order against a shrinking capacity map. *)
@@ -83,19 +79,15 @@ let priority_fill (v : Problem.view) groups =
       Hashtbl.replace capacity e c;
       c
   in
+  let available e = max 0. (avail e) in
   let all = ref [] in
   List.iter
     (fun group ->
-      let sub_view = { v with Problem.available = (fun e -> max 0. (avail e)) } in
-      let rates = water_fill sub_view group in
+      let fills = water_fill v available group in
       List.iter
-        (fun (fid, rate) ->
-          let f = List.find (fun (f : Problem.flow) -> f.Problem.flow_id = fid) group in
-          List.iter
-            (fun e -> Hashtbl.replace capacity e (avail e -. rate))
-            (Problem.route v f))
-        rates;
-      all := rates @ !all)
+        (fun x -> Array.iter (fun e -> Hashtbl.replace capacity e (avail e -. x.rate)) x.route)
+        fills;
+      all := List.map (fun x -> (x.flow.Problem.flow_id, x.rate)) fills @ !all)
     groups;
   !all
 
@@ -136,9 +128,9 @@ let max_feasible_scale (v : Problem.view) demands =
   List.iter
     (fun ((f : Problem.flow), d) ->
       if d > 0. then
-        List.iter
+        Array.iter
           (fun e -> Hashtbl.replace load e (Option.value ~default:0. (Hashtbl.find_opt load e) +. d))
-          (Problem.route v f))
+          (Problem.route_arr v f))
     demands;
   Hashtbl.fold
     (fun e total acc ->

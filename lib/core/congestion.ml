@@ -24,7 +24,7 @@ let factor t e =
        x)
 
 let add_path t path lrb =
-  List.iter (fun e -> Hashtbl.replace t.tbl e (factor t e +. lrb)) path
+  Array.iter (fun e -> Hashtbl.replace t.tbl e (factor t e +. lrb)) path
 
 let of_view (v : Problem.view) =
   match v.Problem.load with
@@ -34,7 +34,7 @@ let of_view (v : Problem.view) =
     List.iter
       (fun f ->
         let l = Rtf.flow_lrb v f in
-        if Float.is_finite l then add_path t (Problem.route v f) l)
+        if Float.is_finite l then add_path t (Problem.route_arr v f) l)
       (Lazy.force v.Problem.flows);
     t
 
@@ -72,7 +72,7 @@ let select_least_congested (v : Problem.view) (task : Task.t) =
       if !best < 0 then invalid_arg "Congestion.select_least_congested: not enough candidates";
       let s = sources.(!best) in
       Array.iteri (fun i x -> if x = s then taken.(i) <- true) sources;
-      Array.iter (fun e -> Hashtbl.replace t.tbl e (factor t e +. lrb)) paths.(!best);
+      add_path t paths.(!best) lrb;
       s)
 
 let select_random g (task : Task.t) =

@@ -18,8 +18,8 @@ val of_view : Problem.view -> t
 val factor : t -> int -> float
 (** Congestion factor of one entity; 0 when untouched. *)
 
-val add_path : t -> int list -> float -> unit
-(** Commit [lrb] on every entity of a path. *)
+val add_path : t -> int array -> float -> unit
+(** Commit [lrb] on every entity of a path, in array order. *)
 
 val select_least_congested : Problem.view -> Problem.Task.t -> int array
 (** Phase I: pick the task's [k] sources greedily by least congested

@@ -17,10 +17,8 @@ type view = {
 }
 
 (* All planning-time routing goes through the topology's flat route
-   cache; [route_arr] is the allocation-free variant for hot loops. *)
+   cache, which hands out shared arrays without allocating. *)
 let route_arr v f = Topology.route_array v.topo ~src:f.source ~dst:f.task.Task.destination
-
-let route v f = Array.to_list (route_arr v f)
 
 let path_available v ~src ~dst =
   let ids = Topology.route_array v.topo ~src ~dst in
@@ -35,29 +33,20 @@ let path_available v ~src ~dst =
 let flow_path_available v f =
   path_available v ~src:f.source ~dst:f.task.Task.destination
 
-(* One table lookup per run of a task id: engine views list each task's
-   flows as one run, so that is one lookup per task. A task id that
-   comes back after another task's run finds its group in the table. *)
+(* A view lists each task's flows as one run, so the groups are the
+   runs. Walking the reversed list builds each run, and the list of
+   runs, in order; a group's task is its first flow's. *)
 let by_task v =
-  let tbl = Hashtbl.create 64 in
-  let rec start order = function
-    | [] -> order
-    | f :: rest -> (
-      let id = f.task.Task.id in
-      match Hashtbl.find_opt tbl id with
-      | Some cell ->
-        cell := f :: !cell;
-        run order id cell rest
-      | None ->
-        let cell = ref [ f ] in
-        Hashtbl.replace tbl id cell;
-        run ((f.task, cell) :: order) id cell rest)
-  and run order id cell = function
-    | f :: rest when f.task.Task.id = id ->
-      cell := f :: !cell;
-      run order id cell rest
-    | flows -> start order flows
+  let close group groups =
+    match group with [] -> groups | f :: _ -> (f.task, group) :: groups
   in
-  List.rev_map (fun (t, cell) -> (t, List.rev !cell)) (start [] (Lazy.force v.flows))
+  let rec go group groups = function
+    | [] -> close group groups
+    | f :: rest -> (
+      match group with
+      | g :: _ when g.task.Task.id = f.task.Task.id -> go (f :: group) groups rest
+      | _ -> go [ f ] (close group groups) rest)
+  in
+  go [] [] (List.rev (Lazy.force v.flows))
 
 let deadline_slack v f = f.task.Task.deadline -. v.now

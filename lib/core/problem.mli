@@ -22,15 +22,18 @@ type view = {
   now : float;
   topo : Topology.t;
   flows : flow list Lazy.t;
-      (** incomplete flows of all active tasks, grouped by task in
-          arrival order. Lazy because the dominant consumer — Phase-I
-          source selection with an engine-maintained [load] index —
-          never looks at the flow list, and building it is O(all
-          flows) per view: allocate-time algorithms force it once,
-          per-spawn congestion probes never do. The thunk reads the
-          engine's live flow state, so a view is only valid until the
-          engine's next mutation — algorithms must force [flows] (or
-          not at all) before returning, never stash the view. *)
+      (** incomplete flows of all active tasks, tasks in arrival
+          order. Whoever builds a view must list each task's flows as
+          one run: {!by_task} takes the runs as the groups and does not
+          re-join a task whose flows come back after another task's.
+          Lazy because the dominant consumer — Phase-I source selection
+          with an engine-maintained [load] index — never looks at the
+          flow list, and building it is O(all flows) per view:
+          allocate-time algorithms force it once, per-spawn congestion
+          probes never do. The thunk reads the engine's live flow
+          state, so a view is only valid until the engine's next
+          mutation — algorithms must force [flows] (or not at all)
+          before returning, never stash the view. *)
   available : int -> float;  (** entity id -> megabits/s currently
                                  available to background traffic (raw
                                  capacity minus foreground load) *)
@@ -48,12 +51,9 @@ type view = {
       reads live engine state. *)
 }
 
-val route : view -> flow -> int list
-(** Capacity entities this flow consumes. *)
-
 val route_arr : view -> flow -> int array
-(** Same as {!route}, as the topology's shared memoized array —
-    allocation-free; callers must not mutate it. *)
+(** Capacity entities this flow consumes, as the topology's shared
+    memoized array — allocation-free; callers must not mutate it. *)
 
 val path_available : view -> src:int -> dst:int -> float
 (** Bottleneck available bandwidth between two servers: min of
@@ -67,10 +67,10 @@ val by_task : view -> (Task.t * flow list) list
     order within a task. Each group's task is the one its first flow
     carries.
 
-    Cost: one pass with one table lookup per run of a task id. Every
-    view the engine builds lists each task's flows as one run, so that
-    is one lookup per task. A task id that comes back after another
-    task's run costs one more lookup and joins its first group. *)
+    The groups are the runs of [flows] with one task id, found in one
+    pass with no table. This relies on the view listing each task's
+    flows as one run, as {!view}[.flows] requires: a task id that
+    comes back after another task's run opens a second group. *)
 
 val deadline_slack : view -> flow -> float
 (** Seconds until the flow's deadline; negative once expired. *)

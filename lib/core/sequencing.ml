@@ -8,12 +8,12 @@ let compare_keys ka ida kb idb =
   | 0 -> Int.compare ida idb
   | c -> c
 
-(* Sort existing (task, flows) pairs by ascending key. The key sees the
-   view only for [now]/[available]/[topo] plus the pair's own flows, so
-   callers that already hold the grouping (lpst's sticky admission)
-   avoid rebuilding it through [Problem.by_task]. Each key is computed
-   once into a float array and positions are sorted; the sort is
-   stable, so pairs of one task id keep their input order. *)
+(* Sort (task, flows) pairs by ascending key. The key sees the view
+   only for [now]/[available]/[topo] plus the pair's own flows, so a
+   caller can sort any subset of [Problem.by_task]'s groups (lpst sorts
+   its held and its fresh tasks apart). Each key is computed once into
+   a float array and positions are sorted; the sort is stable, so
+   pairs of one task id keep their input order. *)
 let sort_pairs v ~key pairs =
   let pairs = Array.of_list pairs in
   let keys = Array.map (key v) pairs in

@@ -6,8 +6,8 @@ val sort_pairs :
   (Problem.Task.t * Problem.flow list) list ->
   (Problem.Task.t * Problem.flow list) list
 (** Sort already-grouped (task, flows) pairs by ascending key (ties by
-    task id) — {!ordered_tasks} without the regrouping pass, for
-    callers that maintain their own task partition. Keys compare by
+    task id) — {!ordered_tasks} on a given list of groups, for callers
+    that split {!Problem.by_task}'s groups themselves. Keys compare by
     [Float.compare] (NaN first); pairs with equal key and id keep
     their input order. [key] is called once per pair, in input
     order. *)

@@ -47,9 +47,9 @@ let respects_capacities ?(tol = 1e-6) (v : Problem.view) rates =
     (fun f ->
       let r = rate_of rates f.Problem.flow_id in
       if r > 0. then
-        List.iter
+        Array.iter
           (fun e ->
             Hashtbl.replace usage e (Option.value ~default:0. (Hashtbl.find_opt usage e) +. r))
-          (Problem.route v f))
+          (Problem.route_arr v f))
     (Lazy.force v.Problem.flows);
   Hashtbl.fold (fun e used ok -> ok && used <= v.Problem.available e +. tol) usage true

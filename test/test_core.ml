@@ -19,7 +19,7 @@ let test_route_and_path () =
   let t = task ~sources:[| 1 |] ~destination:0 () in
   let f = flow ~source:1 t in
   let v = view [ f ] in
-  Alcotest.(check int) "intra-rack hops" 2 (List.length (Problem.route v f));
+  Alcotest.(check int) "intra-rack hops" 2 (Array.length (Problem.route_arr v f));
   checkf "path available" 1000. (Problem.flow_path_available v f);
   checkf "cross-rack bottleneck" 1000. (Problem.path_available v ~src:4 ~dst:0);
   checkf "self path" infinity (Problem.path_available v ~src:2 ~dst:2)
@@ -91,8 +91,8 @@ let test_congestion_of_view () =
 
 let test_congestion_path_ops () =
   let c = Congestion.of_view (view []) in
-  Congestion.add_path c [ 1; 2 ] 50.;
-  Congestion.add_path c [ 2; 3 ] 25.;
+  Congestion.add_path c [| 1; 2 |] 50.;
+  Congestion.add_path c [| 2; 3 |] 25.;
   checkf "sum" 75. (Congestion.factor c 2);
   checkf "one path" 50. (Congestion.factor c 1);
   checkf "untouched" 0. (Congestion.factor c 4)

@@ -288,7 +288,9 @@ let check_load failure what (view : Problem.view) =
       (load_matches_scan view)
 
 (* Engine views list each task's flows as one run, the runs in arrival
-   order; [Problem.by_task] then does one table lookup per task. *)
+   order. [Problem.by_task] relies on this: it takes the runs as the
+   task groups, so a task whose flows came back after another task's
+   would be split into two groups. *)
 let grouping_fault (view : Problem.view) =
   let seen = Hashtbl.create 64 in
   let rec go (prev : Task.t option) = function

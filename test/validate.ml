@@ -61,10 +61,10 @@ let check ?(tol = 1e-6) ?(floor = fun _ -> 0.) (v : Problem.view) rates =
     (fun f ->
       let r = max 0. (rate_of f.Problem.flow_id) in
       if r > 0. then
-        List.iter
+        Array.iter
           (fun e ->
             Hashtbl.replace usage e (Option.value ~default:0. (Hashtbl.find_opt usage e) +. r))
-          (Problem.route v f))
+          (Problem.route_arr v f))
     vflows;
   Hashtbl.fold (fun entity allocated acc -> (entity, allocated) :: acc) usage []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)

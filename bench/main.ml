@@ -46,41 +46,49 @@ let micro_tests =
     S3_lp.Lp.make ~nvars:n ~objective:(Array.make n 1.) ~lower:(Array.make n 0.) constrs
   in
   let p60 = lp_problem 60 in
-  (* Phase III alone, cold, on one arrival wave of s3bench's
-     leafspine-waves scene: 150 leaf-local repairs of 4 flows dealt
-     round-robin over the 52 leaves of a 1040-server leaf-spine, each
-     with its first 4 candidates as sources. Every route stays inside
-     its leaf, so the LP splits into one block per leaf. *)
-  let wave_view, wave_flows =
+  (* [m] leaf-local repairs of 4 flows on a 1040-server leaf-spine (52
+     leaves of 20 servers), as s3bench's leaf-spine scenes deal them:
+     round-robin over the leaves, each with its first 4 of 6 candidates
+     as sources, every route inside its leaf. *)
+  let leaf_view =
     let leaves = 52 and per_leaf = 20 in
     let topo =
       S3_net.Topology.leaf_spine ~leaves ~spines:4 ~servers_per_leaf:per_leaf ~cst:1000.
         ~cta:20000.
     in
-    let flows =
-      List.concat
-        (List.init 150 (fun i ->
-             let base = i mod leaves * per_leaf and slot = i / leaves in
-             let sources = Array.init 6 (fun j -> base + ((slot + 1 + j) mod per_leaf)) in
-             let task =
-               S3_workload.Task.v ~id:i ~arrival:0. ~deadline:30. ~volume:200. ~k:4 ~sources
-                 ~destination:(base + (slot mod per_leaf)) ()
-             in
-             List.init 4 (fun j ->
-                 { S3_core.Problem.flow_id = (4 * i) + j;
-                   task;
-                   source = sources.(j);
-                   remaining = 200.
-                 })))
-    in
-    ( { S3_core.Problem.now = 0.;
-        topo;
-        flows = lazy flows;
-        available = (fun e -> (S3_net.Topology.entity topo e).S3_net.Topology.capacity);
-        load = None
-      },
-      flows )
+    fun ~m ~volume ~deadline ->
+      let flows =
+        List.concat
+          (List.init m (fun i ->
+               let base = i mod leaves * per_leaf and slot = i / leaves in
+               let sources = Array.init 6 (fun j -> base + ((slot + 1 + j) mod per_leaf)) in
+               let task =
+                 S3_workload.Task.v ~id:i ~arrival:0. ~deadline ~volume ~k:4 ~sources
+                   ~destination:(base + (slot mod per_leaf)) ()
+               in
+               List.init 4 (fun j ->
+                   { S3_core.Problem.flow_id = (4 * i) + j;
+                     task;
+                     source = sources.(j);
+                     remaining = volume
+                   })))
+      in
+      ( { S3_core.Problem.now = 0.;
+          topo;
+          flows = lazy flows;
+          available = (fun e -> (S3_net.Topology.entity topo e).S3_net.Topology.capacity);
+          load = None
+        },
+        flows )
   in
+  (* Phase III alone, cold, on one arrival wave of s3bench's
+     leafspine-waves scene: 150 small repairs, so the LP splits into
+     one block per leaf. *)
+  let wave_view, wave_flows = leaf_view ~m:150 ~volume:200. ~deadline:30. in
+  (* One fresh LPST plan at the first event of s3bench's
+     leafspine-burst scene: 10,000 repairs of 1000 Mb due in 12 s.
+     Phase II ranks all of them and admits the 1,248 whose LRBs fit. *)
+  let burst_view, _ = leaf_view ~m:10_000 ~volume:1000. ~deadline:12. in
   (* The supervision passes inside one engine run: 40 (9,6) repairs on
      a 30-server two-tier fabric with a crash that the detector confirms
      two seconds late, two overlapping degradations on one NIC that
@@ -124,6 +132,9 @@ let micro_tests =
            ignore
              (S3_core.Allocation.lp_allocate ~state:(S3_lp.Lp.create_state ())
                 ~lower:(S3_core.Rtf.flow_lrb wave_view) wave_view wave_flows)));
+    Test.make ~name:"plan/lpst-leafspine-10k"
+      (Staged.stage (fun () ->
+           ignore ((S3_core.Lpst.lpst ()).S3_core.Algorithm.allocate burst_view)));
     Test.make ~name:"sim/supervised-storm"
       (Staged.stage (fun () ->
            ignore

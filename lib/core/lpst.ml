@@ -8,75 +8,199 @@ type bandwidth =
   | Lp_max
   | Lrb_only
 
-let admission_key admission =
-  match admission with
-  | Rtf_order -> fun v (_, flows) -> Rtf.task_rtf v flows
-  | Arrival_order -> fun _ ((t : Task.t), _) -> t.Task.arrival
+(* Phase II scratch, kept per instance and grown on demand. Run [r] of
+   the view's flow list starts at cell [first.(r)] and holds [len.(r)]
+   flows of task [task.(r)], whose id is [id.(r)]; [held.(r)] says the
+   sticky table holds that task, and [key.(r)] is its admission key.
+   Per entity: [avail] starts each call as the view's available
+   capacity and loses each admitted task's demand; [demand] is the
+   current task's summed LRB, over the stack [touched] of the entities
+   it crosses, which [seen] marks. *)
+type scratch = {
+  mutable first : Problem.flow list array;
+  mutable len : int array;
+  mutable task : Task.t array;
+  mutable id : int array;
+  mutable held : bool array;
+  mutable key : float array;
+  mutable avail : float array;
+  mutable demand : float array;
+  mutable seen : bool array;
+  mutable touched : int array;
+}
 
-(* Residual capacity indexed by entity id, seeded from the view. *)
-let make_residual (v : Problem.view) =
-  let nent = Array.length (S3_net.Topology.entities v.Problem.topo) in
-  Array.init nent (fun e -> v.Problem.available e)
+let scratch () =
+  { first = [||];
+    len = [||];
+    task = [||];
+    id = [||];
+    held = [||];
+    key = [||];
+    avail = [||];
+    demand = [||];
+    seen = [||];
+    touched = [||]
+  }
 
-(* Greedy Phase II over a candidate list, consuming [residual]
-   capacity in place. Returns the tasks that fit. *)
-let admit_into (v : Problem.view) residual candidates =
-  let nent = Array.length residual in
-  (* Per-task scratch, reset after each candidate: demand per entity,
-     and a stack of the entities this task touches. *)
-  let demand = Array.make nent 0. in
-  let seen = Array.make nent false in
-  let touched = Array.make nent 0 and ntouched = ref 0 in
-  (* Aggregate the task's demand per entity, flow by flow along each
-     route; false at the first flow whose LRB is not finite. *)
-  let rec aggregate = function
-    | [] -> true
+(* [a] if it has room for [need] entries, else a copy of it at least
+   twice as long, filled out with [fill]. *)
+let grow a need fill =
+  let n = Array.length a in
+  if n >= need then a
+  else begin
+    let b = Array.make (max need (2 * n)) fill in
+    Array.blit a 0 b 0 n;
+    b
+  end
+
+(* One pass over the flow list: each run's first cell, length, task
+   and task id. Returns the number of runs. *)
+let rec record s r = function
+  | [] -> r
+  | (f :: _) as cells ->
+    let t = f.Problem.task in
+    if r = Array.length s.task then begin
+      s.first <- grow s.first (r + 1) [];
+      s.len <- grow s.len (r + 1) 0;
+      s.task <- grow s.task (r + 1) t;
+      s.id <- grow s.id (r + 1) 0
+    end;
+    s.first.(r) <- cells;
+    s.task.(r) <- t;
+    s.id.(r) <- t.Task.id;
+    extend s r t.Task.id 0 cells
+
+and extend s r id n = function
+  | f :: rest when f.Problem.task.Task.id = id -> extend s r id (n + 1) rest
+  | rest ->
+    s.len.(r) <- n;
+    record s (r + 1) rest
+
+(* Eq. (13) for run [r] into [s.key.(r)], each route's bottleneck read
+   from [s.avail]: the operations and order of [Rtf.task_rtf]. *)
+let rank_rtf s (v : Problem.view) r =
+  let now = v.Problem.now in
+  let key = ref infinity and cells = ref s.first.(r) in
+  for _ = 1 to s.len.(r) do
+    match !cells with
+    | [] -> ()
     | f :: rest ->
-      let l = Rtf.flow_lrb v f in
-      Float.is_finite l
-      && begin
-        Array.iter
-          (fun e ->
-            if not seen.(e) then begin
-              seen.(e) <- true;
-              touched.(!ntouched) <- e;
-              incr ntouched
-            end;
-            demand.(e) <- demand.(e) +. l)
-          (Problem.route_arr v f);
-        aggregate rest
-      end
-  in
-  let rec fits i =
-    i >= !ntouched
-    ||
-    let e = touched.(i) in
-    demand.(e) <= residual.(e) +. 1e-9 && fits (i + 1)
-  in
-  List.filter
-    (fun (_, flows) ->
-      let ok = aggregate flows && fits 0 in
-      for i = 0 to !ntouched - 1 do
-        let e = touched.(i) in
-        if ok then residual.(e) <- residual.(e) -. demand.(e);
-        demand.(e) <- 0.;
-        seen.(e) <- false
+      cells := rest;
+      let route = Problem.route_arr v f in
+      let cap = ref infinity in
+      for i = 0 to Array.length route - 1 do
+        let a = s.avail.(route.(i)) in
+        if not (!cap <= a) then cap := a
       done;
-      ntouched := 0;
-      ok)
-    candidates
+      let arrival = f.Problem.task.Task.arrival in
+      let start = if now >= arrival then now else arrival in
+      let rtf =
+        if !cap <= 0. then neg_infinity
+        else f.Problem.task.Task.deadline -. start -. (f.Problem.remaining /. !cap)
+      in
+      if not (!key <= rtf) then key := rtf
+  done;
+  s.key.(r) <- !key
 
-let admit (v : Problem.view) =
-  let ordered = Sequencing.ordered_tasks v ~key:(admission_key Rtf_order) in
-  admit_into v (make_residual v) ordered
+(* Admit run [r] if each of its flows has a finite LRB and their LRBs,
+   summed per entity in flow order and then route order, fit [s.avail]
+   (1e-9 tolerance) on every entity they cross; an admitted run's
+   demand leaves [s.avail]. *)
+let admit_run s (v : Problem.view) r =
+  let ntouched = ref 0 and finite = ref true in
+  let cells = ref s.first.(r) and left = ref s.len.(r) in
+  while !finite && !left > 0 do
+    match !cells with
+    | [] -> left := 0
+    | f :: rest ->
+      cells := rest;
+      decr left;
+      let l = Rtf.flow_lrb v f in
+      if Float.is_finite l then begin
+        let route = Problem.route_arr v f in
+        for i = 0 to Array.length route - 1 do
+          let e = route.(i) in
+          if not s.seen.(e) then begin
+            s.seen.(e) <- true;
+            s.touched.(!ntouched) <- e;
+            incr ntouched
+          end;
+          s.demand.(e) <- s.demand.(e) +. l
+        done
+      end
+      else finite := false
+  done;
+  let fits = ref !finite and i = ref 0 in
+  while !fits && !i < !ntouched do
+    let e = s.touched.(!i) in
+    fits := s.demand.(e) <= s.avail.(e) +. 1e-9;
+    incr i
+  done;
+  for i = 0 to !ntouched - 1 do
+    let e = s.touched.(i) in
+    if !fits then s.avail.(e) <- s.avail.(e) -. s.demand.(e);
+    s.demand.(e) <- 0.;
+    s.seen.(e) <- false
+  done;
+  !fits
 
-(* Re-triage a previously admitted set against (possibly reduced)
-   capacity: keep tasks in urgency order while they fit. With static
-   capacity every survivor fits (allocations never fell below LRB), so
-   this only evicts when foreground traffic stole bandwidth. *)
-let retriage ~admission (v : Problem.view) residual admitted_tasks =
-  admit_into v residual
-    (Sequencing.sort_pairs v ~key:(admission_key admission) admitted_tasks)
+(* The first [n] flows of [cells], in front of [tail]. *)
+let rec prefix cells n tail =
+  match cells with
+  | f :: rest when n > 0 -> f :: prefix rest (n - 1) tail
+  | _ -> tail
+
+(* Phase II over the view's task runs: rank them, held runs first and
+   then by ascending (key, task id), and admit each in that order
+   while its LRBs fit what the runs before it left. [add] folds each
+   admitted run's task, first cell and length into [init], from the
+   last admitted run to the first. The scratch lets go of the view's
+   cells before returning. *)
+let phase2 s ~admission ~held (v : Problem.view) ~add init =
+  let nruns = record s 0 (Lazy.force v.Problem.flows) in
+  let nent = Array.length (S3_net.Topology.entities v.Problem.topo) in
+  s.avail <- grow s.avail nent 0.;
+  s.demand <- grow s.demand nent 0.;
+  s.seen <- grow s.seen nent false;
+  s.touched <- grow s.touched nent 0;
+  for e = 0 to nent - 1 do
+    s.avail.(e) <- v.Problem.available e
+  done;
+  s.held <- grow s.held nruns false;
+  s.key <- grow s.key nruns 0.;
+  for r = 0 to nruns - 1 do
+    s.held.(r) <- held s.id.(r);
+    match admission with
+    | Rtf_order -> rank_rtf s v r
+    | Arrival_order -> s.key.(r) <- s.task.(r).Task.arrival
+  done;
+  let order = Array.init nruns Fun.id in
+  Array.stable_sort
+    (fun i j ->
+      match Bool.compare s.held.(j) s.held.(i) with
+      | 0 -> Sequencing.compare_at s.key s.id i j
+      | c -> c)
+    order;
+  let nadmitted = ref 0 in
+  for q = 0 to nruns - 1 do
+    let r = order.(q) in
+    if admit_run s v r then begin
+      order.(!nadmitted) <- r;
+      incr nadmitted
+    end
+  done;
+  let acc = ref init in
+  for q = !nadmitted - 1 downto 0 do
+    let r = order.(q) in
+    acc := add s.task.(r) s.first.(r) s.len.(r) !acc
+  done;
+  Array.fill s.first 0 nruns [];
+  !acc
+
+let admit v =
+  phase2 (scratch ()) ~admission:Rtf_order ~held:(fun _ -> false) v
+    ~add:(fun t cells n acc -> (t, prefix cells n []) :: acc)
+    []
 
 let lpst ?(sources = Algorithm.Least_congested) ?(admission = Rtf_order)
     ?(bandwidth = Lp_max) ?(sticky = true) ?name () =
@@ -86,13 +210,17 @@ let lpst ?(sources = Algorithm.Least_congested) ?(admission = Rtf_order)
      forces an eviction — this is what makes "admitted tasks are
      guaranteed to meet their deadlines" (4, Phase III) true, and it
      prevents the thrashing where a half-finished task loses its slot
-     to a waiting one and both miss. *)
+     to a waiting one and both miss. Held tasks are re-triaged ahead
+     of the rest: with static capacity every one still fits
+     (allocations never fell below LRB), so they are evicted only
+     when foreground traffic stole bandwidth. *)
   let admitted = Hashtbl.create 256 in
   (* [admitted] maps a task id to the call that last admitted or kept
      it; entries not stamped by the current call are dropped at its
      end, so a task missing from a view (completed, expired) loses its
      reservation. *)
   let generation = ref 0 in
+  let scratch = scratch () in
   (* Per-instance solver state: the Phase III LPs of consecutive events
      share structure, so the workspace (and, when the flow set is
      unchanged, the previous basis or solution) carries over. *)
@@ -101,20 +229,14 @@ let lpst ?(sources = Algorithm.Least_congested) ?(admission = Rtf_order)
     if not sticky then Hashtbl.reset admitted;
     incr generation;
     let gen = !generation in
-    let stamp ((t : Task.t), _) = Hashtbl.replace admitted t.Task.id gen in
-    let held, candidates =
-      List.partition (fun ((t : Task.t), _) -> Hashtbl.mem admitted t.Task.id) (Problem.by_task v)
+    let flows =
+      phase2 scratch ~admission ~held:(Hashtbl.mem admitted) v
+        ~add:(fun (t : Task.t) cells n acc ->
+          Hashtbl.replace admitted t.Task.id gen;
+          prefix cells n acc)
+        []
     in
-    let residual = make_residual v in
-    let kept = retriage ~admission v residual held in
-    List.iter stamp kept;
-    let fresh =
-      admit_into v residual
-        (Sequencing.sort_pairs v ~key:(admission_key admission) candidates)
-    in
-    List.iter stamp fresh;
     Hashtbl.filter_map_inplace (fun _ g -> if g = gen then Some g else None) admitted;
-    let flows = List.concat_map snd (kept @ fresh) in
     match flows with
     | [] -> []
     | _ -> (

@@ -34,20 +34,18 @@ type bandwidth =
   | Lrb_only  (** ablation heuristic: every admitted task gets exactly LRB *)
 
 val admit : Problem.view -> (Problem.Task.t * Problem.flow list) list
-(** Phase II alone, in RTF order: the admitted tasks, in admission
-    order — exposed so Phase II can be timed on its own. *)
-
-val admit_into :
-  Problem.view -> float array ->
-  (Problem.Task.t * Problem.flow list) list ->
-  (Problem.Task.t * Problem.flow list) list
-(** [admit_into v residual candidates] walks [candidates] in the given
-    order and keeps each task whose flows all have a finite LRB and
-    whose summed LRBs fit [residual] (indexed by entity id, 1e-9
-    tolerance) on every entity its routes cross; each kept task's
-    demand is subtracted from [residual] in place. A task's demand on
-    an entity is summed in flow order, then route order. Allocation
-    per call is O(entities) scratch plus the result list. *)
+(** Phase II alone, in RTF order, as a fresh instance's first call runs
+    it: the admitted tasks with their flows, in admission order —
+    exposed so Phase II can be timed on its own. It runs the same code
+    as [allocate], on a fresh scratch with nothing held. A task is
+    admitted when all its flows have a finite LRB and their LRBs, summed
+    per entity in flow order and then route order, fit what the tasks
+    before it left of [available] (1e-9 tolerance) on every entity their
+    routes cross. Cost: one pass over the view's flows, one
+    [available] read per entity, each task's RTF folded once, one
+    stable sort of the tasks and the admission walk. It allocates the
+    scratch (O(tasks + entities)), the sort's O(tasks) index and merge
+    arrays, one boxed LRB per flow it examines, and the result. *)
 
 val lpst :
   ?sources:Algorithm.source_policy ->
@@ -59,7 +57,17 @@ val lpst :
 (** [sticky] (default [true]) keeps admitted tasks admitted across
     events; [false] re-triages from scratch on every event — provided
     only for the ablation benchmark that demonstrates why stickiness is
-    load-bearing. The Phase III LP goes through one {!S3_lp.Lp.state}
-    per instance: the solver splits it into independent blocks (one
-    per rack for rack-local traffic) and warm-starts from the previous
-    event's basis (see {!S3_lp.Lp.solve}). *)
+    load-bearing.
+
+    Each instance keeps its Phase II scratch, grown on demand and
+    reused by every call: per task run of the view, its first cell,
+    length, task, task id, held flag and key; per entity, the
+    availability that admission consumes and the current task's demand
+    stack. Beyond {!admit}'s sort arrays and boxed LRBs, a call
+    allocates the admitted flow list and the rates. Held tasks are
+    re-triaged first, in key order, then the rest. The Phase III LP
+    goes through one
+    {!S3_lp.Lp.state} per instance: the solver splits it into
+    independent blocks (one per rack for rack-local traffic) and
+    warm-starts from the previous event's basis (see
+    {!S3_lp.Lp.solve}). *)

@@ -1,28 +1,25 @@
 module Task = S3_workload.Task
 module Topology = S3_net.Topology
 
-(* Key order: ascending key by [Float.compare], which is [compare] at
-   float (NaN sorts first), then ascending task id. *)
-let compare_keys ka ida kb idb =
+(* Ascending key by [Float.compare], which is [compare] at float (NaN
+   first), then ascending task id. *)
+let[@inline] compare_keys ka ida kb idb =
   match Float.compare ka kb with
   | 0 -> Int.compare ida idb
   | c -> c
 
-(* Sort (task, flows) pairs by ascending key. The key sees the view
-   only for [now]/[available]/[topo] plus the pair's own flows, so a
-   caller can sort any subset of [Problem.by_task]'s groups (lpst sorts
-   its held and its fresh tasks apart). Each key is computed once into
-   a float array and positions are sorted; the sort is stable, so
-   pairs of one task id keep their input order. *)
-let sort_pairs v ~key pairs =
-  let pairs = Array.of_list pairs in
+let compare_at keys ids i j = compare_keys keys.(i) ids.(i) keys.(j) ids.(j)
+
+(* [Problem.by_task]'s groups by ascending (key, id). Each key is
+   computed once into a float array and positions are sorted; the sort
+   is stable, so groups of one task id keep their input order. *)
+let ordered_tasks v ~key =
+  let pairs = Array.of_list (Problem.by_task v) in
   let keys = Array.map (key v) pairs in
   let ids = Array.map (fun ((t : Task.t), _) -> t.Task.id) pairs in
   let pos = Array.init (Array.length pairs) Fun.id in
-  Array.stable_sort (fun i j -> compare_keys keys.(i) ids.(i) keys.(j) ids.(j)) pos;
+  Array.stable_sort (compare_at keys ids) pos;
   Array.fold_right (fun i acc -> pairs.(i) :: acc) pos []
-
-let ordered_tasks v ~key = sort_pairs v ~key (Problem.by_task v)
 
 (* The first pair with the least (key, id): the head of [ordered_tasks]
    in one pass. *)

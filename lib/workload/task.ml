@@ -37,14 +37,15 @@ let v ~id ?(kind = Generic) ~arrival ~deadline ~volume ~k ~sources ~destination 
   if k <= 0 then invalid_arg "Task.v: k must be positive";
   if Array.length sources < k then invalid_arg "Task.v: fewer candidate sources than k";
   (* Candidate sets are a stripe's chunks, a handful of servers: a
-     pairwise scan is cheaper than hashing and allocates nothing. *)
-  Array.iteri
-    (fun i s ->
-      if s = destination then invalid_arg "Task.v: a source equals the destination";
-      for j = 0 to i - 1 do
-        if sources.(j) = s then invalid_arg "Task.v: duplicate source"
-      done)
-    sources;
+     pairwise scan in plain loops is cheaper than hashing and allocates
+     nothing. *)
+  for i = 0 to Array.length sources - 1 do
+    let s = sources.(i) in
+    if s = destination then invalid_arg "Task.v: a source equals the destination";
+    for j = 0 to i - 1 do
+      if sources.(j) = s then invalid_arg "Task.v: duplicate source"
+    done
+  done;
   { id; kind; arrival; deadline; volume; k; sources; destination }
 
 let total_volume t = float_of_int t.k *. t.volume

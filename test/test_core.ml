@@ -204,14 +204,17 @@ let test_max_feasible_scale () =
 
 (* ---- Sequencing ---- *)
 
+(* The order reached through [disjoint_groups]: tasks on disjoint
+   servers are all admitted, one group each, in (key, id) order. *)
 let test_ordered_tasks () =
-  let t1 = task ~id:1 ~deadline:20. () in
-  let t2 = task ~id:2 ~deadline:5. () in
-  let v = view (flows_of t1 @ flows_of t2) in
+  let t1 = task ~id:1 ~deadline:20. ~sources:[| 4 |] ~destination:0 () in
+  let t2 = task ~id:2 ~deadline:5. ~sources:[| 5 |] ~destination:1 () in
+  let t3 = task ~id:3 ~deadline:5. ~sources:[| 7 |] ~destination:2 () in
+  let v = view (flows_of t3 @ flows_of t1 @ flows_of t2) in
   let key _ ((t : Task.t), _) = t.Task.deadline in
-  let ordered = Sequencing.ordered_tasks v ~key in
-  Alcotest.(check (list int)) "deadline order" [ 2; 1 ]
-    (List.map (fun ((t : Task.t), _) -> t.Task.id) ordered)
+  let ordered = Sequencing.disjoint_groups v ~key in
+  Alcotest.(check (list (list int))) "deadline order, ties by id" [ [ 2 ]; [ 3 ]; [ 1 ] ]
+    (List.map (List.map (fun (f : Problem.flow) -> f.Problem.task.Task.id)) ordered)
 
 let test_head_only () =
   let t1 = task ~id:1 ~deadline:20. () in

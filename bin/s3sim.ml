@@ -604,9 +604,11 @@ let gen_cmd =
   let machines_arg = Arg.(value & opt int 30 & info [ "machines" ] ~doc:"Machines.") in
   let tasks_arg = Arg.(value & opt int 1000 & info [ "tasks" ] ~doc:"Records.") in
   let run machines tasks seed =
-    let records = Trace.synthetic (Prng.create seed) ~machines ~tasks in
-    print_string (Trace.to_csv records);
-    `Ok ()
+    match Trace.synthetic (Prng.create seed) ~machines ~tasks with
+    | records ->
+      print_string (Trace.to_csv records);
+      `Ok ()
+    | exception Invalid_argument m -> `Error (false, m)
   in
   Cmd.v
     (Cmd.info "gen" ~doc:"Emit a synthetic time,machine trace on stdout.")

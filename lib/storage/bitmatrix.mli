@@ -13,7 +13,9 @@
     [8 × packet] bytes is treated as 8 packets, and every lifted-row
     application is a pure XOR of whole packets — no field
     multiplications — which {!Schedule} compiles into straight-line
-    word-wide XOR programs. *)
+    word-wide XOR programs. The byte-wise application, packet by
+    packet, is the reference in [test/codec_ref.ml] that the compiled
+    programs are checked against. *)
 
 type t
 
@@ -35,21 +37,3 @@ val element_ones : int -> int
 (** [element_ones e] is the popcount of the 8×8 lift of the field
     element [e] — the row-scaling heuristic minimizes the sum of this
     over a generator row before any schedule is compiled. *)
-
-val apply_packets :
-  t ->
-  srcs:Bytes.t array ->
-  soffs:int array ->
-  dsts:Bytes.t array ->
-  doffs:int array ->
-  packet:int ->
-  unit
-(** Byte-wise reference application of the lifted matrix to one
-    stripe: input shard [j]'s packet [c] is the [packet] bytes at
-    [soffs.(j) + c*packet] in [srcs.(j)], output shard [i]'s packet
-    [r] likewise in [dsts.(i)]; every output packet is zeroed and then
-    XOR-accumulates each input packet whose bit is set. This is the
-    oracle the compiled {!Schedule} kernel is pinned bit-identical to;
-    it deliberately uses checked accessors and no schedule. Raises
-    [Invalid_argument] when shapes, offsets or lengths do not line
-    up. *)

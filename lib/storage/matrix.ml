@@ -95,7 +95,3 @@ let invert m =
      done
    with Exit -> ());
   if !ok then Some inv else None
-
-let vandermonde ~rows ~cols =
-  if rows > 256 then invalid_arg "Matrix.vandermonde: too many rows for GF(256)";
-  init ~rows ~cols (fun i j -> Gf256.pow i j)

@@ -20,7 +20,3 @@ val select_rows : t -> int list -> t
 
 val invert : t -> t option
 (** Gauss–Jordan inverse; [None] when singular. Requires square. *)
-
-val vandermonde : rows:int -> cols:int -> t
-(** Entry (i,j) = iʲ in GF(2⁸). Any [cols] rows with distinct i are
-    independent for [rows <= 256]. *)

@@ -84,7 +84,7 @@ let repair t ~file ~chunk ~sources ~destination =
   if List.length shards < k then
     invalid_arg "Pipeline.repair: fewer than k sources";
   let subset = List.filteri (fun i _ -> i < k) shards in
-  let rebuilt = Reed_solomon.reconstruct_stripes info.code ~index:chunk subset in
+  let rebuilt = Reed_solomon.reconstruct info.code ~index:chunk subset in
   (* Metadata first (it validates destination), then bytes. *)
   Cluster.place_chunk t.cluster file ~chunk ~server:destination;
   Store.put t.store ~server:destination ~file ~chunk rebuilt

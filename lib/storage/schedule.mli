@@ -1,9 +1,10 @@
 (** Straight-line XOR programs compiled from a {!Bitmatrix} — the
     jerasure "smart schedule" idea.
 
-    A schedule turns one stripe application (8 packets per shard, see
-    {!Bitmatrix.apply_packets}) into a flat op list: copy a packet,
-    XOR a packet in, or zero a packet. Ops may read packets of
+    A schedule turns one stripe application of a lifted matrix (8
+    packets per shard; output packet [r] is the XOR of the input
+    packets whose bit is set in row [r]) into a flat op list: copy a
+    packet, XOR a packet in, or zero a packet. Ops may read packets of
     previously computed *output* rows, which is how the smart compiler
     dedupes common subexpressions: an output bit-row whose matrix row
     is close (in Hamming distance) to an earlier one is derived from
@@ -18,7 +19,8 @@ type t
 
 val compile : Bitmatrix.t -> t
 (** [compile bm] compiles the lifted matrix into an XOR program whose
-    {!apply} is bit-identical to [Bitmatrix.apply_packets bm]. Each
+    {!apply} is bit-identical to applying [bm] packet by packet (the
+    byte-wise reference in [test/codec_ref.ml]). Each
     output row is derived from the cheapest previously computed output
     row when that beats building it from the input columns. Requires
     bit dimensions that are multiples of 8. *)

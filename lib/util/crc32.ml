@@ -1,6 +1,6 @@
 (* Reflected CRC-32 with polynomial 0xEDB88320 (IEEE), one 256-entry
-   table; the standard zlib construction: the running state is the
-   complement of the register, so [init] doubles as the final xor. *)
+   table; the standard zlib construction: the register starts at all
+   ones and is complemented at the end. *)
 
 let table =
   lazy
@@ -13,17 +13,11 @@ let table =
          done;
          !c))
 
-let init = 0l
-
-let update crc buf ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length buf then
-    invalid_arg "Crc32.update: slice out of bounds";
+let digest b =
   let t = Lazy.force table in
-  let c = ref (Int32.logxor crc 0xFFFFFFFFl) in
-  for i = pos to pos + len - 1 do
-    let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code (Bytes.get buf i)))) 0xFFl) in
+  let c = ref 0xFFFFFFFFl in
+  for i = 0 to Bytes.length b - 1 do
+    let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code (Bytes.get b i)))) 0xFFl) in
     c := Int32.logxor t.(idx) (Int32.shift_right_logical !c 8)
   done;
   Int32.logxor !c 0xFFFFFFFFl
-
-let digest b = update init b ~pos:0 ~len:(Bytes.length b)

@@ -586,16 +586,23 @@ let test_baseline_diff () =
   let f ?(line = 1) rule message =
     { Rules.rule; file = "lib/x.ml"; line; col = 0; message; suppressible = true }
   in
-  let baseline = [ f "poly-compare" "old"; f "hashtbl-order" "legacy" ] in
-  (* Same (rule, file, message) at a different line is absorbed; a new
-     message and a second occurrence of an absorbed one are fresh. *)
-  let current =
-    [ f ~line:40 "poly-compare" "old"; f "poly-compare" "new"; f ~line:9 "poly-compare" "old" ]
+  let baseline =
+    [ f "poly-compare" "old"; f "hashtbl-order" "legacy"; f "poly-compare" "gone";
+      f "poly-compare" "gone" ]
   in
-  let fresh, matched = Output.diff_against_baseline ~baseline current in
-  Alcotest.(check int) "one absorbed" 1 matched;
-  Alcotest.(check (list string)) "fresh messages" [ "new"; "old" ]
-    (List.map (fun (x : Rules.finding) -> x.Rules.message) fresh)
+  (* Same (rule, file, message) at a different line is absorbed; a new
+     message and a second occurrence of an absorbed one are fresh;
+     entries no finding matched are stale, each recorded copy of a
+     key counted. *)
+  let current =
+    [ f ~line:40 "poly-compare" "old"; f "poly-compare" "new"; f ~line:9 "poly-compare" "old";
+      f "poly-compare" "gone" ]
+  in
+  let fresh, matched, stale = Output.diff_against_baseline ~baseline current in
+  let messages = List.map (fun (x : Rules.finding) -> x.Rules.message) in
+  Alcotest.(check int) "two absorbed" 2 matched;
+  Alcotest.(check (list string)) "fresh messages" [ "new"; "old" ] (messages fresh);
+  Alcotest.(check (list string)) "stale messages" [ "legacy"; "gone" ] (messages stale)
 
 let tests =
   ( "lint",

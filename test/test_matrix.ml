@@ -81,12 +81,6 @@ let test_cauchy_mds () =
     Alcotest.(check bool) "cauchy submatrix invertible" true (Matrix.invert sub <> None)
   done
 
-let test_vandermonde () =
-  let v = Matrix.vandermonde ~rows:4 ~cols:3 in
-  Alcotest.(check int) "v(i,0) = 1" 1 (Matrix.get v 2 0);
-  Alcotest.(check int) "v(2,1) = 2" 2 (Matrix.get v 2 1);
-  Alcotest.(check int) "v(3,2) = 9 in gf" (Gf.mul 3 3) (Matrix.get v 3 2)
-
 let test_bounds () =
   let a = zeros 2 in
   Alcotest.check_raises "get" (Invalid_argument "Matrix.get: out of range") (fun () ->
@@ -124,7 +118,6 @@ let tests =
       tc "apply" `Quick test_apply;
       tc "select rows" `Quick test_select_rows;
       tc "cauchy MDS" `Quick test_cauchy_mds;
-      tc "vandermonde" `Quick test_vandermonde;
       tc "bounds" `Quick test_bounds
     ]
     @ List.map QCheck_alcotest.to_alcotest qcheck )

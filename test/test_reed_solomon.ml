@@ -81,12 +81,6 @@ let test_validation () =
     (Invalid_argument "Reed_solomon: shard length mismatch") (fun () ->
       ignore (Rs.decode c [ (0, shards.(0)); (1, Bytes.make 5 'x') ]))
 
-let test_factors () =
-  let c = Rs.make ~n:9 ~k:6 in
-  Alcotest.(check (float 1e-9)) "repair factor" 6. (Rs.repair_traffic_factor c);
-  Alcotest.(check (float 1e-9)) "overhead" 1.5 (Rs.storage_overhead c);
-  Alcotest.(check int) "shard length" 3 (Rs.shard_length c ~data_length:17)
-
 let qcheck =
   let open QCheck in
   let code_gen =
@@ -143,7 +137,6 @@ let tests =
       tc "n = k striping" `Quick test_trivial_code;
       tc "k = 1 replication" `Quick test_replication_shape;
       tc "empty data" `Quick test_empty_data;
-      tc "validation" `Quick test_validation;
-      tc "factors" `Quick test_factors
+      tc "validation" `Quick test_validation
     ]
     @ List.map QCheck_alcotest.to_alcotest qcheck )

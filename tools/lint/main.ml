@@ -7,8 +7,9 @@
    the Typedtree, and the unused-export pass over all of them at once.
 
    Findings are merged, optionally diffed against a committed baseline
-   (--baseline: only *new* findings fail), and rendered as text, JSON
-   or SARIF. Exit 0 clean, 1 findings, 2 usage/IO error. *)
+   (--baseline: only *new* findings and *stale* baseline entries fail),
+   and rendered as text, JSON or SARIF. Exit 0 clean, 1 findings or
+   stale entries, 2 usage/IO error. *)
 
 open S3lint
 
@@ -17,7 +18,8 @@ let usage =
    \  --cmt PATH            also run typed passes over .cmt/.cmti files in\n\
    \                        PATH (repeatable; directories are walked)\n\
    \  --format text|json|sarif   output format (default text)\n\
-   \  --baseline FILE       report only findings not in FILE\n\
+   \  --baseline FILE       report only findings not in FILE, and fail on\n\
+   \                        entries of FILE that no finding matches\n\
    \  --write-baseline FILE write all findings to FILE as JSON and exit 0\n\
    \  --source-root DIR     resolve cmt-recorded source paths under DIR\n\
    \  --list-rules          list rules and exit"
@@ -116,13 +118,13 @@ let () =
     Printf.printf "s3lint: wrote baseline with %d finding(s) to %s\n"
       (List.length findings) path;
     exit 0);
-  let fresh, baselined =
+  let fresh, baselined, stale =
     match !baseline with
-    | None -> (findings, 0)
+    | None -> (findings, 0, [])
     | Some path -> (
       match Output.load_baseline path with
       | Error e -> die "s3lint: cannot read baseline: %s" e
       | Ok base -> Output.diff_against_baseline ~baseline:base findings)
   in
-  Output.render ~format:!format ~files:nfiles ~baselined fresh;
-  exit (if fresh = [] then 0 else 1)
+  Output.render ~format:!format ~files:nfiles ~baselined ~stale fresh;
+  exit (if fresh = [] && stale = [] then 0 else 1)

@@ -1,7 +1,8 @@
 (* Machine-readable rendering of findings (JSON, SARIF 2.1.0) and the
-   baseline diff: CI fails only on findings *new* relative to the
-   committed baseline, so a rule can be introduced before the last
-   legacy site is fixed without a flag day. *)
+   baseline diff: CI fails on findings *new* relative to the committed
+   baseline, so a rule can be introduced before the last legacy site is
+   fixed without a flag day, and on baseline entries that no finding
+   matches any more, so a fixed site cannot leave an excuse behind. *)
 
 type format = Text | Json | Sarif
 
@@ -116,8 +117,9 @@ let to_sarif findings =
 (* ---- baseline ---- *)
 
 (* Baseline matching deliberately ignores line/column: moving code must
-   not churn the baseline, only *new* findings (same rule+file+message
-   appearing more often than the baseline recorded) should fail CI. *)
+   not churn the baseline. Only *new* findings (same rule+file+message
+   appearing more often than the baseline recorded) and *stale* entries
+   (recorded more often than it now appears) should fail CI. *)
 let baseline_key (f : Rules.finding) = (f.Rules.rule, f.Rules.file, f.Rules.message)
 
 let load_baseline path =
@@ -155,22 +157,53 @@ let diff_against_baseline ~baseline findings =
         | _ -> true)
       findings
   in
-  (fresh, List.length matched)
+  (* What is left in [counts] matched nothing: that many entries of
+     each key are stale, reported in baseline order. *)
+  let stale =
+    List.rev
+      (List.fold_left
+         (fun acc f ->
+           let k = baseline_key f in
+           match Hashtbl.find_opt counts k with
+           | Some n when n > 0 ->
+             Hashtbl.replace counts k (n - 1);
+             f :: acc
+           | _ -> acc)
+         [] baseline)
+  in
+  (fresh, List.length matched, stale)
 
 (* ---- rendering ---- *)
 
-let render ~format ~files ~baselined findings =
+let render ~format ~files ~baselined ~stale findings =
+  let print_stale ppf =
+    List.iter
+      (fun f -> Format.fprintf ppf "s3lint: stale baseline entry: %a@." Rules.pp_finding f)
+      stale
+  in
   match format with
   | Text ->
     List.iter (fun f -> Format.printf "%a@." Rules.pp_finding f) findings;
-    (match findings with
-    | [] ->
+    print_stale Format.std_formatter;
+    (match (findings, stale) with
+    | [], [] ->
       if baselined > 0 then
         Printf.printf "s3lint: %d files clean (%d baselined finding(s) suppressed)\n"
           files baselined
       else Printf.printf "s3lint: %d files clean\n" files
-    | fs ->
-      Printf.printf "s3lint: %d new finding(s) in %d files%s\n" (List.length fs) files
+    | fs, _ ->
+      Printf.printf "s3lint: %d new finding(s)%s in %d files%s\n" (List.length fs)
+        (match List.length stale with
+        | 0 -> ""
+        | 1 -> ", 1 stale baseline entry"
+        | n -> Printf.sprintf ", %d stale baseline entries" n)
+        files
         (if baselined > 0 then Printf.sprintf " (%d baselined)" baselined else ""))
-  | Json -> print_endline (Json.to_string (to_json ~files findings))
-  | Sarif -> print_endline (Json.to_string (to_sarif findings))
+  (* Beside a machine-readable document, stale entries go to stderr so
+     that stdout stays one document. *)
+  | Json ->
+    print_endline (Json.to_string (to_json ~files findings));
+    print_stale Format.err_formatter
+  | Sarif ->
+    print_endline (Json.to_string (to_sarif findings));
+    print_stale Format.err_formatter

@@ -7,8 +7,10 @@
 
     Baseline matching is a count-aware multiset diff on
     [(rule, file, message)] — deliberately line-insensitive, so moving
-    code around a file does not churn the baseline; only a *new*
-    occurrence of a (rule, file, message) triple fails CI. *)
+    code around a file does not churn the baseline. A *new* occurrence
+    of a (rule, file, message) triple fails CI, and so does a *stale*
+    baseline entry that no finding matches: left in place, it would
+    excuse the next finding with the same message. *)
 
 type format = Text | Json | Sarif
 
@@ -29,12 +31,22 @@ val load_baseline : string -> (Rules.finding list, string) result
 (** Read and parse a baseline file. *)
 
 val diff_against_baseline :
-  baseline:Rules.finding list -> Rules.finding list -> Rules.finding list * int
-(** [(fresh, matched)] — findings not covered by the baseline, and the
-    count of findings the baseline absorbed. *)
+  baseline:Rules.finding list ->
+  Rules.finding list ->
+  Rules.finding list * int * Rules.finding list
+(** [(fresh, matched, stale)] — findings not covered by the baseline,
+    the count of findings the baseline absorbed, and the baseline
+    entries no finding matched, in baseline order. *)
 
 val render :
-  format:format -> files:int -> baselined:int -> Rules.finding list -> unit
-(** Print findings to stdout in the chosen format. [files] is the
+  format:format ->
+  files:int ->
+  baselined:int ->
+  stale:Rules.finding list ->
+  Rules.finding list ->
+  unit
+(** Print findings to stdout in the chosen format, and each stale
+    baseline entry on its own line: to stdout before the summary in
+    text mode, to stderr after the document otherwise. [files] is the
     number of inputs scanned; [baselined] the count absorbed by the
     baseline (shown in text mode only). *)

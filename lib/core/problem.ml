@@ -48,5 +48,3 @@ let by_task v =
       | _ -> go [ f ] (close group groups) rest)
   in
   go [] [] (List.rev (Lazy.force v.flows))
-
-let deadline_slack v f = f.task.Task.deadline -. v.now

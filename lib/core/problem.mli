@@ -71,6 +71,3 @@ val by_task : view -> (Task.t * flow list) list
     pass with no table. This relies on the view listing each task's
     flows as one run, as {!view}[.flows] requires: a task id that
     comes back after another task's run opens a second group. *)
-
-val deadline_slack : view -> flow -> float
-(** Seconds until the flow's deadline; negative once expired. *)

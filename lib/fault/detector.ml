@@ -211,7 +211,6 @@ let start topo c plan =
 let next_change st =
   if st.cursor < Array.length st.script then fst st.script.(st.cursor) else infinity
 
-let exhausted st = st.cursor >= Array.length st.script
 let suspected st s = st.susp.(s)
 let believed_dead st s = st.bdead.(s)
 let known_crashed st s = st.known.(s)

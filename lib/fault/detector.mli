@@ -107,9 +107,6 @@ val advance : state -> float -> event list
     Time never goes backwards; re-advancing to the same time is a
     no-op returning []. *)
 
-val exhausted : state -> bool
-(** No detection events remain. *)
-
 val suspected : state -> int -> bool
 (** The server is currently suspected {e or} believed dead — fresh
     spawns and reselects should avoid it. *)

@@ -207,7 +207,6 @@ let next_change st =
 
 let dead st s = st.dead_now.(s)
 let ever_crashed st s = st.ever.(s)
-let exhausted st = st.cursor >= Array.length st.script
 
 let multiplier st e =
   let owner = st.nic_owner.(e) in
@@ -297,15 +296,3 @@ let advance st t =
        changes := Degraded entity :: !changes)
   done;
   List.rev !changes
-
-(* ---- closed-loop repair ---- *)
-
-let closed_loop_repair g cluster ~deadline_factor ~first_id =
-  let next_id = ref first_id in
-  fun ~now ~server ->
-    let tasks =
-      S3_workload.Generator.repair_tasks_on_failure g cluster ~server ~now ~deadline_factor
-        ~first_id:!next_id
-    in
-    next_id := !next_id + List.length tasks;
-    tasks

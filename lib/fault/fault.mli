@@ -4,9 +4,8 @@
     A {e plan} is an immutable, time-sorted script of faults — server
     crashes, whole-rack outages, transient link degradations and server
     recoveries. The engine walks a {e state} cursor over the plan: at
-    each change it kills the flows whose endpoints died, hands surviving
-    tasks back to the algorithm for source re-selection, and (optionally)
-    emits closed-loop repair traffic against a live {!S3_storage.Cluster}.
+    each change it kills the flows whose endpoints died and hands
+    surviving tasks back to the algorithm for source re-selection.
     Everything is derived from explicit seeds and plain data, so equal
     seeds and equal plans replay byte-identically — the property the
     chaos test suite pins with {!S3_sim.Report.fingerprint} (once the
@@ -136,11 +135,6 @@ val ever_crashed : state -> int -> bool
 (** Has this server crashed at any point so far? Once true, stays true
     (recovered servers return empty — their old chunks are lost). *)
 
-val exhausted : state -> bool
-(** No script event remains un-fired (active degradations may still be
-    pending expiry). The engine uses this to keep a closed-loop-repair
-    run alive until the last scripted fault has had its say. *)
-
 val multiplier : state -> int -> float
 (** Current capacity multiplier of an entity: 0 for the NIC of a dead
     server, the product of active degradation factors otherwise (1 when
@@ -167,17 +161,3 @@ val deliverable : state -> int -> from:float -> until:float -> float
     Returns 0 when [until <= max from clock]; [from] is clamped to the
     cursor's clock. O(1) for an entity with no active degradation:
     then it is [until -. from] after the clamp, or 0 for a dead NIC. *)
-
-(** {2 Closed-loop repair} *)
-
-(* lint: allow unused-export — README.md's fault-injection example calls it *)
-val closed_loop_repair :
-  S3_util.Prng.t -> S3_storage.Cluster.t -> deadline_factor:float ->
-  first_id:int -> now:float -> server:int -> S3_workload.Task.t list
-(** An [on_failure] hook for {!S3_sim.Engine.run} (partially applied up
-    to [first_id]): on each crash it fails the server in the live
-    cluster and emits one repair task per recoverable lost chunk via
-    {!S3_workload.Generator.repair_tasks_on_failure}, numbering tasks
-    from [first_id] upward without collisions across calls. The PRNG
-    picks repair destinations; pass a dedicated split so the stream is
-    reproducible. *)

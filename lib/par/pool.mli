@@ -10,12 +10,6 @@
 
 type t
 
-val create : domains:int -> t
-(** [create ~domains] spawns [domains - 1] worker domains (the caller
-    participates in every batch, so [domains = 1] degrades to plain
-    sequential execution with no domain ever spawned). Raises
-    [Invalid_argument] when [domains < 1]. *)
-
 val run : t -> jobs:int -> (int -> unit) -> unit
 (** [run t ~jobs body] executes [body i] for every [i] in
     [0 .. jobs - 1] across the pool's domains and returns when all of
@@ -25,10 +19,10 @@ val run : t -> jobs:int -> (int -> unit) -> unit
     Do not call concurrently from several domains; one batch runs at a
     time. *)
 
-val shutdown : t -> unit
-(** Terminate and join the worker domains. Idempotent. Subsequent
-    {!run} calls raise [Invalid_argument]. *)
-
 val with_pool : domains:int -> (t -> 'a) -> 'a
-(** [with_pool ~domains f] runs [f] over a fresh pool and shuts it
-    down on the way out, exception or not. *)
+(** [with_pool ~domains f] runs [f] over a fresh pool of [domains - 1]
+    worker domains (the caller participates in every batch, so
+    [domains = 1] degrades to plain sequential execution with no domain
+    ever spawned), and terminates and joins the workers on the way
+    out, exception or not. Raises [Invalid_argument] when
+    [domains < 1]. *)

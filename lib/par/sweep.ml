@@ -29,10 +29,6 @@ let domain_count () =
     default_domains := Some n;
     n
 
-let set_domain_count n =
-  if n < 1 then invalid_arg "Sweep.set_domain_count: domains must be >= 1";
-  default_domains := Some (min n 64)
-
 let map ?domains n f =
   if n < 0 then invalid_arg "Sweep.map: negative job count";
   if n = 0 then [||]

@@ -14,11 +14,6 @@ val domain_count : unit -> int
     [Domain.recommended_domain_count ()], clamped to [1 .. 64]. The
     first call caches the answer. *)
 
-val set_domain_count : int -> unit
-(** Override the default parallelism for the process (e.g. from a
-    benchmark harness pinning a sequential baseline). Raises
-    [Invalid_argument] when the count is < 1. *)
-
 val map : ?domains:int -> int -> (int -> 'a) -> 'a array
 (** [map n f] computes [|f 0; ...; f (n-1)|] with jobs distributed
     over [domains] domains (default {!domain_count}). A single-domain

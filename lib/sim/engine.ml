@@ -47,12 +47,15 @@ type live_flow = {
   route : int array;  (* capacity entities consumed; fixed at spawn *)
   mutable remaining : float;
   mutable rate : float;
+  mutable timer : Retry.fstate option;  (* retry stall timer, armed at the first stall *)
 }
 
 type live_task = {
   seq : int;  (* spawn sequence number; [!active] is sorted by it, descending *)
+  pos : int;  (* index in the arrival-sorted task array, and of the task's outcome *)
   task : Task.t;
   lflows : live_flow array;
+  wd : Watchdog.tstate;  (* swap budget, backoff and abandoned sources *)
   mutable resolved : bool;  (* flows gone: completed or abandoned *)
   mutable failed : bool;  (* deadline passed with volume outstanding *)
 }
@@ -80,8 +83,7 @@ type shed_memo = {
 }
 
 let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
-    ?(faults = Fault.empty) ?detector ?retry ?on_failure ?watchdog topo (alg : Algorithm.t)
-    tasks =
+    ?(faults = Fault.empty) ?detector ?retry ?watchdog topo (alg : Algorithm.t) tasks =
   let pending = Array.of_list (List.sort Task.compare_arrival tasks) in
   let validate_task (t : Task.t) =
     let ok s = s >= 0 && s < Topology.servers topo in
@@ -89,16 +91,24 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
       invalid_arg "Engine.run: task references servers outside the topology"
   in
   Array.iter validate_task pending;
+  (* Positions in [pending] in task id order, the order of the report's
+     outcomes; ids must be unique. *)
+  let by_id = Array.init (Array.length pending) Fun.id in
+  let id i = pending.(i).Task.id in
+  Array.stable_sort (fun a b -> Int.compare (id a) (id b)) by_id;
+  for j = 1 to Array.length by_id - 1 do
+    if id by_id.(j - 1) = id by_id.(j) then
+      invalid_arg (Printf.sprintf "Engine.run: two tasks share the id %d" (id by_id.(j)))
+  done;
   let fg = Foreground.create (S3_util.Prng.create config.seed) topo config.foreground in
   let fstate = Fault.start topo faults in
   (* Control-plane failure knowledge. Without a detector the engine is
      omniscient (settles crashes at the injection instant, the pre-
      detection behaviour, bit-identical); with one, every reaction —
-     flow kills, re-homes, losses, repair injection, candidate
-     eligibility — keys off the detector's beliefs instead of the
-     physical fault state, while rates keep being clamped by the
-     physical multipliers (bytes keep flowing into a dead NIC at rate
-     zero until the detector notices). *)
+     flow kills, re-homes, losses, candidate eligibility — keys off the
+     detector's beliefs instead of the physical fault state, while rates
+     keep being clamped by the physical multipliers (bytes keep flowing
+     into a dead NIC at rate zero until the detector notices). *)
   let dstate = Option.map (fun c -> Detector.start topo c faults) detector in
   (* Resume-enabled recovery preserves a killed fetch's partial bytes
      in its replacement ([bytes_resumed]); off, replacements restart
@@ -136,7 +146,19 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
   let rate_buf = ref [||] and stamp_buf = ref [||] and rate_gen = ref 0 in
   let next_seq = ref 0 in
   let now = ref 0. in
-  let outcomes = Hashtbl.create (Array.length pending * 2) in
+  (* Each task's outcome, by position in [pending]. A task that never
+     spawns keeps the lost-at-arrival record it starts with. *)
+  let outcomes =
+    Array.map
+      (fun (t : Task.t) ->
+        { Metrics.task = t;
+          sources = [||];
+          completed = false;
+          finish_time = t.Task.deadline;
+          remaining = Task.total_volume t
+        })
+      pending
+  in
   let plan_time = ref 0. and plan_calls = ref 0 in
   let frozen_until = ref 0. in  (* transfers paused until this time *)
   let events = ref 0 and clamp_events = ref 0 in
@@ -148,27 +170,6 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
   let suspicions = ref 0 and false_suspicions = ref 0 and detections = ref 0 in
   let bytes_resumed = ref 0. in
   let retries_attempted = ref 0 and retries_exhausted = ref 0 in
-  (* Tasks the watchdog swapped at least once; counted as rescued only
-     if they go on to complete by their deadline. *)
-  let swapped_tasks = Hashtbl.create 16 in
-  (* Closed-loop repair tasks injected mid-run, kept sorted by arrival;
-     [injected_all] accumulates every injection for the final report. *)
-  let injected = ref [] and injected_all = ref [] in
-  let known_ids = Hashtbl.create (Array.length pending * 2) in
-  Array.iter (fun (t : Task.t) -> Hashtbl.replace known_ids t.Task.id ()) pending;
-  let inject ts =
-    if ts <> [] then begin
-      List.iter
-        (fun (t : Task.t) ->
-          validate_task t;
-          if Hashtbl.mem known_ids t.Task.id then
-            invalid_arg "Engine.run: injected task id collides with an existing task";
-          Hashtbl.replace known_ids t.Task.id ())
-        ts;
-      injected_all := ts @ !injected_all;
-      injected := List.merge Task.compare_arrival (List.sort Task.compare_arrival ts) !injected
-    end
-  in
   (* Per-entity accounting, kept exact by routing every rate change
      through [set_flow_rate]: usage.(e) = sum of rates of live flows
      whose route crosses e. *)
@@ -176,17 +177,14 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
   (* ---- O(affected) indexes ----
      [ent_flows.(e)] holds every live flow whose route crosses [e],
      keyed by flow id with its (task seq, slot) position, so anything
-     per-entity — congestion factors, clamp victims, crash candidates —
-     is read off the bucket instead of scanning all flows. Buckets are
+     per-entity — congestion factors, clamp victims — is read off the
+     bucket instead of scanning all flows. Buckets are
      maintained eagerly at every spawn / kill / completion, mirroring
      the view predicate exactly: a flow is bucketed iff its task is
      unresolved and it has volume remaining. *)
   let ent_flows : (int, int * int * live_task * live_flow) Hashtbl.t array =
     Array.init nent (fun _ -> Hashtbl.create 4)
   in
-  (* Every spawned task under its destination; [Hashtbl.find_all] lists
-     the newest first. *)
-  let tasks_by_dest : (int, live_task) Hashtbl.t = Hashtbl.create 64 in
   let index_add lt slot f =
     Array.iter (fun e -> Hashtbl.replace ent_flows.(e) f.flow_id (lt.seq, slot, lt, f)) f.route
   in
@@ -412,7 +410,7 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
     Log.debug (fun m ->
         m "t=%.3f task#%d %s" !now lt.task.Task.id
           (if completed then "completed" else "missed deadline"));
-    Hashtbl.replace outcomes lt.task.Task.id
+    outcomes.(lt.pos) <-
       { Metrics.task = lt.task;
         sources = Array.map (fun f -> f.source) lt.lflows;
         completed;
@@ -422,15 +420,9 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
            else Array.fold_left (fun acc f -> acc +. max 0. f.remaining) 0. lt.lflows)
       }
   in
+  (* The task's outcome slot already holds the lost record. *)
   let record_lost_at_arrival (t : Task.t) =
     Log.debug (fun m -> m "t=%.3f task#%d unrecoverable at arrival" !now t.Task.id);
-    Hashtbl.replace outcomes t.Task.id
-      { Metrics.task = t;
-        sources = [||];
-        completed = false;
-        finish_time = t.Task.deadline;
-        remaining = Task.total_volume t
-      };
     incr tasks_lost
   in
   (* End a fetch: take its rate out of the usage table, zero its volume
@@ -482,7 +474,8 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
       source;
       route = Topology.route_array topo ~src:source ~dst:t.Task.destination;
       remaining;
-      rate = 0.
+      rate = 0.;
+      timer = None
     }
   in
   (* Candidates of [t] that are not excluded and not in [busy]. *)
@@ -529,7 +522,8 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
     retire_task lt wasted;
     incr tasks_lost
   in
-  let spawn (t : Task.t) =
+  let spawn pos =
+    let t = pending.(pos) in
     if dest_down t.Task.destination then record_lost_at_arrival t
     else begin
       (* Crashed-and-recovered servers came back empty: their chunks are
@@ -558,14 +552,15 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
               (String.concat ";" (Array.to_list (Array.map string_of_int sources))));
         let seq = !next_seq in
         incr next_seq;
-        let lt = { seq; task = t; lflows; resolved = false; failed = false } in
+        let lt =
+          { seq; pos; task = t; lflows; wd = Watchdog.fresh (); resolved = false; failed = false }
+        in
         active := lt :: !active;
         Array.iteri
           (fun slot f ->
             index_add lt slot f;
             append_load lt f)
-          lflows;
-        Hashtbl.add tasks_by_dest t.Task.destination lt
+          lflows
       end
     end
   in
@@ -573,10 +568,9 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
      detector): lose tasks whose destination went down; for tasks that
      lost sources, ask the algorithm to re-home the affected subtasks
      onto surviving candidates, or lose the task when that is
-     impossible; then let the repair hook answer each crash. The batch
-     is normalized first, so eligibility always reflects the
-     end-of-batch state (a crash-and-recover at one instant still loses
-     the data). *)
+     impossible. The batch is normalized first, so eligibility always
+     reflects the end-of-batch state (a crash-and-recover at one
+     instant still loses the data). *)
   let settle crashed_batch =
     let crashed s = List.mem s crashed_batch in
     let crash_check lt =
@@ -607,42 +601,11 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
                   (String.concat ";" (Array.to_list (Array.map string_of_int repl))))
           | _ -> lose lt)
     in
-    (* Only tasks that lost their destination or a live source can be
-       affected. Both are read off indexes: destination from
-       [tasks_by_dest], sources from the buckets of the dead servers'
-       NIC entities (every flow's route crosses its source NIC; the
-       source = destination corner is covered by the destination
-       index). Candidates are processed in descending spawn order — the
-       order of [!active] — so interleaved re-home views are those of a
-       walk over every active task. *)
-    let seen = Hashtbl.create 16 in
-    let candidates = ref [] in
-    let consider lt =
-      if (not lt.resolved) && not (Hashtbl.mem seen lt.seq) then begin
-        Hashtbl.replace seen lt.seq ();
-        candidates := lt :: !candidates
-      end
-    in
-    List.iter
-      (fun s ->
-        List.iter consider (Hashtbl.find_all tasks_by_dest s);
-        Hashtbl.iter (fun _ (_, _, lt, _) -> consider lt) ent_flows.(Topology.server_entity topo s))
-      crashed_batch;
-    List.sort (fun a b -> Int.compare b.seq a.seq) !candidates |> List.iter crash_check;
-    match on_failure with
-    | None -> ()
-    | Some hook -> List.iter (fun s -> inject (hook ~now:!now ~server:s)) crashed_batch
+    (* Newest task first: a re-home spawns only onto surviving
+       sources, so no task becomes affected while the walk runs. *)
+    List.iter crash_check !active
   in
   (* ---- deadline watchdog (see Watchdog and DESIGN.md §11) ---- *)
-  let wd_states : (int, Watchdog.tstate) Hashtbl.t = Hashtbl.create 16 in
-  let wd_state id =
-    match Hashtbl.find_opt wd_states id with
-    | Some st -> st
-    | None ->
-      let st = Watchdog.fresh () in
-      Hashtbl.replace wd_states id st;
-      st
-  in
   (* The task can no longer finish on any remaining source set: cancel
      it now so its bandwidth goes to savable tasks instead of burning
      until the deadline. The delivered chunks are the shed remainder of
@@ -697,7 +660,7 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
           with
           | [] -> ()
           | stragglers ->
-            let st = wd_state t.Task.id in
+            let st = lt.wd in
             (* Spare sources: never crashed, not currently fetching a
                chunk, and not already swapped away from (a source the
                watchdog abandoned as too slow stays abandoned). *)
@@ -856,7 +819,6 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
                   in
                   Watchdog.note_intervention cfg st ~now:!now ~replaced:n;
                   swaps_successful := !swaps_successful + n;
-                  Hashtbl.replace swapped_tasks t.Task.id ();
                   Log.debug (fun m ->
                       m "t=%.3f task#%d watchdog swapped %d straggler(s) onto [%s]" !now
                         t.Task.id n
@@ -886,15 +848,12 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
       go 10_000
   in
   (* ---- transfer retry policy (see Retry and DESIGN.md §16) ----
-     Per-flow stall timers, indexed by flow id: ids are dense in
-     [0, next_flow_id), and a flow spawned since the last refresh lies
-     past the end and has no timer yet. A flow is stalled when it has
-     volume left, holds no rate, and its route crosses a degraded
-     entity — the transient-outage signature (crashes are the
+     Each flow's stall timer is armed at its first stall, so a flow
+     spawned since the last refresh has none yet. A flow is stalled
+     when it has volume left, holds no rate, and its route crosses a
+     degraded entity — the transient-outage signature (crashes are the
      detector's business). Timers are refreshed after every replan and
      fire through the event loop like any other event source. *)
-  let rstates : Retry.fstate option array ref = ref [||] in
-  let retry_timer fid = if fid < Array.length !rstates then !rstates.(fid) else None in
   let flow_stalled f =
     f.remaining > 0. && f.rate <= 0.
     && Array.exists (fun e -> Fault.degraded fstate e) f.route
@@ -905,9 +864,6 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
     match retry with
     | None -> ()
     | Some rc ->
-      let have = Array.length !rstates in
-      if have < !next_flow_id then
-        rstates := Array.append !rstates (Array.make (max !next_flow_id (2 * have) - have) None);
       let due = ref infinity in
       let note st = due := Float.min !due (Retry.next_deadline rc st) in
       List.iter
@@ -916,7 +872,7 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
             Array.iter
               (fun f ->
                 if f.remaining > 0. then
-                  match !rstates.(f.flow_id) with
+                  match f.timer with
                   | Some st ->
                     if flow_stalled f then Retry.mark_stalled st ~now:!now
                     else Retry.clear st;
@@ -925,7 +881,7 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
                     if flow_stalled f then begin
                       let st = Retry.fresh () in
                       Retry.mark_stalled st ~now:!now;
-                      !rstates.(f.flow_id) <- Some st;
+                      f.timer <- Some st;
                       note st
                     end)
               lt.lflows)
@@ -949,7 +905,7 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
             Array.iteri
               (fun i f ->
                 if f.remaining > 0. then
-                  match retry_timer f.flow_id with
+                  match f.timer with
                   | Some st when Retry.next_deadline rc st <= !now +. time_epsilon ->
                     incr fired;
                     if not (Retry.exhausted rc st) then begin
@@ -1012,9 +968,6 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
       if !next_pending < Array.length pending then pending.(!next_pending).Task.arrival
       else infinity
     in
-    let t_arr =
-      match !injected with [] -> t_arr | t :: _ -> min t_arr t.Task.arrival
-    in
     let t_fg = min (Foreground.next_change fg) (Fault.next_change fstate) in
     let t_fg =
       match dstate with None -> t_fg | Some d -> min t_fg (Detector.next_change d)
@@ -1047,19 +1000,8 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
     min (min t_arr t_fg) (min t_dl t_cmp)
   in
   let stalls = ref 0 in
-  let unresolved () = List.exists (fun lt -> not lt.resolved) !active in
-  (* With a closed-loop repair hook the run outlives the workload: a
-     crash after the last task still generates repair traffic. *)
   let work_remains () =
-    unresolved ()
-    || !next_pending < Array.length pending
-    || !injected <> []
-    || Option.is_some on_failure
-       && (not (Fault.exhausted fstate)
-          ||
-          (* With a detector the repair hook answers confirmations, which
-             trail the physical crashes by the detection latency. *)
-          match dstate with Some d -> not (Detector.exhausted d) | None -> false)
+    List.exists (fun lt -> not lt.resolved) !active || !next_pending < Array.length pending
   in
   replan ();
   update_retry_clocks ();
@@ -1099,7 +1041,8 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
                volume it pulled past the deadline is pure waste. *)
             if not lt.failed then begin
               record_outcome lt ~completed:true;
-              if Hashtbl.mem swapped_tasks lt.task.Task.id then incr tasks_rescued
+              (* rescued: the watchdog swapped it at least once *)
+              if lt.wd.Watchdog.swaps > 0 then incr tasks_rescued
             end
             else wasted := !wasted +. Task.total_volume lt.task;
             lt.resolved <- true;
@@ -1123,10 +1066,9 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
         end)
       !active;
     (* Faults due now: normalize the whole batch, then kill / re-home /
-       lose, then let the repair hook answer each crash. With a
-       detector the physical changes only move capacity multipliers
-       (dirty-marking the entities); the control-plane reaction — kills,
-       re-homes, losses, repair injection — waits for the confirmation
+       lose. With a detector the physical changes only move capacity
+       multipliers (dirty-marking the entities); the control-plane
+       reaction — kills, re-homes, losses — waits for the confirmation
        events below. *)
     (match Fault.advance fstate !now with
      | [] -> ()
@@ -1176,21 +1118,12 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
       !next_pending < Array.length pending
       && pending.(!next_pending).Task.arrival <= !now +. time_epsilon
     do
-      batch := pending.(!next_pending) :: !batch;
+      batch := !next_pending :: !batch;
       incr next_pending;
       incr processed
     done;
-    let rec drain_injected () =
-      match !injected with
-      | t :: rest when t.Task.arrival <= !now +. time_epsilon ->
-        injected := rest;
-        batch := t :: !batch;
-        incr processed;
-        drain_injected ()
-      | _ -> ()
-    in
-    drain_injected ();
-    let static_slack (t : Task.t) =
+    let static_slack i =
+      let t = pending.(i) in
       let dest_cap =
         (Topology.entity topo (Topology.server_entity topo t.Task.destination))
           .Topology.capacity
@@ -1218,17 +1151,8 @@ let run ?(config = default_config) ?(data_plane = ideal_data_plane) ?on_event
       let raw = (Topology.entity topo e).Topology.capacity in
       util_sum := !util_sum +. (bits /. (raw *. horizon)))
     entity_bits;
-  let outcomes_list =
-    Array.to_list pending @ List.rev !injected_all
-    |> List.sort (fun (a : Task.t) b -> Int.compare a.Task.id b.Task.id)
-    (* lint: allow partial-stdlib — the main loop runs until every
-       pending or injected task has been recorded: each task ends in
-       exactly one of resolve/expire/fail/lose, and all four write
-       [outcomes] *)
-    |> List.map (fun (t : Task.t) -> Hashtbl.find outcomes t.Task.id)
-  in
   { Metrics.algorithm = alg.Algorithm.name;
-    outcomes = outcomes_list;
+    outcomes = Array.to_list (Array.map (fun i -> outcomes.(i)) by_id);
     horizon;
     transferred = !moved_total;
     wasted = !wasted;

@@ -38,8 +38,8 @@
 
     A {!S3_fault.Detector.config} removes the engine's omniscience
     about failures: physical crashes only zero out capacity, and every
-    control-plane reaction (flow kills, re-homes, losses, repair
-    injection, candidate eligibility) waits for the detector's
+    control-plane reaction (flow kills, re-homes, losses, candidate
+    eligibility) waits for the detector's
     confirmation events — so killed flows keep "transferring" into a
     dead NIC at rate zero until detection, exactly the window the
     suspicion latency models. A {!Retry.config} adds per-flow stall
@@ -72,8 +72,6 @@ exception Invalid_selection of { task : int; server : int; detail : string }
     [server] is the offending server, or [-1] when the problem is not
     tied to one (a count mismatch). *)
 
-(* lint: allow unused-export — README.md's closed-loop repair example passes
-   ?on_failure *)
 val run :
   ?config:config ->
   ?data_plane:data_plane ->
@@ -81,7 +79,6 @@ val run :
   ?faults:S3_fault.Fault.t ->
   ?detector:S3_fault.Detector.config ->
   ?retry:Retry.config ->
-  ?on_failure:(now:float -> server:int -> Metrics.Task.t list) ->
   ?watchdog:Watchdog.config ->
   S3_net.Topology.t ->
   S3_core.Algorithm.t ->
@@ -89,15 +86,16 @@ val run :
   Metrics.run
 (** Execute to quiescence and report. [on_event] observes every
     post-recomputation state (used by the Table 2 walkthrough). Tasks
-    may be given in any order; destinations and sources must be valid
-    servers of the topology. Raises {!Invalid_selection} if the
+    may be given in any order; their ids must be distinct and their
+    destinations and sources valid servers of the topology (raises
+    [Invalid_argument] otherwise). Raises {!Invalid_selection} if the
     algorithm returns an invalid source selection.
 
     The run is driven off per-entity flow indexes: a scheduling event
-    touches only the entities and tasks it affects (dirty-set capacity
-    clamping, indexed crash candidates, a per-entity congestion load,
-    cached within an instant, handed to Phase I through
-    {!S3_core.Problem.view}[.load]). Every view
+    touches only the entities it affects (dirty-set capacity clamping,
+    a per-entity congestion load, cached within an instant, handed to
+    Phase I through {!S3_core.Problem.view}[.load]); a batch of crashes
+    is settled in one walk over the live tasks. Every view
     carries that [load] accessor, and it reads live engine state:
     consult it during the [on_event] callback, not after. A golden
     corpus in the test suite pins {!Report.fingerprint} and the
@@ -107,14 +105,7 @@ val run :
     paths were folded into one each.
 
     [faults] (default {!S3_fault.Fault.empty}) is played into the run
-    as described above. [on_failure] is consulted once per server
-    crash, {e after} kill / re-home processing, and may return
-    closed-loop repair tasks, which are injected as ordinary arrivals
-    (their ids must not collide with existing tasks — that raises
-    [Invalid_argument]); {!S3_fault.Fault.closed_loop_repair} is the
-    intended implementation. With a hook installed the run keeps going
-    until the fault script is exhausted, so late crashes still spawn
-    their repair traffic.
+    as described above.
 
     [watchdog] (default off) enables the deadline-watchdog supervision
     layer. A subtask projected past its deadline by more than the
@@ -133,9 +124,7 @@ val run :
     and re-homes but their flows are not killed; a crash–recover blip
     shorter than the suspicion window goes entirely unnoticed (the
     transfer session survives, and "recovered servers come back empty"
-    applies only to confirmed deaths). [on_failure] fires per
-    {e confirmation}, trailing the physical crash by the detection
-    latency. A zero-latency detector replays the omniscient engine's
+    applies only to confirmed deaths). A zero-latency detector replays the omniscient engine's
     decisions exactly (only the detection counters differ), except on a
     crash and recovery at the same instant: the detector sees a blip
     and kills nothing, where the omniscient engine kills and re-homes

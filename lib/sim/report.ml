@@ -1,22 +1,4 @@
-module Table = S3_util.Table
 module Task = S3_workload.Task
-
-let comparison_table runs =
-  let rows =
-    List.map
-      (fun (r : Metrics.run) ->
-        [ r.Metrics.algorithm;
-          Printf.sprintf "%d/%d" (Metrics.completed r) (List.length r.Metrics.outcomes);
-          Table.fmt_float ~decimals:2 (Metrics.remaining_volume_gb r);
-          Table.fmt_pct r.Metrics.utilization;
-          Printf.sprintf "%.3f" (1000. *. Metrics.mean_plan_time r)
-        ])
-      runs
-  in
-  Table.render
-    ~align:[ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right ]
-    ~header:[ "algorithm"; "completed"; "remaining(GB)"; "utilization"; "plan(ms)" ]
-    rows
 
 let csv_of_runs runs =
   let buf = Buffer.create 256 in
@@ -41,38 +23,6 @@ let csv_of_runs runs =
            (r.Metrics.bytes_resumed /. 8000.)))
     runs;
   Buffer.contents buf
-
-let kind_label = function
-  | Task.Repair -> "repair"
-  | Task.Rebalance -> "rebalance"
-  | Task.Backup -> "backup"
-  | Task.Generic -> "generic"
-
-let csv_of_outcomes (r : Metrics.run) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    "task_id,kind,arrival,deadline,completed,finish_time,remaining_mb,normalized_time\n";
-  List.iter
-    (fun (o : Metrics.outcome) ->
-      let t = o.Metrics.task in
-      let normalized =
-        if o.Metrics.completed then
-          (o.Metrics.finish_time -. t.Task.arrival) /. (t.Task.deadline -. t.Task.arrival)
-        else nan
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "%d,%s,%.4f,%.4f,%b,%.4f,%.4f,%.4f\n" t.Task.id
-           (kind_label t.Task.kind) t.Task.arrival t.Task.deadline o.Metrics.completed
-           o.Metrics.finish_time
-           (o.Metrics.remaining /. 8.)
-           normalized))
-    r.Metrics.outcomes;
-  Buffer.contents buf
-
-let speedup ~baseline run =
-  let b = Metrics.completed baseline and r = Metrics.completed run in
-  if b = 0 then if r = 0 then 1. else infinity
-  else float_of_int r /. float_of_int b
 
 (* Canonical, timing-free serialization of a run. plan_time is CPU
    time measured inside the engine ([Sys.time]) and varies with load,

@@ -1,11 +1,6 @@
-(** Multi-run reporting: side-by-side comparison tables and CSV export
-    for external plotting — the glue between {!Metrics} and the
-    benchmark harness / downstream notebooks. *)
-
-val comparison_table : Metrics.run list -> string
-(** The paper's Fig. 2 columns (completed / remaining GB / utilization,
-    plus mean plan time) for several runs of the same workload,
-    rendered with {!S3_util.Table}. *)
+(** Multi-run reporting: CSV export for external plotting and the
+    runs' fingerprints — the glue between {!Metrics} and the benchmark
+    harness / downstream notebooks. *)
 
 val csv_of_runs : Metrics.run list -> string
 (** One row per run:
@@ -15,15 +10,6 @@ val csv_of_runs : Metrics.run list -> string
     shed_gb,suspicions,false_suspicions,detections,retries_attempted,
     retries_exhausted,resumed_gb]. Header included; floats in fixed
     notation. *)
-
-val csv_of_outcomes : Metrics.run -> string
-(** One row per task:
-    [task_id,kind,arrival,deadline,completed,finish_time,remaining_mb,
-    normalized_time]. For CDF plots (Fig. 4). *)
-
-val speedup : baseline:Metrics.run -> Metrics.run -> float
-(** Ratio of completed-task counts ([infinity] when the baseline
-    completed none and the other completed some; 1 when both are 0). *)
 
 val fingerprint : Metrics.run -> string
 (** Hex digest of a canonical, timing-free serialization of the run:

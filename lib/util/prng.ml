@@ -13,10 +13,6 @@ let bits64 g =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split g = { state = bits64 g }
-
-let copy g = { state = g.state }
-
 let int g n =
   if n <= 0 then invalid_arg "Prng.int: bound must be positive";
   (* Keep 62 bits so the value fits OCaml's 63-bit native int without

@@ -3,9 +3,9 @@
     Every stochastic component of the library (workload generation,
     placement, foreground traffic, the cloud emulator) draws from an
     explicit generator of this type, so that experiments are exactly
-    reproducible from a seed and independent streams can be split off
-    without cross-contamination. The core generator is SplitMix64, which
-    has a 64-bit state, passes BigCrush, and supports O(1) splitting. *)
+    reproducible from a seed, and components that must not share a
+    stream are given generators of their own. The core generator is
+    SplitMix64, which has a 64-bit state and passes BigCrush. *)
 
 type t
 (** A mutable pseudo-random generator. *)
@@ -13,14 +13,6 @@ type t
 val create : int -> t
 (** [create seed] makes a fresh generator from an integer seed. Equal
     seeds yield identical streams. *)
-
-val split : t -> t
-(** [split g] returns a new generator whose stream is statistically
-    independent of the remainder of [g]'s stream. Advances [g]. *)
-
-val copy : t -> t
-(** [copy g] duplicates the current state; the copy replays [g]'s
-    future stream. *)
 
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)

@@ -40,6 +40,17 @@ let pick_code g mix =
     in
     go 0. mix
 
+(* The deadline [factor] least required times after [arrival]. An
+   extreme chunk size, factor or link capacity can round the sum back
+   onto the arrival, which [Task.v] would reject without naming them. *)
+let deadline ~arrival ~factor ~lrt =
+  let d = arrival +. (factor *. lrt) in
+  if not (d > arrival) then
+    invalid_arg
+      "Generator: the deadline rounds onto the arrival (chunk size or deadline factor too \
+       small, or link capacity too large)";
+  d
+
 let server_link_capacity topo =
   (Topology.entity topo (Topology.server_entity topo 0)).Topology.capacity
 
@@ -95,7 +106,7 @@ let generate g topo config =
             (config.deadline_factor *. (1. +. config.deadline_jitter))
       in
       Task.v ~id ~kind:Task.Repair ~arrival:!now
-        ~deadline:(!now +. (factor *. lrt))
+        ~deadline:(deadline ~arrival:!now ~factor ~lrt)
         ~volume ~k ~sources ~destination ())
 
 type kind_profile = {
@@ -169,7 +180,7 @@ let generate_mixed g topo ~num_tasks ~arrival_rate ~chunk_size_mb
         in
         let lrt = volume /. cst in
         Task.v ~id ~kind:p.kind ~arrival:!now
-          ~deadline:(!now +. (factor_of g p.profile_deadline_factor *. lrt))
+          ~deadline:(deadline ~arrival:!now ~factor:(factor_of g p.profile_deadline_factor) ~lrt)
           ~volume ~k:1 ~sources:[| source |] ~destination ()
       | Some (n, k) ->
         if n + 1 > nservers then
@@ -183,7 +194,7 @@ let generate_mixed g topo ~num_tasks ~arrival_rate ~chunk_size_mb
         in
         let lrt = float_of_int k *. volume /. cst in
         Task.v ~id ~kind:p.kind ~arrival:!now
-          ~deadline:(!now +. (factor_of g p.profile_deadline_factor *. lrt))
+          ~deadline:(deadline ~arrival:!now ~factor:(factor_of g p.profile_deadline_factor) ~lrt)
           ~volume ~k ~sources ~destination ())
 
 let repair_tasks_on_failure g cluster ~server ~now ~deadline_factor ~first_id =
@@ -231,25 +242,3 @@ let rebalance_tasks _g cluster ~moves ~now ~deadline_factor ~first_id =
              ~destination:new_server ())
       end)
     moves
-
-let backup_tasks _g cluster ~files ~destination ~now ~deadline_factor ~first_id =
-  let topo = Cluster.topology cluster in
-  let cst = server_link_capacity topo in
-  let next_id = ref first_id in
-  List.filter_map
-    (fun fid ->
-      let f = Cluster.file cluster fid in
-      let survivors = Cluster.survivors cluster fid in
-      let sources = List.map snd survivors in
-      if List.length survivors < f.Cluster.k || List.mem destination sources then None
-      else begin
-        let id = !next_id in
-        incr next_id;
-        let lrt = float_of_int f.Cluster.k *. f.Cluster.chunk_volume /. cst in
-        Some
-          (Task.v ~id ~kind:Task.Backup ~arrival:now
-             ~deadline:(now +. (deadline_factor *. lrt))
-             ~volume:f.Cluster.chunk_volume ~k:f.Cluster.k
-             ~sources:(Array.of_list sources) ~destination ())
-      end)
-    files

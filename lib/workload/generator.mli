@@ -4,7 +4,7 @@
     Two families: the synthetic generator reproduces the evaluation's
     parameter grid (Poisson arrivals, erasure-code mixes, chunk-size and
     deadline-factor sweeps); the cluster-driven builders derive repair,
-    rebalance and backup tasks from actual {!S3_storage.Cluster} state,
+    and rebalance tasks from actual {!S3_storage.Cluster} state,
     which the example programs use. *)
 
 type config = {
@@ -32,6 +32,12 @@ val baseline : config
 val mb_to_megabits : float -> float
 (** Chunk sizes are quoted in MB, capacities in Mb/s; volumes are kept
     in megabits. *)
+
+val deadline : arrival:float -> factor:float -> lrt:float -> float
+(** [arrival + factor * lrt], the deadline of a task whose least
+    required time is [lrt]. Raises [Invalid_argument], naming the chunk
+    size, the deadline factor and the link capacity, when the sum
+    rounds back onto [arrival]. *)
 
 val generate :
   S3_util.Prng.t -> S3_net.Topology.t -> config -> Task.t list
@@ -81,10 +87,3 @@ val rebalance_tasks :
   S3_util.Prng.t -> S3_storage.Cluster.t -> moves:(S3_storage.Cluster.file_id * int * int) list ->
   now:float -> deadline_factor:float -> first_id:int -> Task.t list
 (** One single-source task per [(file, chunk, new server)] move. *)
-
-val backup_tasks :
-  S3_util.Prng.t -> S3_storage.Cluster.t -> files:S3_storage.Cluster.file_id list ->
-  destination:int -> now:float -> deadline_factor:float -> first_id:int -> Task.t list
-(** Read [k] chunks of each file into a backup destination. Files the
-    destination holds a chunk of are skipped (a backup target inside
-    the stripe would violate the task invariant). *)

@@ -77,6 +77,6 @@ let to_tasks g topo records ~chunk_size_mb ~deadline_factor =
       in
       let arrival = r.time -. t0 in
       Task.v ~id ~kind:Task.Generic ~arrival
-        ~deadline:(arrival +. (deadline_factor *. lrt))
+        ~deadline:(Generator.deadline ~arrival ~factor:deadline_factor ~lrt)
         ~volume ~k:1 ~sources:[| source |] ~destination ())
     records

@@ -34,11 +34,6 @@ let test_by_task_grouping () =
   Alcotest.(check int) "t1 flows" 2 (List.length g1);
   Alcotest.(check int) "order preserved" 1 (fst (List.hd groups)).Task.id
 
-let test_deadline_slack () =
-  let t = task ~deadline:10. () in
-  let v = view ~now:7.5 [ flow t ] in
-  checkf "slack" 2.5 (Problem.deadline_slack v (flow t))
-
 (* ---- RTF ---- *)
 
 (* Eq. (12) for one flow: the RTF of a task with that single flow. *)
@@ -294,7 +289,6 @@ let tests =
   ( "core",
     [ tc "route and path" `Quick test_route_and_path;
       tc "by_task grouping" `Quick test_by_task_grouping;
-      tc "deadline slack" `Quick test_deadline_slack;
       tc "lrb" `Quick test_lrb;
       tc "flow rtf" `Quick test_flow_rtf;
       tc "task rtf is min" `Quick test_task_rtf_min;

@@ -209,7 +209,7 @@ let test_cursor () =
   Alcotest.(check bool) "believed dead" true (Detector.believed_dead st 2);
   Alcotest.(check bool) "known crashed" true (Detector.known_crashed st 2);
   Alcotest.(check bool) "server 1 never confirmed" false (Detector.known_crashed st 1);
-  Alcotest.(check bool) "exhausted" true (Detector.exhausted st);
+  Alcotest.(check bool) "exhausted" true (Detector.next_change st = infinity);
   Alcotest.(check int) "re-advancing fires nothing" 0 (List.length (Detector.advance st 6.))
 
 (* ---- golden detection scenes ----

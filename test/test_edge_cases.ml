@@ -9,7 +9,6 @@ module Trace = S3_workload.Trace
 module Lpst = S3_core.Lpst
 module Engine = S3_sim.Engine
 module Metrics = S3_sim.Metrics
-module Report = S3_sim.Report
 module Registry = S3_core.Registry
 module Prng = S3_util.Prng
 open Helpers
@@ -99,24 +98,6 @@ let test_lpst_arrival_order_admission () =
   Alcotest.(check (list int)) "arrival order favours the older" [ 1 ] (ids Lpst.Arrival_order);
   Alcotest.(check (list int)) "rtf order favours the urgent" [ 2 ] (ids Lpst.Rtf_order)
 
-let test_speedup_edge_cases () =
-  let topo = T.two_tier ~racks:3 ~servers_per_rack:10 ~cst:500. ~cta:1500. in
-  (* An impossible workload: nobody completes. *)
-  let hopeless =
-    [ Task.v ~id:0 ~arrival:0. ~deadline:0.1 ~volume:5000. ~k:1 ~sources:[| 1 |]
-        ~destination:0 ()
-    ]
-  in
-  let zero = Engine.run topo (Registry.make "lpst") hopeless in
-  Alcotest.(check (float 0.)) "0/0 is 1" 1. (Report.speedup ~baseline:zero zero);
-  let easy =
-    [ Task.v ~id:0 ~arrival:0. ~deadline:100. ~volume:50. ~k:1 ~sources:[| 1 |]
-        ~destination:0 ()
-    ]
-  in
-  let one = Engine.run topo (Registry.make "lpst") easy in
-  Alcotest.(check bool) "x/0 is infinite" true (Report.speedup ~baseline:zero one = infinity)
-
 let test_trace_burstiness () =
   (* The synthetic trace must actually be bursty: its peak 10-second
      window should hold far more than the average share of arrivals. *)
@@ -137,31 +118,6 @@ let test_trace_burstiness () =
     (Printf.sprintf "peak window %d >> average %.1f" busiest average_share)
     true
     (float_of_int busiest > 5. *. average_share)
-
-let test_csv_outcomes_parse_back () =
-  let topo = T.two_tier ~racks:3 ~servers_per_rack:10 ~cst:500. ~cta:1500. in
-  let tasks =
-    S3_workload.Generator.generate (Prng.create 8) topo
-      { S3_workload.Generator.baseline with S3_workload.Generator.num_tasks = 10 }
-  in
-  let run = Engine.run topo (Registry.make "lpst") tasks in
-  let lines = String.split_on_char '\n' (String.trim (Report.csv_of_outcomes run)) in
-  List.iteri
-    (fun i line ->
-      if i > 0 then begin
-        match String.split_on_char ',' line with
-        | [ id; kind; arrival; deadline; completed; finish; rem; _norm ] ->
-          Alcotest.(check bool) "id numeric" true (int_of_string_opt id <> None);
-          Alcotest.(check string) "kind" "repair" kind;
-          Alcotest.(check bool) "floats parse" true
-            (float_of_string_opt arrival <> None
-            && float_of_string_opt deadline <> None
-            && float_of_string_opt finish <> None
-            && float_of_string_opt rem <> None);
-          Alcotest.(check bool) "bool parses" true (bool_of_string_opt completed <> None)
-        | _ -> Alcotest.fail "8 fields expected"
-      end)
-    lines
 
 let test_engine_identical_deadlines_tiebreak () =
   (* Two tasks with byte-identical parameters: deterministic outcome,
@@ -250,9 +206,7 @@ let tests =
       tc "cluster exact fit" `Quick test_cluster_exact_fit;
       tc "reed-solomon (14,10)" `Quick test_rs_14_10;
       tc "lpst arrival-order admission" `Quick test_lpst_arrival_order_admission;
-      tc "speedup edge cases" `Quick test_speedup_edge_cases;
       tc "trace burstiness" `Quick test_trace_burstiness;
-      tc "csv outcomes parse back" `Quick test_csv_outcomes_parse_back;
       tc "identical tasks tiebreak" `Quick test_engine_identical_deadlines_tiebreak;
       tc "near-zero available capacity" `Quick test_zero_available_capacity;
       tc "completion below the clock's resolution" `Quick test_coarse_clock_completion;

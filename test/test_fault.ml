@@ -1,6 +1,6 @@
 (* Deterministic fault injection: plan parsing and cursor semantics,
    pinned golden fault scenarios, re-homing vs the no-reselection
-   baseline, Invalid_selection, closed-loop repair, and a seeded chaos
+   baseline, Invalid_selection, and a seeded chaos
    campaign checking machine-verified invariants across every shipped
    algorithm. Every QCheck input is a PRNG seed, so a failure prints
    the exact integer needed to replay it. *)
@@ -15,7 +15,6 @@ module Algorithm = S3_core.Algorithm
 module Problem = S3_core.Problem
 module Generator = S3_workload.Generator
 module Task = S3_workload.Task
-module Cluster = S3_storage.Cluster
 module T = S3_net.Topology
 module Prng = S3_util.Prng
 module Sweep = S3_par.Sweep
@@ -118,7 +117,7 @@ let test_cursor_semantics () =
   in
   Alcotest.(check (list int)) "rack outage kills every live server of the rack" [ 0; 1; 2 ]
     crashed;
-  Alcotest.(check bool) "script exhausted" true (Fault.exhausted st);
+  Alcotest.(check bool) "script exhausted" true (Fault.next_change st = infinity);
   (* second crash of a dead server is a no-op *)
   let st2 = Fault.start topo (Fault.plan [ { Fault.time = 1.; kind = Fault.Server_crash 0 };
                                            { Fault.time = 2.; kind = Fault.Server_crash 0 } ]) in
@@ -809,65 +808,6 @@ let test_invalid_reselection () =
   expect_invalid ~task:0 ~server:1 (fun () ->
       Engine.run ~faults:(crash_at 0.5 1) topo bad [ one_task () ])
 
-let test_injected_id_collision_rejected () =
-  let hook ~now ~server:_ =
-    [ Task.v ~id:0 ~arrival:now ~deadline:(now +. 10.) ~volume:10. ~k:1 ~sources:[| 2 |]
-        ~destination:0 ()
-    ]
-  in
-  match Engine.run ~faults:(crash_at 0.5 1) ~on_failure:hook topo (Registry.make "lpst")
-          [ one_task () ]
-  with
-  | (_ : Metrics.run) -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ()
-
-(* ---- closed-loop repair ---- *)
-
-let repair_fixture () =
-  let big = T.two_tier ~racks:3 ~servers_per_rack:10 ~cst:500. ~cta:1500. in
-  let cluster = Cluster.create big in
-  let g = Prng.create 5 in
-  let files = List.init 40 (fun _ -> Cluster.add_file cluster g ~n:9 ~k:6 ~chunk_volume:512. ()) in
-  (big, cluster, files)
-
-let test_closed_loop_repair () =
-  let big, cluster, files = repair_fixture () in
-  (* The chunks server 3 holds, which its crash loses. *)
-  let lost =
-    List.length
-      (List.concat_map
-         (fun id -> List.filter (( = ) 3) (Array.to_list (Cluster.file cluster id).Cluster.locations))
-         files)
-  in
-  Alcotest.(check bool) "fixture stores chunks on the victim" true (lost > 0);
-  let repair =
-    Fault.closed_loop_repair (Prng.create 17) cluster ~deadline_factor:10. ~first_id:1000
-  in
-  (* No background workload at all: the crash itself generates the
-     repair traffic, and the engine keeps running to drain it. *)
-  let run = Engine.run ~faults:(crash_at 10. 3) ~on_failure:repair big (Registry.make "lpst") [] in
-  Alcotest.(check int) "one repair task per recoverable lost chunk" lost
-    (List.length run.Metrics.outcomes);
-  Alcotest.(check int) "idle cluster repairs everything in time" lost (Metrics.completed run);
-  List.iter
-    (fun (o : Metrics.outcome) ->
-      let t = o.Metrics.task in
-      Alcotest.(check bool) "repair reads only survivors" false
-        (Array.exists (( = ) 3) t.Task.sources || t.Task.destination = 3);
-      Alcotest.(check bool) "repair ids start at first_id" true (t.Task.id >= 1000))
-    run.Metrics.outcomes
-
-let test_closed_loop_repair_deterministic () =
-  let fingerprint () =
-    let big, cluster, _ = repair_fixture () in
-    let repair =
-      Fault.closed_loop_repair (Prng.create 17) cluster ~deadline_factor:10. ~first_id:1000
-    in
-    Report.fingerprint
-      (Engine.run ~faults:(crash_at 10. 3) ~on_failure:repair big (Registry.make "lpst") [])
-  in
-  Alcotest.(check string) "replay is byte-identical" (fingerprint ()) (fingerprint ())
-
 (* ---- the chaos campaign ---- *)
 
 let chaos_algorithms = [ "fifo"; "disfifo"; "edf"; "disedf"; "lstf"; "lpall"; "lpst" ]
@@ -1114,9 +1054,6 @@ let tests =
       tc "watchdog off: zero fields" `Quick test_watchdog_off_runs_have_zero_watchdog_fields;
       tc "invalid selection" `Quick test_invalid_selection;
       tc "invalid reselection" `Quick test_invalid_reselection;
-      tc "injected id collision" `Quick test_injected_id_collision_rejected;
-      tc "closed-loop repair" `Quick test_closed_loop_repair;
-      tc "closed-loop repair deterministic" `Quick test_closed_loop_repair_deterministic;
       tc "parallel chaos determinism" `Quick test_parallel_chaos_determinism;
       tc "parallel watchdog determinism" `Quick test_parallel_watchdog_determinism
     ]

@@ -1,7 +1,7 @@
 (* Engine golden corpus and incremental-structure checks.
 
-   The engine runs off per-entity flow buckets, dirty-set clamping,
-   indexed crash candidates and a lazy Phase I congestion accessor, and
+   The engine runs off per-entity flow buckets, dirty-set clamping
+   and a lazy Phase I congestion accessor, and
    the LP-based algorithms solve block-decomposed LPs. All of it
    replaced a full-rescan engine and a one-tableau LP, and promised
    bit-identical runs, only faster. Before the full-rescan engine was

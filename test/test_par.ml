@@ -52,22 +52,6 @@ let test_exception_propagation () =
       Pool.run pool ~jobs:8 (fun i -> out.(i) <- -i);
       Array.iteri (fun i v -> Alcotest.(check int) "after failure" (-i) v) out)
 
-let test_shutdown () =
-  let pool = Pool.create ~domains:2 in
-  Pool.run pool ~jobs:4 ignore;
-  Pool.shutdown pool;
-  Pool.shutdown pool;
-  match Pool.run pool ~jobs:1 ignore with
-  | () -> Alcotest.fail "expected Invalid_argument after shutdown"
-  | exception Invalid_argument _ -> ()
-
-let test_domain_count_knob () =
-  Sweep.set_domain_count 3;
-  Alcotest.(check int) "override wins" 3 (Sweep.domain_count ());
-  Alcotest.check_raises "zero rejected"
-    (Invalid_argument "Sweep.set_domain_count: domains must be >= 1") (fun () ->
-      Sweep.set_domain_count 0)
-
 (* One self-contained scenario replication, the shape every parallel
    sweep job must have: topology, PRNG seed and algorithm instance all
    derived inside the job from its index. *)
@@ -101,7 +85,5 @@ let tests =
       tc "empty/single batches" `Quick test_map_empty_and_single;
       tc "pool reuse across batches" `Quick test_pool_reuse;
       tc "job exceptions propagate; pool survives" `Quick test_exception_propagation;
-      tc "shutdown is idempotent and final" `Quick test_shutdown;
-      tc "domain-count knob" `Quick test_domain_count_knob;
       tc "parallel sweep is deterministic" `Slow test_parallel_sweep_deterministic
     ] )

@@ -17,19 +17,6 @@ let test_seed_sensitivity () =
   done;
   check Alcotest.bool "different seeds diverge" true !differs
 
-let test_copy_replays () =
-  let a = Prng.create 7 in
-  ignore (Prng.bits64 a);
-  let b = Prng.copy a in
-  check Alcotest.int64 "copy replays" (Prng.bits64 a) (Prng.bits64 b)
-
-let test_split_independent () =
-  let a = Prng.create 9 in
-  let b = Prng.split a in
-  let xs = List.init 32 (fun _ -> Prng.bits64 a) in
-  let ys = List.init 32 (fun _ -> Prng.bits64 b) in
-  check Alcotest.bool "split streams differ" true (xs <> ys)
-
 let test_int_invalid () =
   let g = Prng.create 3 in
   Alcotest.check_raises "zero bound" (Invalid_argument "Prng.int: bound must be positive")
@@ -112,8 +99,6 @@ let tests =
   ( "prng",
     [ tc "determinism" `Quick test_determinism;
       tc "seed sensitivity" `Quick test_seed_sensitivity;
-      tc "copy replays" `Quick test_copy_replays;
-      tc "split independent" `Quick test_split_independent;
       tc "int invalid" `Quick test_int_invalid;
       tc "float invalid" `Quick test_float_invalid;
       tc "exponential mean" `Slow test_exponential_mean;

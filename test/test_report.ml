@@ -89,26 +89,6 @@ let test_csv_of_runs () =
       Alcotest.(check int) "22 fields" 22 (List.length (String.split_on_char ',' line)))
     lines
 
-let test_csv_of_outcomes () =
-  let runs = small_runs () in
-  let csv = Report.csv_of_outcomes (List.nth runs 1) in
-  let lines = String.split_on_char '\n' (String.trim csv) in
-  Alcotest.(check int) "header + 25 tasks" 26 (List.length lines)
-
-let test_comparison_table () =
-  let runs = small_runs () in
-  let tbl = Report.comparison_table runs in
-  Alcotest.(check bool) "mentions both algorithms" true
-    (String.length tbl > 0
-    && String.split_on_char '\n' tbl |> List.length = 4)
-
-let test_speedup () =
-  let runs = small_runs () in
-  match runs with
-  | [ fifo; lpst ] ->
-    Alcotest.(check bool) "lpst at least as good" true (Report.speedup ~baseline:fifo lpst >= 1.)
-  | _ -> Alcotest.fail "two runs"
-
 (* ---- mixed generator ---- *)
 
 let test_mixed_kinds () =
@@ -155,9 +135,6 @@ let tests =
       tc "validate negative/unknown" `Quick test_validate_negative_and_unknown;
       tc "validate agrees with engine" `Quick test_validate_agrees_with_engine;
       tc "csv of runs" `Quick test_csv_of_runs;
-      tc "csv of outcomes" `Quick test_csv_of_outcomes;
-      tc "comparison table" `Quick test_comparison_table;
-      tc "speedup" `Quick test_speedup;
       tc "mixed kinds" `Quick test_mixed_kinds;
       tc "mixed validation" `Quick test_mixed_validation
     ] )

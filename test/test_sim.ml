@@ -132,6 +132,17 @@ let test_rejects_foreign_tasks () =
     (Invalid_argument "Engine.run: task references servers outside the topology") (fun () ->
       ignore (Engine.run topo (Registry.make "lpst") [ bad ]))
 
+let test_rejects_duplicate_ids () =
+  (* Both would report one outcome, the first task's, twice. *)
+  let task ~volume ~deadline =
+    Task.v ~id:7 ~arrival:0. ~deadline ~volume ~k:1 ~sources:[| 1 |] ~destination:0 ()
+  in
+  Alcotest.check_raises "shared id"
+    (Invalid_argument "Engine.run: two tasks share the id 7") (fun () ->
+      ignore
+        (Engine.run topo (Registry.make "lpst")
+           [ task ~volume:50. ~deadline:100.; task ~volume:5000. ~deadline:0.01 ]))
+
 let test_empty_workload () =
   let run = Engine.run topo (Registry.make "lpst") [] in
   Alcotest.(check int) "no outcomes" 0 (List.length run.Metrics.outcomes);
@@ -282,6 +293,7 @@ let tests =
       tc "determinism" `Quick test_determinism;
       tc "event rates always feasible" `Quick test_on_event_sees_feasible_rates;
       tc "rejects foreign tasks" `Quick test_rejects_foreign_tasks;
+      tc "rejects two tasks with one id" `Quick test_rejects_duplicate_ids;
       tc "empty workload" `Quick test_empty_workload;
       tc "foreground none" `Quick test_foreground_none;
       tc "foreground uniform" `Quick test_foreground_uniform;

@@ -153,29 +153,6 @@ let test_rebalance_tasks () =
        (Generator.rebalance_tasks g cluster ~moves:[ (id, 1, holder) ] ~now:0.
           ~deadline_factor:10. ~first_id:0))
 
-let test_backup_tasks () =
-  let g = Prng.create 15 in
-  let cluster = Cluster.create topo in
-  let id = Cluster.add_file cluster g ~n:4 ~k:2 ~chunk_volume:256. () in
-  let f = Cluster.file cluster id in
-  let dest = List.find (fun s -> not (Array.exists (fun x -> x = s) f.Cluster.locations))
-      (List.filter (Cluster.alive cluster) (List.init (T.servers topo) Fun.id)) in
-  let tasks =
-    Generator.backup_tasks g cluster ~files:[ id ] ~destination:dest ~now:2.
-      ~deadline_factor:10. ~first_id:7
-  in
-  (match tasks with
-   | [ t ] ->
-     Alcotest.(check int) "k" 2 t.Task.k;
-     Alcotest.(check int) "id" 7 t.Task.id;
-     Alcotest.(check int) "candidates" 4 (Array.length t.Task.sources)
-   | _ -> Alcotest.fail "one backup expected");
-  (* Backing up onto a stripe member is skipped. *)
-  Alcotest.(check int) "stripe member skipped" 0
-    (List.length
-       (Generator.backup_tasks g cluster ~files:[ id ] ~destination:f.Cluster.locations.(0)
-          ~now:2. ~deadline_factor:10. ~first_id:0))
-
 (* ---- Trace ---- *)
 
 let test_trace_parse () =
@@ -252,7 +229,6 @@ let tests =
       tc "generate validation" `Quick test_generate_validation;
       tc "repair tasks on failure" `Quick test_repair_tasks_on_failure;
       tc "rebalance tasks" `Quick test_rebalance_tasks;
-      tc "backup tasks" `Quick test_backup_tasks;
       tc "trace parse" `Quick test_trace_parse;
       tc "trace roundtrip" `Quick test_trace_roundtrip;
       tc "trace sorted" `Quick test_trace_sorted;

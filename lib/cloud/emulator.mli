@@ -10,24 +10,7 @@
     simulation and testbed agree within 2.2%. This module replays the
     same algorithms through {!S3_sim.Engine} with exactly those three
     mechanisms layered on, so the sim-vs-experiment comparison of
-    Fig. 2 exercises a faithful code path. All noise is drawn from a
-    seeded PRNG: runs are reproducible. *)
-
-type config = {
-  control_latency_min : float;  (** seconds, lower bound per event (default 0.05) *)
-  control_latency_max : float;  (** upper bound (default 0.2) *)
-  bwlimit_quantum : float;  (** rate granularity in megabits/s; rsync's
-                                --bwlimit works in whole KB/s, i.e.
-                                0.008 Mb/s (the default) *)
-  jitter_stddev : float;  (** relative throughput noise (default 0.02) *)
-  seed : int;
-}
-
-val default_config : config
-
-val data_plane : config -> S3_sim.Engine.data_plane
-(** The distortion layer alone, for composing with a custom engine
-    configuration. *)
+    Fig. 2 exercises a faithful code path. *)
 
 val run :
   ?sim_config:S3_sim.Engine.config ->
@@ -39,10 +22,15 @@ val run :
   S3_core.Algorithm.t ->
   S3_sim.Metrics.Task.t list ->
   S3_sim.Metrics.run
-(** Execute the workload on the emulated testbed, with the data plane
-    of {!default_config}. The result is directly comparable with
-    {!S3_sim.Engine.run} on the same inputs — that comparison is the
-    validation experiment. [faults], [detector], [retry] and
-    [watchdog] pass straight through to the engine, so chaos and
-    graceful-degradation scenarios run under the noisy data plane
-    too. *)
+(** Execute the workload on the emulated testbed. Each scheduling
+    event pauses the transfers for a control latency drawn uniformly
+    from [0.05, 0.2] s; each assigned rate is truncated to a multiple
+    of 0.008 Mb/s (rsync's whole KB/s) and scaled by a throughput
+    factor drawn from a normal distribution with mean 1 and standard
+    deviation 0.02, capped at 1. The draws come from one PRNG seeded
+    with 1234, so runs are reproducible. The result is directly
+    comparable with {!S3_sim.Engine.run} on the same inputs — that
+    comparison is the validation experiment. [faults], [detector],
+    [retry] and [watchdog] pass straight through to the engine, so
+    chaos and graceful-degradation scenarios run under the noisy data
+    plane too. *)

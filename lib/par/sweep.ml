@@ -31,18 +31,30 @@ let domain_count () =
 
 let map ?domains n f =
   if n < 0 then invalid_arg "Sweep.map: negative job count";
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n None in
-    let body i = out.(i) <- Some (f i) in
-    let domains = match domains with Some d -> d | None -> domain_count () in
-    if domains <= 1 then
-      for i = 0 to n - 1 do
-        body i
-      done
-    else Pool.with_pool ~domains:(min domains n) (fun p -> Pool.run p ~jobs:n body);
-    Array.map (function Some v -> v | None -> assert false) out
-  end
+  let domains = match domains with Some d -> d | None -> domain_count () in
+  let out = Array.make n None in
+  (* The caller and [min domains n - 1] spawned domains claim ascending
+     indices from one counter. The first job exception is kept, stops
+     every later claim, and is re-raised once all domains have
+     joined. *)
+  let next = Atomic.make 0 and error = Atomic.make None in
+  let rec work () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n && Option.is_none (Atomic.get error) then begin
+      (* lint: allow catch-all-exn — a failed job must not take its
+         domain down before the others join; the exception is
+         re-raised below. *)
+      (match f i with
+       | v -> out.(i) <- Some v
+       | exception e -> ignore (Atomic.compare_and_set error None (Some e) : bool));
+      work ()
+    end
+  in
+  let spawned = List.init (max 0 (min domains n - 1)) (fun _ -> Domain.spawn work) in
+  work ();
+  List.iter Domain.join spawned;
+  Option.iter raise (Atomic.get error);
+  Array.map (function Some v -> v | None -> assert false) out
 
 let map_ranges ?domains n f =
   if n < 0 then invalid_arg "Sweep.map_ranges: negative count";

@@ -30,10 +30,6 @@ let topology t = t.topo
 let check_server t s =
   if s < 0 || s >= Array.length t.up then invalid_arg "Cluster: server out of range"
 
-let alive t s =
-  check_server t s;
-  t.up.(s)
-
 let alive_servers t =
   List.filter (fun s -> t.up.(s)) (List.init (Array.length t.up) Fun.id)
 
@@ -85,12 +81,6 @@ let survivors t id =
     f.locations;
   List.rev !out
 
-let lost_chunks t id =
-  let f = file t id in
-  let out = ref [] in
-  Array.iteri (fun c srv -> if srv < 0 || not t.up.(srv) then out := c :: !out) f.locations;
-  List.rev !out
-
 let fail_server t s =
   check_server t s;
   if not t.up.(s) then []
@@ -118,22 +108,6 @@ let repair_destination t g id =
   (* lint: allow partial-stdlib — Prng.int g n returns a value in
      [0, n); the index is strictly below List.length cs by contract *)
   | cs -> Some (List.nth cs (Prng.int g (List.length cs)))
-
-let place_chunk t id ~chunk ~server =
-  check_server t server;
-  let f = file t id in
-  if chunk < 0 || chunk >= f.n then invalid_arg "Cluster.place_chunk: chunk index";
-  if not t.up.(server) then invalid_arg "Cluster.place_chunk: dead server";
-  if f.locations.(chunk) >= 0 && t.up.(f.locations.(chunk)) then
-    invalid_arg "Cluster.place_chunk: chunk is not lost";
-  if Array.exists (fun srv -> srv = server) f.locations then
-    invalid_arg "Cluster.place_chunk: server already holds a chunk of this file";
-  f.locations.(chunk) <- server
-
-let evict_chunk t id ~chunk =
-  let f = file t id in
-  if chunk < 0 || chunk >= f.n then invalid_arg "Cluster.evict_chunk: chunk index";
-  f.locations.(chunk) <- -1
 
 let total_stored_volume t =
   (* Sum in file-id order ([files] sorts): float addition is not

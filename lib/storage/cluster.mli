@@ -3,8 +3,9 @@
     This is the bookkeeping layer a real deployment keeps in its
     metadata service. It tracks per-file erasure-code parameters and
     chunk locations, marks servers failed, and answers the questions
-    the background-task generators need: which chunks were lost, who
-    still holds survivors, and where a repaired chunk may be placed. *)
+    the background-task generators need: which chunks a failure lost,
+    who still holds survivors, and which server may receive a rebuilt
+    chunk. *)
 
 type file_id = int
 
@@ -32,15 +33,9 @@ val add_file :
 val file : t -> file_id -> file
 (** Raises [Not_found] on unknown ids. *)
 
-val alive : t -> int -> bool
-(** Is this server up? *)
-
 val survivors : t -> file_id -> (int * int) list
 (** [(chunk index, server)] pairs of the file's live chunks — the
     candidate sources o_{i,1..w} of a repair task. *)
-
-val lost_chunks : t -> file_id -> int list
-(** Chunk indices currently unplaced. *)
 
 val fail_server : t -> int -> (file_id * int) list
 (** Mark a server failed; its chunks become lost and are returned.
@@ -54,15 +49,6 @@ val repair_destination : t -> S3_util.Prng.t -> file_id -> int option
 (** A uniformly random alive server that holds no chunk of the file —
     where the repaired chunk will be written. [None] if no such server
     exists. *)
-
-val place_chunk : t -> file_id -> chunk:int -> server:int -> unit
-(** Record a repaired/moved chunk. Raises [Invalid_argument] if the
-    server is dead or already holds a chunk of this file, or if the
-    chunk is not currently lost (use [evict_chunk] first to move). *)
-
-val evict_chunk : t -> file_id -> chunk:int -> unit
-(** Forget a chunk's location (rebalance departure); it becomes lost
-    until placed again. *)
 
 val total_stored_volume : t -> float
 (** Sum of all placed chunk volumes, megabits. *)

@@ -281,7 +281,7 @@ let run_map ~r ~srcs ~dsts ~dbases ~len =
     ~sched:(lazy (Schedule.compile (Bitmatrix.of_matrix r)))
     ~srcs ~dsts ~dbases ~len
 
-let decode ?length c shards =
+let decode c shards =
   let len = check_shards c shards in
   let inv, srcs = select_k c shards in
   (* Assemble straight into the result buffer: row j of the inverse
@@ -291,11 +291,7 @@ let decode ?length c shards =
   run_map ~r:inv ~srcs ~dsts:(Array.make c.k full)
     ~dbases:(Array.init c.k (fun j -> j * len))
     ~len;
-  match length with
-  | None -> full
-  | Some l ->
-    if l < 0 || l > Bytes.length full then invalid_arg "Reed_solomon.decode: bad length";
-    if l = Bytes.length full then full else Bytes.sub full 0 l
+  full
 
 let reconstruct c ~index shards =
   if index < 0 || index >= c.n then invalid_arg "Reed_solomon.reconstruct: index";

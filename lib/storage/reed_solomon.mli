@@ -37,13 +37,12 @@ val encode : code -> bytes -> bytes array
     the (padded) data split verbatim, the rest are parity in the
     striped layout above. *)
 
-val decode : ?length:int -> code -> (int * bytes) list -> bytes
-(** [decode c shards] rebuilds the object from any [k] of the [(shard
-    index, shard)] pairs; extra pairs are ignored, [length] (default:
-    [k * shard length]) trims the padding. The object is assembled
-    directly into the result buffer — no per-shard staging copies —
-    and when [length] equals [k * shard length] (or is omitted) the
-    buffer is returned as-is with no trailing [Bytes.sub]. Raises
+val decode : code -> (int * bytes) list -> bytes
+(** [decode c shards] rebuilds the padded object, [k * shard length]
+    bytes, from any [k] of the [(shard index, shard)] pairs; extra
+    pairs are ignored. The object is assembled directly into the
+    result buffer, with no per-shard staging copies, and a caller that
+    knows the original length cuts the padding off itself. Raises
     [Invalid_argument] on fewer than [k] shards, duplicate or
     out-of-range indices, or mismatched shard lengths. *)
 
@@ -56,7 +55,8 @@ val reconstruct : code -> index:int -> (int * bytes) list -> bytes
 
 val encode_stripes : ?domains:int -> code -> bytes -> bytes array
 (** {!encode} with its full stripes fanned out over [domains]
-    (default 1) as contiguous stripe ranges on a {!S3_par.Sweep} pool.
-    Each job writes freshly allocated buffers, merged in index order,
-    so the result is byte-identical to {!encode}; the byte-wise tail
-    is always computed on the calling domain. *)
+    (default 1) as contiguous stripe ranges through
+    {!S3_par.Sweep.map_ranges}. Each job writes freshly allocated
+    buffers, merged in index order, so the result is byte-identical to
+    {!encode}; the byte-wise tail is always computed on the calling
+    domain. *)

@@ -20,13 +20,6 @@ let fd p = float_of_int p.d
 (* Cut-set bound corner points (Dimakis et al. 2010, eqs. (5)-(6)):
    MSR: (alpha, beta) = (M/k, M / (k (d - k + 1)))
    MBR: (alpha, beta) = (2Md / (2kd - k^2 + k), 2M / (2kd - k^2 + k)) *)
-let node_storage p ~object_size =
-  if object_size < 0. then invalid_arg "Regenerating.node_storage: negative size";
-  match p.point with
-  | Msr -> object_size /. fk p
-  | Mbr ->
-    2. *. object_size *. fd p /. ((2. *. fk p *. fd p) -. (fk p *. fk p) +. fk p)
-
 let helper_traffic p ~object_size =
   if object_size < 0. then invalid_arg "Regenerating.helper_traffic: negative size";
   match p.point with
@@ -34,7 +27,6 @@ let helper_traffic p ~object_size =
   | Mbr -> 2. *. object_size /. ((2. *. fk p *. fd p) -. (fk p *. fk p) +. fk p)
 
 let repair_traffic p ~object_size = fd p *. helper_traffic p ~object_size
-
 
 let repair_savings p =
   (* Classic MDS repair of the same object moves k * (M/k) = M. *)

@@ -34,9 +34,6 @@ val make : n:int -> k:int -> d:int -> point -> params
 (** Validates [0 < k <= d <= n - 1] (a repair must be able to avoid
     the failed node). Raises [Invalid_argument]. *)
 
-val node_storage : params -> object_size:float -> float
-(** Data stored per node (alpha), in the units of [object_size]. *)
-
 val helper_traffic : params -> object_size:float -> float
 (** Bytes/bits each helper ships during one repair (beta). *)
 

@@ -41,10 +41,15 @@ let pick_code g mix =
     go 0. mix
 
 (* The deadline [factor] least required times after [arrival]. An
-   extreme chunk size, factor or link capacity can round the sum back
-   onto the arrival, which [Task.v] would reject without naming them. *)
+   extreme chunk size, factor or link capacity can push the sum to
+   infinity or round it back onto the arrival, which [Task.v] would
+   reject without naming them. *)
 let deadline ~arrival ~factor ~lrt =
   let d = arrival +. (factor *. lrt) in
+  if not (Float.is_finite d) then
+    invalid_arg
+      "Generator: the deadline overflows (chunk size or deadline factor too large, or link \
+       capacity too small)";
   if not (d > arrival) then
     invalid_arg
       "Generator: the deadline rounds onto the arrival (chunk size or deadline factor too \
@@ -217,7 +222,7 @@ let repair_tasks_on_failure g cluster ~server ~now ~deadline_factor ~first_id =
           let lrt = float_of_int f.Cluster.k *. f.Cluster.chunk_volume /. cst in
           Some
             (Task.v ~id ~kind:Task.Repair ~arrival:now
-               ~deadline:(now +. (deadline_factor *. lrt))
+               ~deadline:(deadline ~arrival:now ~factor:deadline_factor ~lrt)
                ~volume:f.Cluster.chunk_volume ~k:f.Cluster.k ~sources ~destination ()))
     lost
 
@@ -237,7 +242,7 @@ let rebalance_tasks _g cluster ~moves ~now ~deadline_factor ~first_id =
         let lrt = f.Cluster.chunk_volume /. cst in
         Some
           (Task.v ~id ~kind:Task.Rebalance ~arrival:now
-             ~deadline:(now +. (deadline_factor *. lrt))
+             ~deadline:(deadline ~arrival:now ~factor:deadline_factor ~lrt)
              ~volume:f.Cluster.chunk_volume ~k:1 ~sources:[| holder |]
              ~destination:new_server ())
       end)

@@ -37,7 +37,7 @@ val deadline : arrival:float -> factor:float -> lrt:float -> float
 (** [arrival + factor * lrt], the deadline of a task whose least
     required time is [lrt]. Raises [Invalid_argument], naming the chunk
     size, the deadline factor and the link capacity, when the sum
-    rounds back onto [arrival]. *)
+    overflows to infinity or rounds back onto [arrival]. *)
 
 val generate :
   S3_util.Prng.t -> S3_net.Topology.t -> config -> Task.t list

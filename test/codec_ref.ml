@@ -135,17 +135,14 @@ let encode ~n ~k data =
     let parity = Matrix.select_rows (generator ~n ~k) (List.init (n - k) (fun p -> k + p)) in
     Array.append shards (apply_map parity shards len)
 
-(* The object from the first k of [shards], through the inverse of
-   their generator rows. *)
-let decode ~n ~k ?length shards =
+(* The padded object from the first k of [shards], through the
+   inverse of their generator rows. *)
+let decode ~n ~k shards =
   let chosen = List.filteri (fun i _ -> i < k) shards in
   let srcs = Array.of_list (List.map snd chosen) in
-  let data =
-    match Matrix.invert (Matrix.select_rows (generator ~n ~k) (List.map fst chosen)) with
-    | None -> invalid_arg "Codec_ref.decode: singular generator rows"
-    | Some inv -> Bytes.concat Bytes.empty (Array.to_list (apply_map inv srcs (Bytes.length srcs.(0))))
-  in
-  match length with None -> data | Some l -> Bytes.sub data 0 l
+  match Matrix.invert (Matrix.select_rows (generator ~n ~k) (List.map fst chosen)) with
+  | None -> invalid_arg "Codec_ref.decode: singular generator rows"
+  | Some inv -> Bytes.concat Bytes.empty (Array.to_list (apply_map inv srcs (Bytes.length srcs.(0))))
 
 (* A lost shard is the one encode makes from the decoded object. *)
 let reconstruct ~n ~k ~index shards = (encode ~n ~k (decode ~n ~k shards)).(index)

@@ -16,8 +16,8 @@ let test_add_file () =
   Alcotest.(check int) "k" 6 f.C.k;
   let locs = Array.to_list f.C.locations in
   Alcotest.(check int) "distinct" 9 (List.length (List.sort_uniq compare locs));
-  Alcotest.(check int) "survivors" 9 (List.length (C.survivors c id));
-  Alcotest.(check (list int)) "no lost" [] (C.lost_chunks c id)
+  Alcotest.(check (list int)) "every chunk survives" (List.init 9 Fun.id)
+    (List.map fst (C.survivors c id))
 
 let test_ids_monotonic () =
   let c, g = make () in
@@ -33,46 +33,27 @@ let test_fail_and_survivors () =
   let victim = f.C.locations.(0) in
   let lost = C.fail_server c victim in
   Alcotest.(check bool) "chunk reported lost" true (List.mem (id, 0) lost);
-  Alcotest.(check bool) "server dead" false (C.alive c victim);
-  Alcotest.(check int) "eight survivors" 8 (List.length (C.survivors c id));
-  Alcotest.(check (list int)) "lost chunk" [ 0 ] (C.lost_chunks c id);
+  Alcotest.check_raises "server dead: 14 alive"
+    (Invalid_argument "Cluster.add_file: not enough alive servers") (fun () ->
+      ignore (C.add_file c g ~n:15 ~k:1 ~chunk_volume:1. ()));
+  Alcotest.(check (list int)) "every chunk but the lost one survives" (List.init 8 succ)
+    (List.map fst (C.survivors c id));
   Alcotest.(check (list (pair int int))) "double fail is empty" [] (C.fail_server c victim)
 
 let test_repair_destination () =
   let c, g = make () in
   let id = C.add_file c g ~n:9 ~k:6 ~chunk_volume:512. () in
   let f = C.file c id in
+  (* Fail one server outside the stripe: it must never be chosen. *)
+  let dead = List.find (fun s -> not (Array.mem s f.C.locations)) (List.init 15 Fun.id) in
+  ignore (C.fail_server c dead);
   for _ = 1 to 20 do
     match C.repair_destination c g id with
     | None -> Alcotest.fail "destination expected"
     | Some d ->
-      Alcotest.(check bool) "alive" true (C.alive c d);
+      Alcotest.(check bool) "alive" true (d <> dead);
       Alcotest.(check bool) "holds no chunk" false (Array.exists (fun s -> s = d) f.C.locations)
   done
-
-let test_place_chunk () =
-  let c, g = make () in
-  let id = C.add_file c g ~n:9 ~k:6 ~chunk_volume:512. () in
-  let f = C.file c id in
-  let victim = f.C.locations.(2) in
-  ignore (C.fail_server c victim);
-  (match C.repair_destination c g id with
-   | None -> Alcotest.fail "destination expected"
-   | Some d ->
-     C.place_chunk c id ~chunk:2 ~server:d;
-     Alcotest.(check (list int)) "no lost chunks" [] (C.lost_chunks c id));
-  (* Re-placing a live chunk is an error. *)
-  Alcotest.check_raises "not lost" (Invalid_argument "Cluster.place_chunk: chunk is not lost")
-    (fun () -> C.place_chunk c id ~chunk:0 ~server:(C.file c id).C.locations.(1))
-
-let test_place_on_holder_rejected () =
-  let c, g = make () in
-  let id = C.add_file c g ~n:4 ~k:2 ~chunk_volume:1. () in
-  let f = C.file c id in
-  C.evict_chunk c id ~chunk:0;
-  Alcotest.check_raises "holder"
-    (Invalid_argument "Cluster.place_chunk: server already holds a chunk of this file")
-    (fun () -> C.place_chunk c id ~chunk:0 ~server:f.C.locations.(1))
 
 let test_revive () =
   let c, g = make () in
@@ -81,9 +62,12 @@ let test_revive () =
   let victim = f.C.locations.(0) in
   ignore (C.fail_server c victim);
   C.revive_server c victim;
-  Alcotest.(check bool) "alive again" true (C.alive c victim);
   (* Old chunk stays lost until repaired. *)
-  Alcotest.(check (list int)) "still lost" [ 0 ] (C.lost_chunks c id)
+  Alcotest.(check (list int)) "still lost" (List.init 8 succ) (List.map fst (C.survivors c id));
+  (* Alive again: a file as wide as the cluster places a chunk on it. *)
+  let wide = C.add_file c g ~n:15 ~k:1 ~chunk_volume:1. () in
+  Alcotest.(check bool) "alive again" true
+    (List.exists (fun (_, s) -> s = victim) (C.survivors c wide))
 
 let test_chunks_on () =
   let c, g = make () in
@@ -118,7 +102,7 @@ let test_placement_avoids_dead_servers () =
   for _ = 1 to 20 do
     let id = C.add_file c g ~n:9 ~k:6 ~chunk_volume:1. () in
     Array.iter
-      (fun s -> Alcotest.(check bool) "on live server" true (C.alive c s))
+      (fun s -> Alcotest.(check bool) "on live server" true (s <> 0 && s <> 1))
       (C.file c id).C.locations
   done
 
@@ -128,8 +112,6 @@ let tests =
       tc "ids monotonic" `Quick test_ids_monotonic;
       tc "fail and survivors" `Quick test_fail_and_survivors;
       tc "repair destination" `Quick test_repair_destination;
-      tc "place chunk" `Quick test_place_chunk;
-      tc "place on holder rejected" `Quick test_place_on_holder_rejected;
       tc "revive" `Quick test_revive;
       tc "chunks on server" `Quick test_chunks_on;
       tc "total volume" `Quick test_total_volume;

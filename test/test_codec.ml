@@ -35,7 +35,7 @@ let test_golden_layout () =
   let c = Rs.make ~n:9 ~k:6 in
   let data = Bytes.init 40000 (fun i -> Char.chr (((i * 7) + 13) land 0xff)) in
   let shards = Rs.encode c data in
-  let crc = S3_util.Crc32.digest (Bytes.concat Bytes.empty (Array.to_list shards)) in
+  let crc = Crc32.digest (Bytes.concat Bytes.empty (Array.to_list shards)) in
   Alcotest.(check int32) "golden shard CRC" (-1357495326l) crc
 
 (* A shard already held is never shared with the caller by
@@ -101,12 +101,12 @@ let test_exhaustive_erasures () =
       List.iter
         (fun lost ->
           let survivors = List.filter (fun (i, _) -> not (List.mem i lost)) (indexed shards) in
-          let via_t = ref_decode ~length:len c survivors in
-          let via_s = Rs.decode ~length:len c survivors in
+          let via_t = ref_decode c survivors in
+          let via_s = Rs.decode c survivors in
           Alcotest.(check bytes)
             (Printf.sprintf "(%d,%d) decode agrees" n k)
             via_t via_s;
-          Alcotest.(check bytes) "roundtrip" data via_s;
+          Alcotest.(check bytes) "roundtrip" data (Bytes.sub via_s 0 len);
           List.iter
             (fun idx ->
               let rt = ref_reconstruct c ~index:idx survivors in
@@ -164,9 +164,9 @@ let qcheck =
         let data = random_bytes g len in
         let shards = Rs.encode c data in
         let subset = Prng.sample g k (indexed shards) in
-        let via_t = ref_decode ~length:len c subset in
-        let via_s = Rs.decode ~length:len c subset in
-        Bytes.equal via_t via_s && Bytes.equal via_s data);
+        let via_t = ref_decode c subset in
+        let via_s = Rs.decode c subset in
+        Bytes.equal via_t via_s && Bytes.equal (Bytes.sub via_s 0 len) data);
     Test.make ~name:"reconstruct: kernels agree and match the encoded shard" ~count:200
       case (fun (n, k, len, seed) ->
         let g = Prng.create seed in

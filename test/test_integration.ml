@@ -1,6 +1,7 @@
 (* End-to-end tests asserting the paper's qualitative results at small
    scale: the Fig. 1 example, the orderings of Fig. 2/3, and the
-   trace-driven comparison of Fig. 4. *)
+   trace-driven comparison of Fig. 4; and one scheduled repair carried
+   through to the bytes it rebuilds. *)
 
 module Engine = S3_sim.Engine
 module Foreground = S3_sim.Foreground
@@ -9,6 +10,8 @@ module Registry = S3_core.Registry
 module Generator = S3_workload.Generator
 module Trace = S3_workload.Trace
 module Scenarios = S3_workload.Scenarios
+module Cluster = S3_storage.Cluster
+module Rs = S3_storage.Reed_solomon
 module T = S3_net.Topology
 module Prng = S3_util.Prng
 
@@ -172,6 +175,33 @@ let test_storm_lpst_dominates () =
     true
     (lpst > disedf && disedf >= fifo)
 
+(* Failure, repair task, LPST schedule: the k sources LPST picked hold
+   shards that rebuild the lost one. *)
+let test_scheduled_repair_end_to_end () =
+  let topo = T.two_tier ~racks:3 ~servers_per_rack:5 ~cst:500. ~cta:1500. in
+  let g = Prng.create 101 in
+  let code = Rs.make ~n:9 ~k:6 in
+  let shards = Rs.encode code (Bytes.init 1024 (fun i -> Char.chr ((i * 37) land 0xff))) in
+  let cluster = Cluster.create topo in
+  let chunk_volume = float_of_int (Bytes.length shards.(0)) *. 8e-6 in
+  let id = Cluster.add_file cluster g ~n:9 ~k:6 ~chunk_volume () in
+  let victim = (Cluster.file cluster id).Cluster.locations.(4) in
+  let tasks =
+    Generator.repair_tasks_on_failure g cluster ~server:victim ~now:0. ~deadline_factor:10.
+      ~first_id:0
+  in
+  let run = Engine.run topo (Registry.make "lpst") tasks in
+  Alcotest.(check int) "repair scheduled in time" 1 (Metrics.completed run);
+  let survivors = Cluster.survivors cluster id in
+  let held =
+    Array.to_list (List.hd run.Metrics.outcomes).Metrics.sources
+    |> List.map (fun s ->
+           let chunk, _ = List.find (fun (_, server) -> server = s) survivors in
+           (chunk, shards.(chunk)))
+  in
+  Alcotest.(check int) "k sources" 6 (List.length held);
+  Alcotest.(check bytes) "lost chunk rebuilt" shards.(4) (Rs.reconstruct code ~index:4 held)
+
 let tests =
   ( "integration",
     [ tc "fig1: LPST completes all three" `Quick test_fig1_lpst_completes_all;
@@ -183,5 +213,6 @@ let tests =
       tc "fig4 trace ordering" `Slow test_fig4_trace_ordering;
       tc "other topologies" `Slow test_lpst_on_other_topologies;
       tc "ablations never beat LPST" `Slow test_lpst_beats_ablations_under_pressure;
-      tc "repair storm dominance" `Slow test_storm_lpst_dominates
+      tc "repair storm dominance" `Slow test_storm_lpst_dominates;
+      tc "scheduled repair end to end" `Quick test_scheduled_repair_end_to_end
     ] )

@@ -15,7 +15,6 @@ let () =
       Test_cluster.tests;
       Test_workload.tests;
       Test_profile.tests;
-      Test_pipeline.tests;
       Test_integrity.tests;
       Test_core.tests;
       Test_algorithms.tests;

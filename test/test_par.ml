@@ -1,10 +1,8 @@
-(* Tests for the domain pool and deterministic sweeps (lib/par): batch
-   correctness and ordering under real parallelism, exception
-   propagation, pool reuse and shutdown, and the headline guarantee —
-   a parallel sweep of engine runs fingerprints identically to the
-   same sweep on one domain. *)
+(* Tests for the deterministic sweeps (lib/par): result order under
+   real parallelism, exception propagation, and the headline
+   guarantee — a parallel sweep of engine runs fingerprints
+   identically to the same sweep on one domain. *)
 
-module Pool = S3_par.Pool
 module Sweep = S3_par.Sweep
 module Topology = S3_net.Topology
 module Generator = S3_workload.Generator
@@ -31,26 +29,18 @@ let test_map_empty_and_single () =
   Alcotest.(check (array int)) "single domain" [| 0; 1; 2 |]
     (Sweep.map ~domains:1 3 (fun i -> i))
 
-let test_pool_reuse () =
-  Pool.with_pool ~domains:3 (fun pool ->
-      for round = 1 to 5 do
-        let out = Array.make (10 * round) 0 in
-        Pool.run pool ~jobs:(10 * round) (fun i -> out.(i) <- i + round);
-        Array.iteri (fun i v -> Alcotest.(check int) "batch slot" (i + round) v) out
-      done)
-
 let test_exception_propagation () =
   (match Sweep.map ~domains:4 64 (fun i -> if i = 41 then failwith "job 41" else i) with
    | _ -> Alcotest.fail "expected the job failure to propagate"
    | exception Failure msg -> Alcotest.(check string) "first failure" "job 41" msg);
-  (* The pool survives a failed batch. *)
-  Pool.with_pool ~domains:3 (fun pool ->
-      (match Pool.run pool ~jobs:8 (fun _ -> failwith "boom") with
-       | () -> Alcotest.fail "expected failure"
-       | exception Failure _ -> ());
-      let out = Array.make 8 0 in
-      Pool.run pool ~jobs:8 (fun i -> out.(i) <- -i);
-      Array.iteri (fun i v -> Alcotest.(check int) "after failure" (-i) v) out)
+  (* On one domain the claims are sequential, so the failure stops
+     every later job. *)
+  let ran = Array.make 8 false in
+  (match Sweep.map ~domains:1 8 (fun i -> ran.(i) <- true; if i = 2 then failwith "job 2") with
+   | _ -> Alcotest.fail "expected the job failure to propagate"
+   | exception Failure msg -> Alcotest.(check string) "failure" "job 2" msg);
+  Alcotest.(check (array bool)) "no claim after the failure"
+    (Array.init 8 (fun i -> i <= 2)) ran
 
 (* One self-contained scenario replication, the shape every parallel
    sweep job must have: topology, PRNG seed and algorithm instance all
@@ -83,7 +73,6 @@ let tests =
     [ tc "map returns results in index order" `Quick test_map_ordered;
       tc "map_list preserves order" `Quick test_map_list_ordered;
       tc "empty/single batches" `Quick test_map_empty_and_single;
-      tc "pool reuse across batches" `Quick test_pool_reuse;
-      tc "job exceptions propagate; pool survives" `Quick test_exception_propagation;
+      tc "job exceptions propagate" `Quick test_exception_propagation;
       tc "parallel sweep is deterministic" `Slow test_parallel_sweep_deterministic
     ] )

@@ -136,7 +136,7 @@ let test_rebalance_tasks () =
   let f = Cluster.file cluster id in
   let holder = f.Cluster.locations.(1) in
   let target = List.find (fun s -> not (Array.exists (fun x -> x = s) f.Cluster.locations))
-      (List.filter (Cluster.alive cluster) (List.init (T.servers topo) Fun.id)) in
+      (List.init (T.servers topo) Fun.id) in
   let tasks =
     Generator.rebalance_tasks g cluster ~moves:[ (id, 1, target) ] ~now:0.
       ~deadline_factor:10. ~first_id:0

@@ -40,10 +40,9 @@ let rules =
        float-containing or abstract type; use Float.compare or a typed comparator \
        (int instantiations pass)" );
     ( "domain-purity",
-      "[typed] closure passed to Sweep.map/map_list/map_ranges or Pool.run \
-       captures mutable state (ref, Hashtbl.t, Bytes.t, Buffer.t, Queue.t, \
-       Stack.t, Atomic.t, or a mutable record) from an enclosing scope; sweep \
-       jobs must be self-contained" );
+      "[typed] closure passed to Sweep.map/map_list/map_ranges captures mutable \
+       state (ref, Hashtbl.t, Bytes.t, Buffer.t, Queue.t, Stack.t, Atomic.t, or a \
+       mutable record) from an enclosing scope; sweep jobs must be self-contained" );
     ( "nondet-source",
       "[typed] Random.* global-state calls (seed an explicit Random.State.t or \
        Util.Prng instead), and wall-clock reads (Sys.time, Unix.gettimeofday, \

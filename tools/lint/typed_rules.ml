@@ -12,7 +12,7 @@
                        instantiated at float-containing or abstract
                        types, or at an unresolved type variable (int
                        instantiations pass);
-   - domain-purity   : Sweep/Pool job closures capturing mutable state
+   - domain-purity   : Sweep job closures capturing mutable state
                        from an enclosing scope;
    - nondet-source   : global-state Random.* anywhere, wall-clock reads
                        in lib/.
@@ -352,9 +352,7 @@ let wall_clock_names = [ [ "Sys"; "time" ]; [ "Unix"; "gettimeofday" ];
                          [ "Unix"; "time" ]; [ "Unix"; "times" ] ]
 
 let job_spawn_names =
-  [ [ "Sweep"; "map" ]; [ "Sweep"; "map_list" ]; [ "Sweep"; "map_ranges" ];
-    [ "Pool"; "run" ]
-  ]
+  [ [ "Sweep"; "map" ]; [ "Sweep"; "map_list" ]; [ "Sweep"; "map_ranges" ] ]
 
 let positional (args : (Asttypes.arg_label * expression option) list) =
   List.filter_map (function Asttypes.Nolabel, Some e -> Some e | _ -> None) args

@@ -19,7 +19,7 @@
       tag-only and exempt. A justified [float-eq] allowance also covers
       the typed view of the same site.
     - [domain-purity]: inline closures passed to [Sweep.map]/
-      [Sweep.map_list]/[Pool.run] that capture mutable state (ref,
+      [Sweep.map_list]/[Sweep.map_ranges] that capture mutable state (ref,
       [Hashtbl.t], [Bytes.t], [Buffer.t], [Queue.t], [Stack.t],
       [Atomic.t], or a record with mutable fields) from an enclosing
       scope — the static counterpart of the "self-contained jobs" rule

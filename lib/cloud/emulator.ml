@@ -11,8 +11,10 @@ let data_plane () =
     (* rsync --bwlimit truncates to whole KB/s, and real TCP throughput
        wobbles below the limiter; both only ever lose bandwidth. *)
     let quantized = Float.of_int (int_of_float (rate /. quantum)) *. quantum in
-    let noise = min 1. (Prng.gaussian g ~mean:1. ~stddev:0.02) in
-    max 0. (quantized *. noise)
+    let wobble = Prng.gaussian g ~mean:1. ~stddev:0.02 in
+    let noise = if 1. <= wobble then 1. else wobble in
+    let shaped = quantized *. noise in
+    if 0. >= shaped then 0. else shaped
   in
   { Engine.control_latency; shape_rate }
 

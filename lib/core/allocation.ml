@@ -4,7 +4,9 @@ type rates = (int * float) list
 
 (* A flow whose route is empty (same-server copy) consumes no shared
    capacity; give it a rate that finishes it promptly. *)
-let unbounded_rate (f : Problem.flow) = max 1. (f.Problem.remaining *. 1000.)
+let unbounded_rate (f : Problem.flow) =
+  let r = f.Problem.remaining *. 1000. in
+  if 1. >= r then 1. else r
 
 (* One flow being water-filled: its route, and its rate once frozen. *)
 type fill = {
@@ -34,7 +36,10 @@ let water_fill (v : Problem.view) available flows =
     Hashtbl.iter
       (fun e cap ->
         let n = users e in
-        if n > 0 then delta := min !delta (cap /. float_of_int n))
+        if n > 0 then begin
+          let d = cap /. float_of_int n in
+          delta := if !delta <= d then !delta else d
+        end)
       remaining;
     if not (Float.is_finite !delta) then begin
       (* No capacity entity constrains the remaining flows (cannot
@@ -79,7 +84,10 @@ let priority_fill (v : Problem.view) groups =
       Hashtbl.replace capacity e c;
       c
   in
-  let available e = max 0. (avail e) in
+  let available e =
+    let a = avail e in
+    if 0. >= a then 0. else a
+  in
   let all = ref [] in
   List.iter
     (fun group ->
@@ -96,7 +104,10 @@ let lp_allocate ?state ?incremental:_ ?(lower = fun _ -> 0.) (v : Problem.view) 
   let local, networked = List.partition (fun (_, r) -> Array.length r = 0) routes in
   let local_rates =
     List.map
-      (fun ((f : Problem.flow), _) -> (f.Problem.flow_id, max (lower f) (unbounded_rate f)))
+      (fun ((f : Problem.flow), _) ->
+        let u = unbounded_rate f in
+        let lo = lower f in
+        (f.Problem.flow_id, if lo >= u then lo else u))
       local
   in
   match networked with
@@ -109,8 +120,12 @@ let lp_allocate ?state ?incremental:_ ?(lower = fun _ -> 0.) (v : Problem.view) 
       Lp.packing state
         ~nkeys:(Array.length (S3_net.Topology.entities v.Problem.topo))
         ~keys:snd
-        ~capacity:(fun e -> max 0. (v.Problem.available e))
-        ~lower:(fun (f, _) -> max 0. (lower f))
+        ~capacity:(fun e ->
+          let a = v.Problem.available e in
+          if 0. >= a then 0. else a)
+        ~lower:(fun (f, _) ->
+          let lo = lower f in
+          if 0. >= lo then 0. else lo)
         networked
     in
     match Lp.solve ~state problem with
@@ -118,7 +133,9 @@ let lp_allocate ?state ?incremental:_ ?(lower = fun _ -> 0.) (v : Problem.view) 
     | Ok { Lp.values; _ } ->
       let rates =
         List.mapi
-          (fun j ((f : Problem.flow), _) -> (f.Problem.flow_id, max 0. values.(j)))
+          (fun j ((f : Problem.flow), _) ->
+            let x = values.(j) in
+            (f.Problem.flow_id, if 0. >= x then 0. else x))
           networked
       in
       Some (local_rates @ rates))
@@ -135,5 +152,9 @@ let max_feasible_scale (v : Problem.view) demands =
   Hashtbl.fold
     (fun e total acc ->
       if total <= 0. then acc
-      else min acc (max 0. (v.Problem.available e) /. total))
+      else begin
+        let a = v.Problem.available e in
+        let c = (if 0. >= a then 0. else a) /. total in
+        if acc <= c then acc else c
+      end)
     load 1.

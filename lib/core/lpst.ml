@@ -12,6 +12,7 @@ type bandwidth =
    the view's flow list starts at cell [first.(r)] and holds [len.(r)]
    flows of task [task.(r)], whose id is [id.(r)]; [held.(r)] says the
    sticky table holds that task, and [key.(r)] is its admission key.
+   [order] holds the runs in admission order, sorted through [tmp].
    Per entity: [avail] starts each call as the view's available
    capacity and loses each admitted task's demand; [demand] is the
    current task's summed LRB, over the stack [touched] of the entities
@@ -23,6 +24,8 @@ type scratch = {
   mutable id : int array;
   mutable held : bool array;
   mutable key : float array;
+  mutable order : int array;
+  mutable tmp : int array;
   mutable avail : float array;
   mutable demand : float array;
   mutable seen : bool array;
@@ -36,6 +39,8 @@ let scratch () =
     id = [||];
     held = [||];
     key = [||];
+    order = [||];
+    tmp = [||];
     avail = [||];
     demand = [||];
     seen = [||];
@@ -107,6 +112,7 @@ let rank_rtf s (v : Problem.view) r =
    (1e-9 tolerance) on every entity they cross; an admitted run's
    demand leaves [s.avail]. *)
 let admit_run s (v : Problem.view) r =
+  let now = v.Problem.now in
   let ntouched = ref 0 and finite = ref true in
   let cells = ref s.first.(r) and left = ref s.len.(r) in
   while !finite && !left > 0 do
@@ -115,7 +121,10 @@ let admit_run s (v : Problem.view) r =
     | f :: rest ->
       cells := rest;
       decr left;
-      let l = Rtf.flow_lrb v f in
+      (* [Rtf.lrb]'s operations, its check included. *)
+      let remaining = f.Problem.remaining and deadline = f.Problem.task.Task.deadline in
+      if remaining < 0. then invalid_arg "Rtf.lrb: negative remaining volume";
+      let l = if deadline <= now then infinity else remaining /. (deadline -. now) in
       if Float.is_finite l then begin
         let route = Problem.route_arr v f in
         for i = 0 to Array.length route - 1 do
@@ -143,6 +152,60 @@ let admit_run s (v : Problem.view) r =
     s.seen.(e) <- false
   done;
   !fits
+
+(* Admission order between runs [r] and [q]: held first, then
+   ascending key by [Float.compare] (NaN first, [-0.] equal to [0.]),
+   then ascending task id. *)
+let[@inline] compare_runs s r q =
+  let hr = s.held.(r) and hq = s.held.(q) in
+  if hr <> hq then if hr then -1 else 1
+  else
+    match Float.compare s.key.(r) s.key.(q) with
+    | 0 -> Int.compare s.id.(r) s.id.(q)
+    | c -> c
+
+(* Sort [s.order.(lo) .. s.order.(hi - 1)] by [compare_runs], stably,
+   through [s.tmp]: a merge sort with insertion sort on short runs. *)
+let rec sort_runs s lo hi =
+  let a = s.order in
+  if hi - lo <= 16 then
+    for i = lo + 1 to hi - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && compare_runs s a.(!j) x > 0 do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    let mid = (lo + hi) / 2 in
+    sort_runs s lo mid;
+    sort_runs s mid hi;
+    if compare_runs s a.(mid - 1) a.(mid) > 0 then begin
+      (* Merge the left half, moved to [tmp], with the right half in
+         place, the left one first on ties. *)
+      let tmp = s.tmp in
+      Array.blit a lo tmp lo (mid - lo);
+      let i = ref lo and j = ref mid and k = ref lo in
+      while !i < mid && !j < hi do
+        if compare_runs s tmp.(!i) a.(!j) <= 0 then begin
+          a.(!k) <- tmp.(!i);
+          incr i
+        end
+        else begin
+          a.(!k) <- a.(!j);
+          incr j
+        end;
+        incr k
+      done;
+      while !i < mid do
+        a.(!k) <- tmp.(!i);
+        incr i;
+        incr k
+      done
+    end
+  end
 
 (* The first [n] flows of [cells], in front of [tail]. *)
 let rec prefix cells n tail =
@@ -174,13 +237,13 @@ let phase2 s ~admission ~held (v : Problem.view) ~add init =
     | Rtf_order -> rank_rtf s v r
     | Arrival_order -> s.key.(r) <- s.task.(r).Task.arrival
   done;
-  let order = Array.init nruns Fun.id in
-  Array.stable_sort
-    (fun i j ->
-      match Bool.compare s.held.(j) s.held.(i) with
-      | 0 -> Sequencing.compare_at s.key s.id i j
-      | c -> c)
-    order;
+  s.order <- grow s.order nruns 0;
+  s.tmp <- grow s.tmp nruns 0;
+  let order = s.order in
+  for r = 0 to nruns - 1 do
+    order.(r) <- r
+  done;
+  sort_runs s 0 nruns;
   let nadmitted = ref 0 in
   for q = 0 to nruns - 1 do
     let r = order.(q) in

@@ -44,8 +44,9 @@ val admit : Problem.view -> (Problem.Task.t * Problem.flow list) list
     routes cross. Cost: one pass over the view's flows, one
     [available] read per entity, each task's RTF folded once, one
     stable sort of the tasks and the admission walk. It allocates the
-    scratch (O(tasks + entities)), the sort's O(tasks) index and merge
-    arrays, one boxed LRB per flow it examines, and the result. *)
+    scratch (O(tasks + entities), the sort's order and merge arrays
+    included), the floats its [available] reads return, and the
+    result; each LRB is computed in place, unboxed. *)
 
 val lpst :
   ?sources:Algorithm.source_policy ->
@@ -61,10 +62,12 @@ val lpst :
 
     Each instance keeps its Phase II scratch, grown on demand and
     reused by every call: per task run of the view, its first cell,
-    length, task, task id, held flag and key; per entity, the
-    availability that admission consumes and the current task's demand
-    stack. Beyond {!admit}'s sort arrays and boxed LRBs, a call
-    allocates the admitted flow list and the rates. Held tasks are
+    length, task, task id, held flag, key and place in the admission
+    order, with the sort's merge array; per entity, the availability
+    that admission consumes and the current task's demand stack. Once
+    the scratch has grown, Phase II allocates only the floats its
+    [available] reads return; a call also allocates the admitted flow
+    list and the rates. Held tasks are
     re-triaged first, in key order, then the rest. The Phase III LP
     goes through one
     {!S3_lp.Lp.state} per instance: the solver splits it into

@@ -30,9 +30,11 @@ type view = {
           with an engine-maintained [load] index — never looks at the
           flow list, and building it is O(all flows) per view:
           allocate-time algorithms force it once, per-spawn congestion
-          probes never do. The thunk reads the engine's live flow
-          state, so a view is only valid until the engine's next
-          mutation — algorithms must force [flows] (or not at all)
+          probes never do. The engine's thunk builds the list from its
+          flow table, reusing a flow's record from an earlier view
+          while its [remaining] is unchanged. It reads the engine's
+          live flow state, so a view is only valid until the engine's
+          next mutation — algorithms must force [flows] (or not at all)
           before returning, never stash the view. *)
   available : int -> float;  (** entity id -> megabits/s currently
                                  available to background traffic (raw
@@ -45,10 +47,10 @@ type view = {
       after a flow on the entity is removed or re-homed, is a miss and
       costs O(flows on entity); every later probe in the same instant
       is O(1), including after newly arrived tasks' flows join the
-      entity. Must equal — bit-for-bit, same accumulation order as the
-      view's flow order — what {!Congestion.of_view} computes from
-      scratch; [None] when no index is available. Like [flows], it
-      reads live engine state. *)
+      entity. Must equal — bit-for-bit — the sum of the finite LRBs of
+      the view's flows crossing the entity, accumulated from 0. in the
+      view's flow order; [None] when no index is available. Like
+      [flows], it reads live engine state. *)
 }
 
 val route_arr : view -> flow -> int array

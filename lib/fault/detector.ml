@@ -216,7 +216,7 @@ let believed_dead st s = st.bdead.(s)
 let known_crashed st s = st.known.(s)
 
 let advance st t =
-  let t = max t st.clock in
+  let t = if t >= st.clock then t else st.clock in
   st.clock <- t;
   let fired = ref [] in
   while

@@ -258,7 +258,7 @@ let crash_server st s acc = if st.dead_now.(s) then acc
   end
 
 let advance st t =
-  let t = max t st.clock in
+  let t = if t >= st.clock then t else st.clock in
   st.clock <- t;
   let changes = ref [] in
   (* Expire due degradations first: a degradation ending exactly when a

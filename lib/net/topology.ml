@@ -11,7 +11,6 @@ type entity_kind =
 type entity = {
   id : int;
   kind : entity_kind;
-  label : string;
   capacity : float;
 }
 
@@ -111,14 +110,8 @@ let two_tier ~racks ~servers_per_rack ~cst ~cta =
     Array.init
       (nservers + racks)
       (fun id ->
-        if id < nservers then
-          { id; kind = Server_nic; label = Printf.sprintf "srv%d" id; capacity = cst }
-        else
-          { id;
-            kind = Tor_uplink;
-            label = Printf.sprintf "tor%d" (id - nservers);
-            capacity = cta
-          })
+        if id < nservers then { id; kind = Server_nic; capacity = cst }
+        else { id; kind = Tor_uplink; capacity = cta })
   in
   let rack_of s = s / servers_per_rack in
   let route ~src ~dst =
@@ -144,14 +137,10 @@ let fat_tree ~k ~cst ~cta =
     Array.init
       (core_base + ncore)
       (fun id ->
-        if id < nservers then
-          { id; kind = Server_nic; label = Printf.sprintf "srv%d" id; capacity = cst }
-        else if id < agg_base then
-          { id; kind = Edge_switch; label = Printf.sprintf "edge%d" (id - edge_base); capacity = cta }
-        else if id < core_base then
-          { id; kind = Agg_switch; label = Printf.sprintf "agg%d" (id - agg_base); capacity = cta }
-        else
-          { id; kind = Core_switch; label = Printf.sprintf "core%d" (id - core_base); capacity = cta })
+        if id < nservers then { id; kind = Server_nic; capacity = cst }
+        else if id < agg_base then { id; kind = Edge_switch; capacity = cta }
+        else if id < core_base then { id; kind = Agg_switch; capacity = cta }
+        else { id; kind = Core_switch; capacity = cta })
   in
   let pod_of s = s / (half * half) in
   let edge_of s = s / half in  (* global edge index *)
@@ -195,20 +184,9 @@ let leaf_spine ~leaves ~spines ~servers_per_leaf ~cst ~cta =
     Array.init
       (nservers + leaves + spines)
       (fun id ->
-        if id < nservers then
-          { id; kind = Server_nic; label = Printf.sprintf "srv%d" id; capacity = cst }
-        else if id < spine_base then
-          { id;
-            kind = Leaf_switch;
-            label = Printf.sprintf "leaf%d" (id - leaf_base);
-            capacity = cta
-          }
-        else
-          { id;
-            kind = Spine_switch;
-            label = Printf.sprintf "spine%d" (id - spine_base);
-            capacity = cta
-          })
+        if id < nservers then { id; kind = Server_nic; capacity = cst }
+        else if id < spine_base then { id; kind = Leaf_switch; capacity = cta }
+        else { id; kind = Spine_switch; capacity = cta })
   in
   let leaf_of s = s / servers_per_leaf in
   let route ~src ~dst =
@@ -239,16 +217,8 @@ let bcube ~ports ~levels ~cst ~cta =
     Array.init
       (nservers + nswitches)
       (fun id ->
-        if id < nservers then
-          { id; kind = Server_nic; label = Printf.sprintf "srv%d" id; capacity = cst }
-        else begin
-          let sw = id - nservers in
-          { id;
-            kind = Bcube_switch;
-            label = Printf.sprintf "sw%d.%d" (sw / switches_per_level) (sw mod switches_per_level);
-            capacity = cta
-          }
-        end)
+        if id < nservers then { id; kind = Server_nic; capacity = cst }
+        else { id; kind = Bcube_switch; capacity = cta })
   in
   let digit s level =
     let rec go v i = if i = 0 then v mod n else go (v / n) (i - 1) in

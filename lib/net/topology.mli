@@ -23,10 +23,11 @@ type entity_kind =
   | Leaf_switch  (** leaf-spine leaf *)
   | Spine_switch  (** leaf-spine spine *)
 
+(** An entity is known by its id and kind; a route never lists one
+    entity twice. *)
 type entity = {
   id : int;  (** dense index into [entities t] *)
   kind : entity_kind;
-  label : string;  (** human-readable, e.g. "tor2" or "srv14" *)
   capacity : float;  (** raw bandwidth budget available to background
                          traffic, in the same unit as task volumes per
                          second (we use megabits/s throughout) *)
@@ -98,7 +99,9 @@ val route : t -> src:int -> dst:int -> int list
 
 val route_array : t -> src:int -> dst:int -> int array
 (** Same entities as {!route}, as an immutable int array memoized in a
-    flat [src * servers + dst] table — the planning hot path. The
-    returned array is shared by all callers and must not be mutated.
-    Raises [Invalid_argument] on bad server indices. *)
+    flat [src * servers + dst] table — the planning hot path. The table
+    takes [servers²] words, allocated at the first call and kept for
+    the topology's lifetime. The returned array is shared by all
+    callers and must not be mutated. Raises [Invalid_argument] on bad
+    server indices. *)
 

@@ -91,13 +91,20 @@ val run :
     [Invalid_argument] otherwise). Raises {!Invalid_selection} if the
     algorithm returns an invalid source selection.
 
-    The run is driven off per-entity flow indexes: a scheduling event
-    touches only the entities it affects (dirty-set capacity clamping,
-    a per-entity congestion load, cached within an instant, handed to
-    Phase I through {!S3_core.Problem.view}[.load]); a batch of crashes
-    is settled in one walk over the live tasks. Every view
-    carries that [load] accessor, and it reads live engine state:
-    consult it during the [on_event] callback, not after. A golden
+    The run keeps its fetches in one flow table, with [remaining] and
+    [rate] as unboxed float arrays, and indexes it per entity: each
+    entity's bucket is an int array of the table positions whose route
+    crosses it, appended at spawn and swap-removed through a
+    back-pointer, and sorted into (task seq, slot) order only where a
+    float sum needs that order (a congestion-load miss, a clamp). A
+    scheduling event touches only the entities it affects (dirty-set
+    capacity clamping, a per-entity congestion load, cached within an
+    instant, handed to Phase I through {!S3_core.Problem.view}[.load]);
+    every per-event pass is an index loop over the live tasks' table
+    positions; a batch of crashes is settled in one walk over the live
+    tasks. Every view carries that [load] accessor, and it reads live
+    engine state: consult it during the [on_event] callback, not
+    after. A golden
     corpus in the test suite pins {!Report.fingerprint} and the
     per-event rates of 340 scenarios to the values of the full-rescan
     engine this design replaced, and of 120 detector, retry and resume

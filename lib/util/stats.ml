@@ -12,11 +12,11 @@ let stddev xs =
 
 let minimum = function
   | [] -> invalid_arg "Stats.minimum: empty"
-  | x :: xs -> List.fold_left min x xs
+  | x :: xs -> List.fold_left (fun a (b : float) -> if a <= b then a else b) x xs
 
 let maximum = function
   | [] -> invalid_arg "Stats.maximum: empty"
-  | x :: xs -> List.fold_left max x xs
+  | x :: xs -> List.fold_left (fun a (b : float) -> if a >= b then a else b) x xs
 
 let percentile p xs =
   if xs = [] then invalid_arg "Stats.percentile: empty";

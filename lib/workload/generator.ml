@@ -53,7 +53,8 @@ let deadline ~arrival ~factor ~lrt =
   if not (d > arrival) then
     invalid_arg
       "Generator: the deadline rounds onto the arrival (chunk size or deadline factor too \
-       small, or link capacity too large)";
+       small, link capacity too large, or arrival too late: arrival rate too small or trace \
+       too long)";
   d
 
 let server_link_capacity topo =

@@ -37,7 +37,10 @@ val deadline : arrival:float -> factor:float -> lrt:float -> float
 (** [arrival + factor * lrt], the deadline of a task whose least
     required time is [lrt]. Raises [Invalid_argument], naming the chunk
     size, the deadline factor and the link capacity, when the sum
-    overflows to infinity or rounds back onto [arrival]. *)
+    overflows to infinity or rounds back onto [arrival]; the second
+    message also names a late arrival (an arrival rate too small, or a
+    trace that spans too long), whose magnitude swallows
+    [factor * lrt]. *)
 
 val generate :
   S3_util.Prng.t -> S3_net.Topology.t -> config -> Task.t list

@@ -78,19 +78,19 @@ let test_rtf_zero_capacity () =
 let test_congestion_of_view () =
   let t = task ~deadline:10. ~volume:1000. ~sources:[| 1 |] ~destination:0 () in
   let v = view [ flow t ] in
-  let c = Congestion.of_view v in
+  let c = Congestion_oracle.of_view v in
   (* LRB = 100 on both endpoints of the intra-rack route. *)
-  checkf "src server" 100. (Congestion.factor c (T.server_entity topo 1));
-  checkf "dst server" 100. (Congestion.factor c (T.server_entity topo 0));
-  checkf "untouched" 0. (Congestion.factor c (T.server_entity topo 8))
+  checkf "src server" 100. (Congestion_oracle.factor c (T.server_entity topo 1));
+  checkf "dst server" 100. (Congestion_oracle.factor c (T.server_entity topo 0));
+  checkf "untouched" 0. (Congestion_oracle.factor c (T.server_entity topo 8))
 
 let test_congestion_path_ops () =
-  let c = Congestion.of_view (view []) in
-  Congestion.add_path c [| 1; 2 |] 50.;
-  Congestion.add_path c [| 2; 3 |] 25.;
-  checkf "sum" 75. (Congestion.factor c 2);
-  checkf "one path" 50. (Congestion.factor c 1);
-  checkf "untouched" 0. (Congestion.factor c 4)
+  let c = Congestion_oracle.of_view (view []) in
+  Congestion_oracle.add_path c [| 1; 2 |] 50.;
+  Congestion_oracle.add_path c [| 2; 3 |] 25.;
+  checkf "sum" 75. (Congestion_oracle.factor c 2);
+  checkf "one path" 50. (Congestion_oracle.factor c 1);
+  checkf "untouched" 0. (Congestion_oracle.factor c 4)
 
 let test_select_least_congested () =
   (* A busy flow into server 0 from server 1; a new task should prefer

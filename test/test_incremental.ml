@@ -18,10 +18,10 @@
    index maintenance site (spawn, kill, re-home, hedged swap, shed,
    completion, expiry) is crossed many times.
 
-   The eager congestion scan survives here as an oracle: at every event
-   and every Phase I call the engine's cached per-entity load must
-   equal, float for float, the factors [Congestion.of_view] computes
-   from the flow list. A
+   The eager congestion scan survives as an oracle
+   (congestion_oracle.ml): at every event and every Phase I call the
+   engine's cached per-entity load must equal, float for float, the
+   factors [Congestion_oracle.of_view] computes from the flow list. A
    multicore sweep replay checks the per-run structures stay per-run
    under domains, and the LP half pins the solver contract directly:
    block-split solves equal one-tableau solves bit-for-bit over drifting
@@ -263,18 +263,83 @@ let test_corpus_coverage () =
         ("resumed bytes", fun r -> r.bytes_resumed > 0.)
       ]
 
+(* ---- the clamp path ---- *)
+
+(* No shipped algorithm over-allocates, so nothing above reaches the
+   clamp. LPST with every rate raised by half over-commits the entities
+   its LP saturates; on this scene the run also re-homes two fetches off
+   a crashed server and swaps ten stragglers, so the buckets the clamp
+   reads have seen appends, swap-removes and re-adds in mid-order. The
+   fingerprint, per-event rate digest and event count were taken from
+   the engine that kept its buckets in hash tables. *)
+let greedy_lpst () =
+  let lpst = Registry.make "lpst" in
+  { lpst with
+    Algorithm.name = "LPST x1.5";
+    allocate = (fun v -> List.map (fun (id, r) -> (id, r *. 1.5)) (lpst.Algorithm.allocate v))
+  }
+
+let clamp_scene () =
+  let g = Prng.create 21 in
+  let topo = T.two_tier ~racks:3 ~servers_per_rack:4 ~cst:400. ~cta:1000. in
+  let tasks =
+    Generator.generate g topo
+      { Generator.num_tasks = 12;
+        arrival_rate = 0.8;
+        chunk_size_mb = 32.;
+        code_mix = [ ((6, 3), 1.) ];
+        deadline_factor = 4.;
+        deadline_jitter = 0.3;
+        placement = S3_storage.Placement.Flat_uniform
+      }
+  in
+  let crash_at = 2. +. Prng.float g 6. in
+  let server = Prng.int g 12 in
+  (topo, tasks, Fault.plan [ { Fault.time = crash_at; kind = Fault.Server_crash server } ])
+
+let test_clamp_path () =
+  let topo, tasks, faults = clamp_scene () in
+  let events = ref [] in
+  let hook now (_ : Problem.view) rates = events := (now, rates) :: !events in
+  let run =
+    Engine.run ~on_event:hook ~faults ~watchdog:Watchdog.default topo (greedy_lpst ()) tasks
+  in
+  let m = run in
+  Alcotest.(check bool) "clamped" true (m.S3_sim.Metrics.clamp_events > 0);
+  Alcotest.(check int) "re-homes" 2 m.S3_sim.Metrics.tasks_rehomed;
+  Alcotest.(check int) "swaps" 10 m.S3_sim.Metrics.swaps_successful;
+  let useful =
+    List.fold_left
+      (fun acc (o : S3_sim.Metrics.outcome) ->
+        if o.S3_sim.Metrics.completed then acc +. Task.total_volume o.S3_sim.Metrics.task
+        else acc)
+      0. m.S3_sim.Metrics.outcomes
+  in
+  let drift =
+    Float.abs
+      (m.S3_sim.Metrics.transferred
+      -. (useful +. m.S3_sim.Metrics.wasted +. m.S3_sim.Metrics.shed_volume))
+  in
+  if drift > 1e-6 *. Float.max 1. m.S3_sim.Metrics.transferred then
+    Alcotest.failf "conservation: drift %h" drift;
+  Alcotest.(check string) "pinned run"
+    "6062b31278a835fe26ea42e6216b7c88 a7230ceb7b61fdff1f597fc1330b4404 57"
+    (Printf.sprintf "%s %s %d" (Report.fingerprint run)
+       (rates_digest (List.rev !events))
+       (List.length !events))
+
 (* ---- the cached congestion load, checked at every event and Phase I call ---- *)
 
 let load_matches_scan view =
   match view.Problem.load with
   | None -> Some "view.load is None"
   | Some load ->
-    let eager = Congestion.of_view { view with Problem.load = None } in
+    let eager = Congestion_oracle.of_view { view with Problem.load = None } in
     let nent = Array.length (T.entities view.Problem.topo) in
     let rec go e =
       if e >= nent then None
       else
-        let lazy_v = load e and eager_v = Congestion.factor eager e in
+        let lazy_v = load e and eager_v = Congestion_oracle.factor eager e in
         if Float.equal lazy_v eager_v then go (e + 1)
         else Some (Printf.sprintf "entity %d: load %h, eager scan %h" e lazy_v eager_v)
     in
@@ -483,16 +548,87 @@ let test_congestion_accessor () =
     }
   in
   (* The reference accessor: exactly the eager per-entity sums. *)
-  let eager_table = Congestion.of_view eager in
-  let lazy_view = { eager with Problem.load = Some (Congestion.factor eager_table) } in
+  let eager_table = Congestion_oracle.of_view eager in
+  let lazy_view = { eager with Problem.load = Some (Congestion_oracle.factor eager_table) } in
   List.iter
     (fun (t : Task.t) ->
       let a = Congestion.select_least_congested eager t in
       let b = Congestion.select_least_congested lazy_view t in
       Alcotest.(check (array int))
         (Printf.sprintf "task %d selects identically" t.Task.id)
-        a b)
+        a b;
+      Alcotest.(check (array int))
+        (Printf.sprintf "task %d selects as the oracle" t.Task.id)
+        (Congestion_oracle.select_least_congested eager t)
+        a)
     tasks
+
+(* Phase I against the hash-table oracle on random views: random
+   topologies, flows at random fractions of their volume (some past
+   their deadline at the view's clock), and every generated task as the
+   one to place, once from the flow list and once through a [load]
+   accessor holding random per-entity values. *)
+let qcheck_phase1 =
+  let open QCheck in
+  Test.make ~name:"Phase I selection == hash-table oracle, with and without load" ~count:300
+    (int_range 0 1_000_000)
+    (fun seed ->
+      let g = Prng.create seed in
+      let topo =
+        match Prng.int g 3 with
+        | 0 -> T.two_tier ~racks:(2 + Prng.int g 3) ~servers_per_rack:(4 + Prng.int g 5)
+                 ~cst:500. ~cta:1500.
+        | 1 -> T.leaf_spine ~leaves:(2 + Prng.int g 3) ~spines:(1 + Prng.int g 3)
+                 ~servers_per_leaf:(4 + Prng.int g 4) ~cst:500. ~cta:1500.
+        | _ -> T.fat_tree ~k:4 ~cst:500. ~cta:1500.
+      in
+      let code = if T.servers topo > 9 then (9, 6) else (4, 2) in
+      let tasks =
+        Generator.generate g topo
+          { Generator.num_tasks = 1 + Prng.int g 30;
+            arrival_rate = 0.2 +. Prng.float g 3.;
+            chunk_size_mb = 4. +. Prng.float g 60.;
+            code_mix = [ (code, 1.) ];
+            deadline_factor = 2. +. Prng.float g 8.;
+            deadline_jitter = Prng.float g 0.5;
+            placement = S3_storage.Placement.Flat_uniform
+          }
+      in
+      let flows =
+        List.concat_map
+          (fun (t : Task.t) ->
+            List.init t.Task.k (fun i ->
+                { Problem.flow_id = (t.Task.id * 16) + i;
+                  task = t;
+                  source = t.Task.sources.(i);
+                  remaining = t.Task.volume *. Prng.float g 1.
+                }))
+          tasks
+      in
+      let nent = Array.length (T.entities topo) in
+      let loads = Array.init nent (fun _ -> if Prng.bool g then 0. else Prng.float g 400.) in
+      let plain =
+        { Problem.now = Prng.float g 20.;
+          topo;
+          flows = lazy flows;
+          available = (fun e -> (T.entity topo e).T.capacity);
+          load = None
+        }
+      in
+      let loaded = { plain with Problem.load = Some (fun e -> loads.(e)) } in
+      List.for_all
+        (fun (t : Task.t) ->
+          List.for_all
+            (fun (what, v) ->
+              let got = Congestion.select_least_congested v t
+              and want = Congestion_oracle.select_least_congested v t in
+              got = want
+              || Test.fail_reportf "seed %d, task %d, %s: [%s] <> oracle [%s]" seed t.Task.id
+                   what
+                   (String.concat ";" (Array.to_list (Array.map string_of_int got)))
+                   (String.concat ";" (Array.to_list (Array.map string_of_int want))))
+            [ ("flow list", plain); ("load", loaded) ])
+        tasks)
 
 (* ---- the LP solve path against a one-tableau reference ---- *)
 
@@ -686,6 +822,10 @@ let tests =
       tc "load cache == eager scan at every Phase I call: bursts, re-homes, swaps" `Quick
         test_phase1_cache;
       tc "sweep replay (4 domains)" `Quick test_sweep_replay;
-      tc "congestion accessor == eager scan" `Quick test_congestion_accessor
+      tc "congestion accessor == eager scan" `Quick test_congestion_accessor;
+      tc "clamp path: over-allocation with re-homes and swaps" `Quick test_clamp_path
     ]
-    @ [ QCheck_alcotest.to_alcotest qcheck_load; lp_stream_test ] )
+    @ [ QCheck_alcotest.to_alcotest qcheck_load;
+        QCheck_alcotest.to_alcotest qcheck_phase1;
+        lp_stream_test
+      ] )

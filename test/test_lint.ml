@@ -351,6 +351,41 @@ let test_poly_compare_suppressed () =
     (lint_typed
        "let f (x : float) = x = 1.0 (* lint: allow float-eq — exact sentinel round-trip *)")
 
+(* Stdlib's min/max at float in lib/: a boxed call into the generic
+   comparison. The message names the spelled-out rewrite. *)
+let test_min_max_fires () =
+  check_rules "min at float" [ "poly-compare" ] (lint_typed "let m (a : float) b = min a b");
+  check_rules "max at a float-containing tuple" [ "poly-compare" ]
+    (lint_typed "let m (a : float * int) b = max a b");
+  check_rules "max passed as a value" [ "poly-compare" ]
+    (lint_typed "let m (xs : float list) = List.fold_left max 0. xs");
+  match lint_typed "let m (a : float) b = min a b" with
+  | [ f ] ->
+    let mentions sub =
+      let n = String.length sub and m = String.length f.Rules.message in
+      let rec at i = i + n <= m && (String.sub f.Rules.message i n = sub || at (i + 1)) in
+      at 0
+    in
+    Alcotest.(check bool) "names the rewrite" true (mentions "if a <= b then a else b")
+  | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
+
+let test_min_max_quiet () =
+  check_rules "int instantiation passes" [] (lint_typed "let m (a : int) b = min a b");
+  check_rules "spelled out" [] (lint_typed "let m (a : float) b = if a <= b then a else b");
+  check_rules "Float.max is a different function" []
+    (lint_typed "let m (a : float) b = Float.max a b");
+  check_rules "a local min" []
+    (lint_typed "let f (a : float) b =\n  let min x y = if x <= y then x else y in\n  min a b");
+  check_rules "outside lib/" [] (lint_typed ~kind:Rules.Bin "let m (a : float) b = min a b");
+  check_rules "tests are exempt" [] (lint_typed ~kind:Rules.Test "let m (a : float) b = max a b")
+
+let test_min_max_suppressed () =
+  check_rules "justified allow" []
+    (lint_typed
+       "let m (a : float) b =\n\
+        \  (* lint: allow poly-compare — cold path, boxed call is fine here *)\n\
+        \  min a b")
+
 let test_domain_purity_fires () =
   check_rules "ref capture" [ "domain-purity" ]
     (lint_typed
@@ -637,6 +672,9 @@ let tests =
       tc "typed: poly-compare at a type variable fires" `Quick test_poly_compare_type_var_fires;
       tc "typed: poly-compare at a type variable quiet" `Quick test_poly_compare_type_var_quiet;
       tc "typed: poly-compare suppressed" `Quick test_poly_compare_suppressed;
+      tc "typed: min/max at float fires" `Quick test_min_max_fires;
+      tc "typed: min/max at float quiet" `Quick test_min_max_quiet;
+      tc "typed: min/max at float suppressed" `Quick test_min_max_suppressed;
       tc "typed: domain-purity fires" `Quick test_domain_purity_fires;
       tc "typed: domain-purity quiet" `Quick test_domain_purity_quiet;
       tc "typed: domain-purity suppressed" `Quick test_domain_purity_suppressed;

@@ -152,7 +152,13 @@ let test_route_array_matches_route () =
           let oracle = T.route t ~src ~dst in
           Alcotest.(check (list int))
             (Printf.sprintf "%s %d->%d" (T.name t) src dst)
-            oracle cached
+            oracle cached;
+          (* The engine's per-entity buckets hold a flow once per
+             entity of its route. *)
+          Alcotest.(check int)
+            (Printf.sprintf "%s %d->%d lists no entity twice" (T.name t) src dst)
+            (List.length cached)
+            (List.length (List.sort_uniq Int.compare cached))
         done
       done)
     (all_topologies ())

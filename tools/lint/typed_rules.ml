@@ -11,7 +11,8 @@
    - poly-compare    : polymorphic compare/=/<>/Hashtbl.hash
                        instantiated at float-containing or abstract
                        types, or at an unresolved type variable (int
-                       instantiations pass);
+                       instantiations pass); in lib/, also Stdlib's
+                       min/max at a float-containing type;
    - domain-purity   : Sweep job closures capturing mutable state
                        from an enclosing scope;
    - nondet-source   : global-state Random.* anywhere, wall-clock reads
@@ -348,6 +349,12 @@ let poly_compare_names = [ [ "compare" ]; [ "=" ]; [ "<>" ]; [ "Hashtbl"; "hash"
 
 let is_poly_compare p = List.mem (path_parts p) poly_compare_names
 
+(* Stdlib's [min]/[max], not a local binding of the same name. *)
+let is_stdlib_min_max p =
+  match p with
+  | Path.Pdot _ -> ( match path_parts p with [ "min" ] | [ "max" ] -> true | _ -> false)
+  | _ -> false
+
 let wall_clock_names = [ [ "Sys"; "time" ]; [ "Unix"; "gettimeofday" ];
                          [ "Unix"; "time" ]; [ "Unix"; "times" ] ]
 
@@ -459,6 +466,35 @@ let analyze ~kind ~file structure =
                   constrain the type or take a comparator argument"
                  name))
   in
+  (* [min]/[max] at a float-containing type compile to a call with
+     both floats boxed, which then runs the generic [caml_lessequal] /
+     [caml_greaterequal]; only library code is held to this. *)
+  let flag_min_max (fn : expression) p =
+    match first_arrow_arg fn.exp_type with
+    | Some arg_ty when contains_float (real_env fn.exp_env) 0 arg_ty ->
+      let name = String.concat "." (path_parts p) in
+      report findings "poly-compare" ~file fn.exp_loc
+        (Printf.sprintf
+           "polymorphic %s instantiated at a float-containing type boxes both \
+            operands and calls the generic comparison; spell it out in \
+            Stdlib's operand order: %s (Float.min/Float.max order NaN and \
+            -0. differently)"
+           name
+           (if String.equal name "min" then "if a <= b then a else b"
+            else "if a >= b then a else b"))
+    | _ -> ()
+  in
+  let check_min_max (e : expression) =
+    if kind = Rules.Lib then
+      match e.exp_desc with
+      | Texp_apply (({ exp_desc = Texp_ident (p, _, _); _ } as fn), _)
+        when is_stdlib_min_max p ->
+        decided := fn.exp_loc :: !decided;
+        flag_min_max fn p
+      | Texp_ident (p, _, _) when is_stdlib_min_max p ->
+        if not (List.mem e.exp_loc !decided) then flag_min_max e p
+      | _ -> ()
+  in
   let check_poly_compare (e : expression) =
     if kind <> Rules.Test then
       match e.exp_desc with
@@ -541,6 +577,7 @@ let analyze ~kind ~file structure =
           note_sort_context e;
           check_hashtbl_order e;
           check_poly_compare e;
+          check_min_max e;
           check_domain_purity e;
           check_nondet e;
           Tast_iterator.default_iterator.expr self e)
